@@ -72,17 +72,6 @@ class InitialDatum:
             if samples is None or len(samples) == 0:
                 raise ValueError("custom datum requires a non-empty samples sequence")
 
-    def label(self) -> str:
-        """Short human-readable tag used in report rows."""
-        p = self.params
-        if self.kind == "cosine_positive":
-            return f"cosine_positive({p['a']:g},{p['b']:g})"
-        if self.kind == "von_mises_bump":
-            return f"von_mises_bump({p['kappa']:g})"
-        if self.kind == "li_rodrigo_type":
-            return f"li_rodrigo_type({p['scale']:g})"
-        return f"custom(n={len(p['samples'])})"
-
     def to_config(self) -> dict:
         """JSON-serializable form embedded in the run config (and its hash)."""
         cfg = {"kind": self.kind}

@@ -10,16 +10,18 @@ The fractional Laplacian is implemented twice on purpose:
 
 The two routes stay arithmetically independent so identities that couple them
 (notably the pointwise identity 2*phi*L^g(phi) = L^g(phi^2) + D_gamma(phi))
-are genuine cross-checks rather than tautologies.
+are genuine cross-checks rather than tautologies: the spectral operators read
+their symbols from TorusGrid, and the quadrature (_kernel_weights, _half_shift,
+_apply_quadrature) reads none of them.
 
 Quadrature scheme.  The singular integral over y in [-pi, pi) is split into n
-cells of width dx.  With the default midpoint rule the integrand is evaluated
-at cell midpoints, which are offset half a cell from the grid so no evaluation
-point hits the y=0 singularity; field values at the midpoints come from a
-single FFT half-cell phase shift (exact for the trigonometric interpolant).
-The periodized kernel sums the images |y - 2*pi*k|^{-(1+gamma)} for |k| <= K
-explicitly and adds the |k| > K remainder in closed form via the Hurwitz zeta
-function, so the only discretization error left is the quadrature rule itself.
+cells of width dx and evaluated with the midpoint rule: the cell midpoints are
+offset half a cell from the grid, so no evaluation point hits the y=0
+singularity, and field values there come from a single FFT half-cell phase
+shift (exact for the trigonometric interpolant).  The periodized kernel sums
+the images |y - 2*pi*k|^{-(1+gamma)} for |k| <= IMAGE_COUNT explicitly and adds
+the remainder in closed form via the Hurwitz zeta function, so the only
+discretization error left is the midpoint rule itself.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .torus import (
     SpectralField,
     TorusGrid,
     dealias,
-    derivative,
     forward,
     inverse,
     tail_fraction,
@@ -46,6 +47,8 @@ from .torus import (
 CALIBRATION_TOL = 1e-3
 # Fields feeding the quadrature must be spectrally resolved at the grid scale.
 QUADRATURE_TAIL_LIMIT = 0.1
+# Periodic images summed explicitly on each side of y before the analytic tail.
+IMAGE_COUNT = 20
 
 
 class CalibrationError(RuntimeError):
@@ -58,24 +61,6 @@ class CalibrationError(RuntimeError):
 
 class UnderResolvedFieldError(ValueError):
     """Raised when a field is too rough at grid scale for the quadrature."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Discretization of the periodized singular integral.
-
-    image_count is the number of periodic images summed explicitly on each
-    side of y; the remaining tail is added analytically. midpoint selects the
-    half-cell-offset midpoint rule; when False a punctured node rule is used
-    (the y=0 node is dropped), which is less accurate near the singularity.
-    """
-
-    image_count: int = 20
-    midpoint: bool = True
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.image_count, (int, np.integer)) or self.image_count < 1:
-            raise ValueError(f"image_count must be an integer >= 1, got {self.image_count!r}")
 
 
 @dataclass(frozen=True)
@@ -103,44 +88,32 @@ def hilbert(F: SpectralField) -> SpectralField:
     The Nyquist slot is zeroed like in the spectral derivative: an odd
     multiplier has no real-valued action there on an even grid.
     """
-    n = F.grid.n
-    mult = -1j * np.sign(F.grid.modes).astype(np.float64)
-    mult[n // 2] = 0.0
-    return SpectralField(F.grid, F.coeffs * mult)
+    return SpectralField(F.grid, F.coeffs * F.grid.hilbert_mult)
 
 
 def frac_laplacian_spectral(F: SpectralField, gamma: float) -> SpectralField:
     """Fractional Laplacian as the Fourier multiplier |m|^gamma."""
     if not 0.0 < gamma <= 2.0:
         raise ValueError(f"gamma must be in (0, 2], got {gamma}")
-    mult = np.abs(F.grid.modes).astype(np.float64) ** gamma
-    return SpectralField(F.grid, F.coeffs * mult)
+    return SpectralField(F.grid, F.coeffs * F.grid.abs_modes**gamma)
 
 
 @lru_cache(maxsize=64)
-def _kernel_weights(n: int, gamma: float, image_count: int, midpoint: bool) -> np.ndarray:
-    """Periodized kernel sampled at the quadrature offsets.
+def _kernel_weights(n: int, gamma: float, image_count: int) -> np.ndarray:
+    """Periodized kernel sampled at the cell midpoints -pi + (j+1/2)*dx.
 
-    Offsets are cell midpoints -pi + (j+1/2)*dx for the midpoint rule, or the
-    nodes -pi + j*dx with the singular y=0 node weighted zero otherwise.
     Returned weights include the analytic Hurwitz-zeta tail for images beyond
-    image_count, so truncation error in the image sum is eliminated.
+    image_count, so truncation error in the image sum is eliminated. No
+    midpoint lies on an image of the y=0 singularity.
     """
-    dx = TWO_PI / n
-    if midpoint:
-        y = -np.pi + (np.arange(n) + 0.5) * dx
-    else:
-        y = -np.pi + np.arange(n) * dx
+    y = -np.pi + (np.arange(n) + 0.5) * (TWO_PI / n)
     kern = np.zeros(n)
     for k in range(-image_count, image_count + 1):
-        shifted = y - TWO_PI * k
-        with np.errstate(divide="ignore"):
-            kern += np.where(shifted == 0.0, 0.0, np.abs(shifted) ** (-(1.0 + gamma)))
+        kern += np.abs(y - TWO_PI * k) ** (-(1.0 + gamma))
     q = y / TWO_PI
-    tail = TWO_PI ** (-(1.0 + gamma)) * (
+    kern += TWO_PI ** (-(1.0 + gamma)) * (
         zeta(1.0 + gamma, image_count + 1 - q) + zeta(1.0 + gamma, image_count + 1 + q)
     )
-    kern += np.where(y == 0.0, 0.0, tail)
     kern.flags.writeable = False
     return kern
 
@@ -167,22 +140,17 @@ def _offset_index(n: int) -> np.ndarray:
     return idx
 
 
-def _apply_quadrature(
-    f: RealField, gamma: float, c: float, cfg: QuadratureConfig, squared: bool
-) -> np.ndarray:
+def _apply_quadrature(f: RealField, gamma: float, c: float, squared: bool) -> np.ndarray:
     """Evaluate c * dx * sum_j kern_j * (f(x) - f(x+y_j))^(1 or 2)."""
     n = f.grid.n
-    kern = _kernel_weights(n, float(gamma), cfg.image_count, cfg.midpoint)
-    samples = _half_shift(f.values) if cfg.midpoint else f.values
-    diff = f.values[:, None] - samples[_offset_index(n)]
+    kern = _kernel_weights(n, float(gamma), IMAGE_COUNT)
+    diff = f.values[:, None] - _half_shift(f.values)[_offset_index(n)]
     if squared:
         diff = diff * diff
     return c * f.grid.dx * (diff @ kern)
 
 
-def calibrate_cgamma(
-    gamma: float, grid: TorusGrid, cfg: QuadratureConfig = QuadratureConfig()
-) -> CgammaCalibration:
+def calibrate_cgamma(gamma: float, grid: TorusGrid) -> CgammaCalibration:
     """Fit c_gamma so the quadrature reproduces the spectral answer on mode 1.
 
     Least squares against the target cos(x) (for which the multiplier answer
@@ -192,12 +160,12 @@ def calibrate_cgamma(
     if not 0.0 < gamma < 2.0:
         raise ValueError(f"gamma must be in (0, 2), got {gamma}")
     probe = RealField(grid, np.cos(grid.points))
-    raw = _apply_quadrature(probe, gamma, 1.0, cfg, squared=False)
+    raw = _apply_quadrature(probe, gamma, 1.0, squared=False)
     target = probe.values
     denom = float(raw @ raw)
     if not np.isfinite(denom) or denom == 0.0:
         raise CalibrationError(
-            f"degenerate quadrature for gamma={gamma} (n={grid.n}, K={cfg.image_count})",
+            f"degenerate quadrature for gamma={gamma} (n={grid.n}, K={IMAGE_COUNT})",
             residual=float("inf"),
         )
     c = float(raw @ target) / denom
@@ -205,7 +173,7 @@ def calibrate_cgamma(
     if not (c > 0.0 and residual < CALIBRATION_TOL):
         raise CalibrationError(
             f"calibration failed for gamma={gamma}: residual {residual:.3e} "
-            f"(n={grid.n}, K={cfg.image_count})",
+            f"(n={grid.n}, K={IMAGE_COUNT})",
             residual=residual,
         )
     return CgammaCalibration(gamma=float(gamma), c_gamma=c, residual=residual)
@@ -224,21 +192,13 @@ def _check_quadrature_input(f: RealField, gamma: float, cal: CgammaCalibration) 
         )
 
 
-def frac_laplacian_quadrature(
-    f: RealField, gamma: float, cal: CgammaCalibration, cfg: QuadratureConfig = QuadratureConfig()
-) -> RealField:
+def frac_laplacian_quadrature(f: RealField, gamma: float, cal: CgammaCalibration) -> RealField:
     """Fractional Laplacian via the periodized singular integral."""
     _check_quadrature_input(f, gamma, cal)
-    return RealField(f.grid, _apply_quadrature(f, gamma, cal.c_gamma, cfg, squared=False))
+    return RealField(f.grid, _apply_quadrature(f, gamma, cal.c_gamma, squared=False))
 
 
-def dgamma(
-    f: RealField,
-    h_shift: int,
-    gamma: float,
-    cal: CgammaCalibration,
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> RealField:
+def dgamma(f: RealField, h_shift: int, gamma: float, cal: CgammaCalibration) -> RealField:
     """Pointwise dissipation functional D_gamma, optionally of a difference field.
 
     With h_shift = 0 the functional applies to f itself; otherwise it applies
@@ -249,15 +209,10 @@ def dgamma(
         shifted = np.roll(f.values, -int(h_shift)) - f.values
         f = RealField(f.grid, shifted)
     _check_quadrature_input(f, gamma, cal)
-    return RealField(f.grid, _apply_quadrature(f, gamma, cal.c_gamma, cfg, squared=True))
+    return RealField(f.grid, _apply_quadrature(f, gamma, cal.c_gamma, squared=True))
 
 
-def cordoba_identity_residual(
-    f: RealField,
-    gamma: float,
-    cal: CgammaCalibration,
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
+def cordoba_identity_residual(f: RealField, gamma: float, cal: CgammaCalibration) -> float:
     """Max-norm residual of 2*f*L^g(f) - L^g(f^2) - D_gamma(f).
 
     L^g terms use the spectral route, D_gamma the quadrature route, so this is
@@ -267,7 +222,7 @@ def cordoba_identity_residual(
     lhs = 2.0 * f.values * inverse(frac_laplacian_spectral(F, gamma)).values
     square = RealField(f.grid, f.values * f.values)
     rhs = inverse(frac_laplacian_spectral(forward(square), gamma)).values
-    rhs = rhs + dgamma(f, 0, gamma, cal, cfg).values
+    rhs = rhs + dgamma(f, 0, gamma, cal).values
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -281,7 +236,7 @@ def commutator(f: RealField, g: RealField, s: float) -> RealField:
         raise ValueError("fields must share a grid")
     if not s > 0.0:
         raise ValueError(f"s must be positive, got {s}")
-    mult = np.abs(f.grid.modes).astype(np.float64) ** s
+    mult = f.grid.abs_modes**s
     product = forward(RealField(f.grid, f.values * g.values))
     first = dealias(product).coeffs * mult
     lsg = inverse(SpectralField(g.grid, forward(g).coeffs * mult))
@@ -292,9 +247,9 @@ def commutator(f: RealField, g: RealField, s: float) -> RealField:
 __all__ = [
     "CALIBRATION_TOL",
     "QUADRATURE_TAIL_LIMIT",
+    "IMAGE_COUNT",
     "CalibrationError",
     "UnderResolvedFieldError",
-    "QuadratureConfig",
     "CgammaCalibration",
     "hilbert",
     "frac_laplacian_spectral",

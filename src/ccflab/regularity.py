@@ -157,7 +157,7 @@ def sobolev_norm(F: SpectralField, s: float) -> float:
     """
     if s < 0.0:
         raise ValueError(f"s must be >= 0, got {s}")
-    weights = np.abs(F.grid.modes).astype(np.float64) ** (2.0 * s)
+    weights = F.grid.abs_modes ** (2.0 * s)
     return float(np.sqrt(TWO_PI * np.sum(weights * np.abs(F.coeffs) ** 2)))
 
 

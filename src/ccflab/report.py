@@ -202,17 +202,32 @@ def norm_chart_svg(record: RunRecord, width: int = 640, height: int = 400) -> st
     return "\n".join(parts)
 
 
+def _write_if_changed(path: Path, text: str) -> None:
+    """Write text to path unless the file already holds exactly these bytes."""
+    data = text.encode("utf-8")
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
+    path.write_bytes(data)
+
+
 def report(records: list[RunRecord], out_dir: Path | str) -> ReportBundle:
-    """Write summary.csv plus one norms_<hash>.svg per record into out_dir."""
+    """Write summary.csv plus one norms_<hash>.svg per record into out_dir.
+
+    A file whose bytes would not change is left untouched, so rerunning a
+    report over a resumed sweep rewrites only what the new records changed.
+    """
     if not records:
         raise ValueError("report needs at least one record")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "summary.csv"
-    csv_path.write_text(emit_csv(build_summary(records)), encoding="utf-8")
+    _write_if_changed(csv_path, emit_csv(build_summary(records)))
     chart_paths = []
     for record in records:
         path = out_dir / f"norms_{record.config_hash}.svg"
-        path.write_text(norm_chart_svg(record), encoding="utf-8")
+        _write_if_changed(path, norm_chart_svg(record))
         chart_paths.append(path)
     return ReportBundle(csv_path=csv_path, chart_paths=tuple(chart_paths))

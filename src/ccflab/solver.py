@@ -117,55 +117,48 @@ class DiagnosticPlan:
                 raise ValueError(f"holder alpha must be in (0, 1], got {a}")
 
 
-def _multipliers(grid: TorusGrid, p: ModelParams):
-    m = grid.modes
-    lam = np.abs(m).astype(np.float64) ** p.gamma if p.dissipation_on else np.zeros(grid.n)
-    hilbert_mult = -1j * np.sign(m).astype(np.float64)
-    hilbert_mult[grid.n // 2] = 0.0
-    deriv_mult = 1j * m.astype(np.float64)
-    deriv_mult[grid.n // 2] = 0.0
-    dealias_mask = (np.abs(m) <= grid.n // 3).astype(np.float64)
-    return lam, hilbert_mult, deriv_mult, dealias_mask
+def _dissipation(grid: TorusGrid, p: ModelParams) -> np.ndarray:
+    """Linear symbol |m|^gamma, or zero for an inviscid run."""
+    return grid.abs_modes**p.gamma if p.dissipation_on else np.zeros(grid.n)
 
 
-def _nonlinear_raw(coeffs: np.ndarray, p: ModelParams, hilbert_mult, deriv_mult, dealias_mask):
+def _nonlinear_raw(coeffs: np.ndarray, p: ModelParams, grid: TorusGrid) -> np.ndarray:
     if p.linear_only:
         return np.zeros_like(coeffs)
     if p.dealias_on:
-        coeffs = coeffs * dealias_mask
-    velocity = np.fft.ifft(hilbert_mult * coeffs).real
-    gradient = np.fft.ifft(deriv_mult * coeffs).real
+        coeffs = coeffs * grid.dealias_mask
+    velocity = np.fft.ifft(grid.hilbert_mult * coeffs).real
+    gradient = np.fft.ifft(grid.derivative_mult * coeffs).real
     product = np.fft.fft(velocity * gradient)
-    return product * dealias_mask if p.dealias_on else product
+    return product * grid.dealias_mask if p.dealias_on else product
 
 
 def nonlinear_term(theta_hat: SpectralField, p: ModelParams) -> SpectralField:
     """Transform of H(theta)*theta_x, pseudospectral, dealiased when enabled."""
     grid = theta_hat.grid
-    _, hilbert_mult, deriv_mult, dealias_mask = _multipliers(grid, p)
-    raw = _nonlinear_raw(theta_hat.coeffs * grid.n, p, hilbert_mult, deriv_mult, dealias_mask)
+    raw = _nonlinear_raw(theta_hat.coeffs * grid.n, p, grid)
     if not np.all(np.isfinite(raw)):
         raise NonFiniteStateError(t=float("nan"))
     return SpectralField(grid, raw / grid.n)
 
 
-def _choose_dt(coeffs, c: StepControl, dx: float, hilbert_mult, t: float, t_limit: float) -> float:
-    velocity = np.fft.ifft(hilbert_mult * coeffs).real
+def _choose_dt(coeffs, c: StepControl, grid: TorusGrid, t: float, t_limit: float) -> float:
+    velocity = np.fft.ifft(grid.hilbert_mult * coeffs).real
     speed = max(1.0, float(np.max(np.abs(velocity))))
-    dt = min(c.dt_max, c.cfl * dx / speed, t_limit - t)
+    dt = min(c.dt_max, c.cfl * grid.dx / speed, t_limit - t)
     if dt < DT_FLOOR:
         raise StepCollapseError(t, dt)
     return dt
 
 
-def _step_raw(coeffs, t, p, c, lam, hilbert_mult, deriv_mult, dealias_mask, dx, t_limit):
+def _step_raw(coeffs, t, p, c, lam, grid, t_limit):
     """One integrating-factor RK4 step on unnormalized FFT coefficients."""
-    dt = _choose_dt(coeffs, c, dx, hilbert_mult, t, t_limit)
+    dt = _choose_dt(coeffs, c, grid, t, t_limit)
     half = np.exp(-lam * dt / 2.0)
     full = half * half
 
     def N(v):
-        return _nonlinear_raw(v, p, hilbert_mult, deriv_mult, dealias_mask)
+        return _nonlinear_raw(v, p, grid)
 
     k1 = N(coeffs)
     k2 = N(half * (coeffs + dt / 2.0 * k1))
@@ -182,25 +175,17 @@ def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None =
     """Advance one step; t_limit (default t_end) caps the step so it never
     overshoots a snapshot boundary."""
     grid = s.theta_hat.grid
-    lam, hm, dm, mask = _multipliers(grid, p)
     limit = c.t_end if t_limit is None else t_limit
     coeffs, t_new = _step_raw(
-        s.theta_hat.coeffs * grid.n, s.t, p, c, lam, hm, dm, mask, grid.dx, limit
+        s.theta_hat.coeffs * grid.n, s.t, p, c, _dissipation(grid, p), grid, limit
     )
     return SolverState(t=t_new, theta_hat=SpectralField(grid, coeffs / grid.n), step_count=s.step_count + 1)
-
-
-def resolution_monitor(theta_hat: SpectralField) -> float:
-    """Spectral tail fraction (energy at |m| > n/4 over total, mean excluded)."""
-    return tail_fraction(theta_hat)
 
 
 def _take_sample(coeffs, grid: TorusGrid, t: float, gamma: float, plan: DiagnosticPlan) -> DiagnosticsSample:
     F = SpectralField(grid, coeffs / grid.n)
     phys = inverse(F)
-    deriv_mult = 1j * grid.modes.astype(np.float64)
-    deriv_mult[grid.n // 2] = 0.0
-    grad = np.fft.ifft(deriv_mult * coeffs).real
+    grad = np.fft.ifft(grid.derivative_mult * coeffs).real
     holder = {a: regularity.holder_seminorm(phys, a) for a in plan.holder_alphas}
     return DiagnosticsSample(
         t=t,
@@ -287,7 +272,7 @@ def run(
     if theta0.grid.n != p.n:
         raise ValueError(f"n mismatch: field has n={theta0.grid.n}, params n={p.n}")
     grid = theta0.grid
-    lam, hm, dm, mask = _multipliers(grid, p)
+    lam = _dissipation(grid, p)
     started = time.perf_counter()
     t_star_pred, t_local_pred = _predictions(theta0, p, constants)
     config = build_config(p, c, constants, datum, plan)
@@ -328,7 +313,7 @@ def run(
         while outcome is None and t < c.t_end - 1e-12:
             target = min(snapshot_index * c.snapshot_every, c.t_end)
             while t < target - 1e-12:
-                coeffs, t = _step_raw(coeffs, t, p, c, lam, hm, dm, mask, grid.dx, target)
+                coeffs, t = _step_raw(coeffs, t, p, c, lam, grid, target)
             sample = _take_sample(coeffs, grid, t, p.gamma, plan)
             flagged = detector(sample, samples[-1])
             samples.append(sample)

@@ -9,6 +9,10 @@ Conventions used across the package:
 * The slot at index n/2 is the Nyquist mode. It is zeroed by odd multipliers
   (derivative, Hilbert) because an odd symbol has no real-valued counterpart
   there on an even grid.
+* TorusGrid is the one place the spectral symbols are built: |m|, the
+  derivative i*m, the Hilbert symbol -i*sign(m) and the 2/3-rule dealias mask.
+  Every spectral operator reads them from there. The quadrature route in
+  `operators` deliberately builds nothing from them.
 * Parseval under this normalization: ||theta||_{L^2}^2 = 2*pi * sum_m |theta_hat[m]|^2.
 """
 
@@ -26,6 +30,11 @@ TWO_PI = 2.0 * np.pi
 SYMMETRY_TOL = 1e-12
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform collocation grid with n points on [0, 2*pi)."""
@@ -41,16 +50,36 @@ class TorusGrid:
     @cached_property
     def points(self) -> np.ndarray:
         """Grid points x_j = 2*pi*j/n, strictly increasing in [0, 2*pi)."""
-        x = TWO_PI * np.arange(self.n) / self.n
-        x.flags.writeable = False
-        return x
+        return _read_only(TWO_PI * np.arange(self.n) / self.n)
 
     @cached_property
     def modes(self) -> np.ndarray:
         """Signed integer wavenumbers in FFT layout (index n/2 holds -n/2)."""
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
-        m.flags.writeable = False
-        return m
+        return _read_only(np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64))
+
+    @cached_property
+    def abs_modes(self) -> np.ndarray:
+        """|m| as float64, the base of every |m|^s multiplier."""
+        return _read_only(np.abs(self.modes).astype(np.float64))
+
+    @cached_property
+    def derivative_mult(self) -> np.ndarray:
+        """Derivative symbol i*m, Nyquist slot zeroed."""
+        mult = 1j * self.modes.astype(np.float64)
+        mult[self.n // 2] = 0.0
+        return _read_only(mult)
+
+    @cached_property
+    def hilbert_mult(self) -> np.ndarray:
+        """Hilbert symbol -i*sign(m): mean slot 0, Nyquist slot zeroed."""
+        mult = -1j * np.sign(self.modes).astype(np.float64)
+        mult[self.n // 2] = 0.0
+        return _read_only(mult)
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """True on the modes |m| <= floor(n/3) kept by the 2/3 rule."""
+        return _read_only(self.abs_modes <= self.n // 3)
 
     @property
     def dx(self) -> float:
@@ -133,17 +162,12 @@ def inverse(F: SpectralField) -> RealField:
 
 def derivative(F: SpectralField) -> SpectralField:
     """Spectral derivative: multiply by i*m, Nyquist mode zeroed."""
-    n = F.grid.n
-    mult = 1j * F.grid.modes.astype(np.float64)
-    mult[n // 2] = 0.0
-    return SpectralField(F.grid, F.coeffs * mult)
+    return SpectralField(F.grid, F.coeffs * F.grid.derivative_mult)
 
 
 def dealias(F: SpectralField) -> SpectralField:
     """Zero all modes with |m| > floor(n/3) (2/3 rule for quadratic terms)."""
-    cut = F.grid.n // 3
-    keep = np.abs(F.grid.modes) <= cut
-    return SpectralField(F.grid, np.where(keep, F.coeffs, 0.0))
+    return SpectralField(F.grid, np.where(F.grid.dealias_mask, F.coeffs, 0.0))
 
 
 def tail_fraction(F: SpectralField) -> float:
@@ -156,5 +180,5 @@ def tail_fraction(F: SpectralField) -> float:
     total = float(energy.sum())
     if total == 0.0:
         return 0.0
-    high = float(energy[np.abs(F.grid.modes) > F.grid.n / 4].sum())
+    high = float(energy[F.grid.abs_modes > F.grid.n / 4].sum())
     return high / total

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    CALIBRATION_TOL,
     CgammaCalibration,
-    QuadratureConfig,
     calibrate_cgamma,
     cordoba_identity_residual,
     dgamma,
@@ -31,7 +31,6 @@ from .torus import RealField, TorusGrid, derivative, forward, inverse
 
 EXACT_TOL = 1e-10
 QUADRATURE_TOL = 1e-2
-CALIBRATION_RESIDUAL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -103,20 +102,20 @@ def _semigroup(fields: list[RealField], a: float = 0.3, b: float = 0.7) -> float
     return worst
 
 
-def _calibration_cross_mode(grid: TorusGrid, gamma: float, cfg: QuadratureConfig) -> tuple[CgammaCalibration, float]:
+def _calibration_cross_mode(grid: TorusGrid, gamma: float) -> tuple[CgammaCalibration, float]:
     """Calibrate on mode 1, test on mode 2 against the exact multiplier 2^gamma."""
-    cal = calibrate_cgamma(gamma, grid, cfg)
+    cal = calibrate_cgamma(gamma, grid)
     f2 = RealField(grid, np.cos(2.0 * grid.points))
-    quad = frac_laplacian_quadrature(f2, gamma, cal, cfg).values
+    quad = frac_laplacian_quadrature(f2, gamma, cal).values
     exact = 2.0**gamma * np.cos(2.0 * grid.points)
     err = float(np.sqrt(np.mean((quad - exact) ** 2)))
     return cal, _rel(err, float(np.sqrt(np.mean(exact**2))))
 
 
-def _dgamma_closed_form(grid: TorusGrid, gamma: float, cal: CgammaCalibration, cfg: QuadratureConfig) -> float:
+def _dgamma_closed_form(grid: TorusGrid, gamma: float, cal: CgammaCalibration) -> float:
     """D_gamma(cos) against 1 + (1 - 2^(gamma-1)) cos(2x), exact for all gamma."""
     f = RealField(grid, np.cos(grid.points))
-    got = dgamma(f, 0, gamma, cal, cfg).values
+    got = dgamma(f, 0, gamma, cal).values
     expected = 1.0 + (1.0 - 2.0 ** (gamma - 1.0)) * np.cos(2.0 * grid.points)
     return float(np.max(np.abs(got - expected)))
 
@@ -126,7 +125,6 @@ def verify_suite(n: int = 256, seed: int = 0, field_count: int = 6) -> list[Veri
     grid = TorusGrid(n)
     rng = np.random.default_rng(seed)
     fields = [random_band_limited(grid, rng) for _ in range(field_count)]
-    cfg = QuadratureConfig()
 
     rows = [
         VerifyRow("hilbert_involution_H2_eq_minus_I", _hilbert_involution(fields), EXACT_TOL),
@@ -135,25 +133,25 @@ def verify_suite(n: int = 256, seed: int = 0, field_count: int = 6) -> list[Veri
         VerifyRow("multiplier_semigroup_0.3_0.7", _semigroup(fields), EXACT_TOL),
     ]
     for gamma in (0.5, 0.9):
-        cal, cross = _calibration_cross_mode(grid, gamma, cfg)
+        cal, cross = _calibration_cross_mode(grid, gamma)
         rows.append(
-            VerifyRow(f"calibration_residual_gamma_{gamma:g}", cal.residual, CALIBRATION_RESIDUAL_TOL)
+            VerifyRow(f"calibration_residual_gamma_{gamma:g}", cal.residual, CALIBRATION_TOL)
         )
         rows.append(VerifyRow(f"quadrature_mode2_transfer_gamma_{gamma:g}", cross, QUADRATURE_TOL))
         f = RealField(grid, np.cos(grid.points))
         rows.append(
             VerifyRow(
                 f"product_rule_identity_gamma_{gamma:g}",
-                cordoba_identity_residual(f, gamma, cal, cfg),
+                cordoba_identity_residual(f, gamma, cal),
                 QUADRATURE_TOL,
             )
         )
     for gamma in (0.5, 1.0):
-        cal = calibrate_cgamma(gamma, grid, cfg)
+        cal = calibrate_cgamma(gamma, grid)
         rows.append(
             VerifyRow(
                 f"dissipation_closed_form_gamma_{gamma:g}",
-                _dgamma_closed_form(grid, gamma, cal, cfg),
+                _dgamma_closed_form(grid, gamma, cal),
                 QUADRATURE_TOL,
             )
         )

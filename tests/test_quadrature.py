@@ -1,13 +1,16 @@
 """Tests for the singular-integral route: kernel calibration, the pointwise
 dissipation functional, and the cross-route product-rule identity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from ccflab.operators import (
+    IMAGE_COUNT,
     CalibrationError,
     CgammaCalibration,
-    QuadratureConfig,
+    _kernel_weights,
     calibrate_cgamma,
     cordoba_identity_residual,
     dgamma,
@@ -108,20 +111,19 @@ class TestCordobaIdentity:
 
 
 class TestCalibrationFailure:
-    def test_config_rejects_nonpositive_image_count(self):
-        with pytest.raises(ValueError, match="image_count"):
-            QuadratureConfig(image_count=0)
-
     def test_calibration_object_enforces_residual_bound(self):
         """The calibration container itself refuses a residual above the
         tolerance, so a bad fit can never circulate."""
         with pytest.raises(ValueError, match="residual"):
             CgammaCalibration(gamma=0.5, c_gamma=1.0, residual=0.5)
 
-    def test_with_tail_correction_even_one_image_calibrates(self):
-        """The analytic kernel tail carries the truncated images, so small
-        image counts still meet the tolerance (the CalibrationError path
-        guards a failure no reachable configuration produces)."""
-        cal = calibrate_cgamma(0.5, TorusGrid(64), QuadratureConfig(image_count=1))
-        assert cal.residual < 1e-3
+    def test_kernel_tail_absorbs_the_truncated_images(self):
+        """The analytic Hurwitz-zeta tail carries every image beyond the
+        explicit ones, so one explicit image gives the IMAGE_COUNT kernel to
+        roundoff (the CalibrationError path guards a failure no reachable
+        input produces)."""
+        for n, gamma in itertools.product((64, 256), (0.3, 0.5, 0.9, 1.5)):
+            one = _kernel_weights(n, gamma, 1)
+            full = _kernel_weights(n, gamma, IMAGE_COUNT)
+            assert np.max(np.abs(one - full) / np.abs(full)) < 1e-13
         assert isinstance(CalibrationError("x", 1.0), RuntimeError)

@@ -1,5 +1,7 @@
 """Tests for the CSV summary and SVG chart emission."""
 
+import dataclasses
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -97,6 +99,24 @@ class TestReportBundle:
             ET.fromstring(path.read_text())
         parsed = parse_csv(bundle.csv_path.read_text())
         assert len(parsed) == 2
+
+    def test_unchanged_files_are_not_rewritten(self, records, tmp_path):
+        """A second report over the same records touches no file; a changed
+        record rewrites its own chart and the summary, nothing else."""
+        first = report(records, tmp_path)
+        paths = (first.csv_path, *first.chart_paths)
+        before = {p: p.stat().st_mtime_ns for p in paths}
+        for p in paths:  # make any rewrite visible even on coarse clocks
+            os.utime(p, ns=(before[p] - 10**9, before[p] - 10**9))
+        before = {p: p.stat().st_mtime_ns for p in paths}
+        report(records, tmp_path)
+        assert {p: p.stat().st_mtime_ns for p in paths} == before
+        changed = dataclasses.replace(records[1], samples=records[1].samples[:-1])
+        report([records[0], changed], tmp_path)
+        after = {p: p.stat().st_mtime_ns for p in paths}
+        assert after[first.chart_paths[0]] == before[first.chart_paths[0]]
+        assert after[first.chart_paths[1]] != before[first.chart_paths[1]]
+        assert after[first.csv_path] != before[first.csv_path]
 
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least one record"):

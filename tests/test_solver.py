@@ -10,8 +10,8 @@ from ccflab.solver import (
     ModelParams,
     SolverState,
     StepControl,
+    _take_sample,
     nonlinear_term,
-    resolution_monitor,
     run,
     step,
 )
@@ -123,6 +123,23 @@ class TestStep:
         s1 = step(s0, ModelParams(gamma=0.9, n=64), StepControl(t_end=1.0, dt_max=0.01))
         assert s1.t > s0.t
         assert s1.step_count == 1
+
+    def test_chained_steps_reproduce_the_run(self):
+        """step() and run() advance through the same code: chaining step() to
+        t_end gives run()'s final sample bit for bit. With n a power of two
+        the /n, *n round trip between SpectralField and raw FFT coefficients
+        is exact."""
+        grid = TorusGrid(128)
+        theta0 = RealField(grid, 1.0 + np.cos(grid.points))
+        p = ModelParams(gamma=0.7, n=128)
+        c = StepControl(t_end=0.2, snapshot_every=0.2)
+        rec = run(theta0, p, c)
+        s = SolverState(t=0.0, theta_hat=forward(theta0))
+        while s.t < c.t_end - 1e-12:
+            s = step(s, p, c)
+        final = _take_sample(s.theta_hat.coeffs * grid.n, grid, s.t, p.gamma, DiagnosticPlan())
+        assert len(rec.samples) == 2
+        assert final == rec.samples[-1]
 
     def test_step_never_overshoots_the_limit(self):
         grid = TorusGrid(64)
@@ -244,16 +261,3 @@ class TestMonitors:
         interior = slice(1, -1)
         rel = np.max(np.abs(fd[interior] - rhs[interior]) / np.abs(rhs[interior]))
         assert rel < 1e-3
-
-
-class TestResolutionMonitor:
-    def test_band_limited_is_clean_and_bump_resolves(self):
-        grid = TorusGrid(256)
-        assert resolution_monitor(forward(RealField(grid, np.cos(3 * grid.points)))) < 1e-28
-        bump = RealField(grid, np.exp(5 * (np.cos(grid.points) - 1)))
-        assert resolution_monitor(forward(bump)) < 1e-10
-
-    def test_near_nyquist_mode_is_all_tail(self):
-        grid = TorusGrid(128)
-        f = RealField(grid, np.cos((grid.n // 2 - 1) * grid.points))
-        assert resolution_monitor(forward(f)) == pytest.approx(1.0, abs=1e-12)

@@ -38,6 +38,38 @@ class TestTorusGrid:
             grid.modes[0] = 5
 
 
+class TestGridMultipliers:
+    @pytest.mark.parametrize(
+        "name", ["abs_modes", "derivative_mult", "hilbert_mult", "dealias_mask"]
+    )
+    def test_read_only_and_built_once(self, name):
+        grid = TorusGrid(16)
+        mult = getattr(grid, name)
+        assert getattr(grid, name) is mult
+        with pytest.raises(ValueError):
+            mult[1] = 0
+
+    def test_symbols(self):
+        grid = TorusGrid(16)
+        assert grid.abs_modes.dtype == np.float64
+        assert list(grid.abs_modes) == [abs(m) for m in grid.modes]
+        assert grid.derivative_mult[3] == 3j and grid.derivative_mult[-3] == -3j
+        assert grid.hilbert_mult[3] == -1j and grid.hilbert_mult[-3] == 1j
+
+    def test_odd_symbols_kill_nyquist_and_hilbert_kills_mean(self):
+        grid = TorusGrid(16)
+        assert grid.derivative_mult[8] == 0.0
+        assert grid.hilbert_mult[8] == 0.0
+        assert grid.hilbert_mult[0] == 0.0
+
+    def test_dealias_cut_at_n_over_3(self):
+        grid = TorusGrid(96)  # n//3 = 32
+        kept = np.abs(grid.modes[grid.dealias_mask])
+        dropped = np.abs(grid.modes[~grid.dealias_mask])
+        assert kept.max() == 32 and dropped.min() == 33
+        assert grid.dealias_mask.sum() == 65
+
+
 class TestFieldContainers:
     def test_real_field_rejects_bad_values(self):
         grid = TorusGrid(16)
