@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import regularity
@@ -60,7 +61,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def _constants_from(cfg: dict) -> RegularityConstants:
-    known = {"k1", "k2", "c0", "C_star", "C1", "C3"}
+    known = {f.name for f in fields(RegularityConstants)}
     unknown = set(cfg) - known
     if unknown:
         raise ValueError(f"unknown constants keys {sorted(unknown)}, expected among {sorted(known)}")
@@ -95,8 +96,8 @@ def _cmd_run(args) -> int:
     gamma = float(_pick(args.gamma, cfg.get("gamma"), 0.9))
     n = int(_pick(args.n, cfg.get("n"), 256))
     t_end = float(_pick(args.t_end, cfg.get("t_end"), 1.0))
-    dt_max = float(_pick(args.dt_max, cfg.get("dt_max"), 0.01))
-    cfl = float(_pick(args.cfl, cfg.get("cfl"), 0.4))
+    dt_max = float(_pick(args.dt_max, cfg.get("dt_max"), StepControl.dt_max))
+    cfl = float(_pick(args.cfl, cfg.get("cfl"), StepControl.cfl))
     snap = float(_pick(args.snapshot_every, cfg.get("snapshot_every"), t_end / 50.0))
     inviscid = bool(_pick(args.inviscid or None, cfg.get("inviscid"), False))
     dealias = not args.no_dealias and bool(cfg.get("dealias", True))
@@ -126,17 +127,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_list(text: str | None, cast):
-    if text is None:
+def _parse_list(values, cast):
+    """A sweep axis from a flag or config value: None (unset), a
+    comma-separated string, or a JSON array."""
+    if values is None:
         return None
-    return tuple(cast(part) for part in text.split(",") if part.strip())
+    if isinstance(values, str):
+        values = [part for part in values.split(",") if part.strip()]
+    return tuple(cast(v) for v in values)
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     scfg = cfg.get("sweep", {})
-    gammas = _pick(_parse_list(args.gamma, float), _parse_list_cfg(scfg.get("gamma_values")), (0.6, 0.9))
-    ns = _pick(_parse_list(args.n, int), _parse_list_cfg(scfg.get("resolutions"), int), (128, 256))
+    gammas = _pick(_parse_list(args.gamma, float), _parse_list(scfg.get("gamma_values"), float), (0.6, 0.9))
+    ns = _pick(_parse_list(args.n, int), _parse_list(scfg.get("resolutions"), int), (128, 256))
     datum_texts = _pick(args.datum or None, scfg.get("data"), ["cosine:1,1"])
     t_end = float(_pick(args.t_end, scfg.get("t_end"), 1.0))
     jobs = int(_pick(args.jobs, scfg.get("parallelism"), 1))
@@ -170,12 +175,6 @@ def _cmd_sweep(args) -> int:
         )
     print(f"{len(records)} records in {path}")
     return 0
-
-
-def _parse_list_cfg(values, cast=float):
-    if values is None:
-        return None
-    return tuple(cast(v) for v in values)
 
 
 def _cmd_verify(args) -> int:

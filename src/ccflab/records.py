@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 from .regularity import DiagnosticsSample
@@ -59,36 +60,28 @@ def config_hash(config: dict) -> str:
     return hashlib.sha1(canon.encode()).hexdigest()[:12]
 
 
+# The persisted sample keys are DiagnosticsSample's own field names, in the
+# order of its constructor's parameters.
+_SAMPLE_FIELDS = tuple(f.name for f in fields(DiagnosticsSample))
+_sample_values = itemgetter(*_SAMPLE_FIELDS)
+_HOLDER = _SAMPLE_FIELDS.index("holder")
+
+
 def _sample_to_dict(s: DiagnosticsSample) -> dict:
-    return {
-        "t": s.t,
-        "l2": s.l2,
-        "linf": s.linf,
-        "mean": s.mean,
-        "hdot_half": s.hdot_half,
-        "hdot_three_half": s.hdot_three_half,
-        "hdot_mid": s.hdot_mid,
-        "holder": {repr(a): v for a, v in s.holder.items()},
-        "tail_fraction": s.tail_fraction,
-        "min_value": s.min_value,
-        "grad_linf": s.grad_linf,
-    }
+    d = {name: getattr(s, name) for name in _SAMPLE_FIELDS}
+    # Explicit repr keys: json's own float-to-key conversion would sort some
+    # alphas differently.
+    d["holder"] = {repr(a): v for a, v in s.holder.items()}
+    return d
 
 
 def _sample_from_dict(d: dict) -> DiagnosticsSample:
-    return DiagnosticsSample(
-        t=d["t"],
-        l2=d["l2"],
-        linf=d["linf"],
-        mean=d["mean"],
-        hdot_half=d["hdot_half"],
-        hdot_three_half=d["hdot_three_half"],
-        hdot_mid=d["hdot_mid"],
-        holder={float(a): v for a, v in d["holder"].items()},
-        tail_fraction=d["tail_fraction"],
-        min_value=d["min_value"],
-        grad_linf=d["grad_linf"],
-    )
+    try:
+        values = list(_sample_values(d))
+    except KeyError as exc:
+        raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
+    values[_HOLDER] = {float(a): v for a, v in values[_HOLDER].items()}
+    return DiagnosticsSample(*values)
 
 
 def record_to_dict(record: RunRecord) -> dict:
@@ -110,15 +103,18 @@ def record_from_dict(d: dict) -> RunRecord:
         raise ValueError(
             f"unknown record schema_version {version!r}; this build reads version {SCHEMA_VERSION}"
         )
-    return RunRecord(
-        config=d["config"],
-        samples=[_sample_from_dict(s) for s in d["samples"]],
-        outcome=Outcome(d["outcome"]),
-        outcome_detail=d.get("outcome_detail", ""),
-        t_star_predicted=d["t_star_predicted"],
-        t_local_predicted=d["t_local_predicted"],
-        wall_time=d["wall_time"],
-    )
+    try:
+        return RunRecord(
+            config=d["config"],
+            samples=[_sample_from_dict(s) for s in d["samples"]],
+            outcome=Outcome(d["outcome"]),
+            outcome_detail=d.get("outcome_detail", ""),
+            t_star_predicted=d["t_star_predicted"],
+            t_local_predicted=d["t_local_predicted"],
+            wall_time=d["wall_time"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"record is missing key {exc.args[0]!r}") from None
 
 
 def record_to_json(record: RunRecord) -> str:
@@ -132,7 +128,8 @@ def append_record(path: Path, record: RunRecord) -> None:
 
 
 def load_records(path: Path) -> list[RunRecord]:
-    """Read a JSONL record file; unknown schema versions are rejected loudly."""
+    """Read a JSONL record file; unknown schema versions and missing keys are
+    rejected loudly, as a ValueError naming the file and line."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -140,8 +137,9 @@ def load_records(path: Path) -> list[RunRecord]:
             if not line:
                 continue
             try:
-                payload = json.loads(line)
+                records.append(record_from_dict(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            records.append(record_from_dict(payload))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return records

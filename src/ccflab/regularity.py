@@ -10,7 +10,7 @@ units of the configured constants, never an absolute physical claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,10 +41,10 @@ class RegularityConstants:
     C3: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("k1", "k2", "c0", "C_star", "C1", "C3"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+                raise ValueError(f"{f.name} must be strictly positive, got {value}")
         if self.k2 < 1.0:
             raise ValueError(f"k2 must be >= 1, got {self.k2}")
 
@@ -81,8 +81,6 @@ def t_star(
     C = C_star * k1 * k2^{gamma/(1-gamma)} / gamma. Defined only for gamma in
     (0, 1); the formula degenerates at the critical exponent.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1) for t_star, got {gamma}")
     _validate_schedule_params(gamma, alpha)
     if not linf0 > 0.0:
         raise ValueError(f"linf0 must be positive, got {linf0}")

@@ -15,17 +15,24 @@ from pathlib import Path
 from . import regularity
 from .records import RunRecord
 
-CSV_HEADER = (
-    "gamma",
-    "n",
-    "datum",
-    "outcome",
-    "holder_alpha",
-    "max_holder_after_tstar",
-    "fitted_c",
-    "t_star_predicted",
-    "t_local_predicted",
-)
+
+def _optional_float(cell: str) -> float | None:
+    return float(cell) if cell else None
+
+
+# Summary columns in CSV order, each with the parser that inverts its cell.
+_CSV_COLUMNS = {
+    "gamma": float,
+    "n": int,
+    "datum": str,
+    "outcome": str,
+    "holder_alpha": _optional_float,
+    "max_holder_after_tstar": _optional_float,
+    "fitted_c": _optional_float,
+    "t_star_predicted": _optional_float,
+    "t_local_predicted": _optional_float,
+}
+CSV_HEADER = tuple(_CSV_COLUMNS)
 
 CHART_SERIES = ("l2", "linf", "hdot_half", "hdot_three_half", "hdot_mid")
 CHART_COLORS = ("#1f6f8b", "#c0392b", "#27ae60", "#8e44ad", "#d4880c")
@@ -130,28 +137,9 @@ def parse_csv(text: str) -> list[dict]:
     for raw in reader:
         if not raw:
             continue
-        rec = dict(zip(CSV_HEADER, raw))
-        rows.append(
-            {
-                "gamma": float(rec["gamma"]),
-                "n": int(rec["n"]),
-                "datum": rec["datum"],
-                "outcome": rec["outcome"],
-                "holder_alpha": float(rec["holder_alpha"]) if rec["holder_alpha"] else None,
-                "max_holder_after_tstar": (
-                    float(rec["max_holder_after_tstar"])
-                    if rec["max_holder_after_tstar"]
-                    else None
-                ),
-                "fitted_c": float(rec["fitted_c"]) if rec["fitted_c"] else None,
-                "t_star_predicted": (
-                    float(rec["t_star_predicted"]) if rec["t_star_predicted"] else None
-                ),
-                "t_local_predicted": (
-                    float(rec["t_local_predicted"]) if rec["t_local_predicted"] else None
-                ),
-            }
-        )
+        if len(raw) != len(CSV_HEADER):
+            raise ValueError(f"CSV row has {len(raw)} cells, expected {len(CSV_HEADER)}: {raw!r}")
+        rows.append({name: parse(cell) for (name, parse), cell in zip(_CSV_COLUMNS.items(), raw)})
     return rows
 
 

@@ -22,7 +22,7 @@ inputs give bit-identical records.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -209,32 +209,24 @@ def build_config(
     datum: dict | None,
     plan: DiagnosticPlan,
 ) -> dict:
-    """Full run configuration, the unit of sweep resumption hashing."""
+    """Full run configuration, the unit of sweep resumption hashing.
+
+    The model, control and constants blocks are keyed by their dataclass field
+    names, so a field added there lands in every new config and its hash.
+    """
     return {
-        "model": {
-            "gamma": p.gamma,
-            "n": p.n,
-            "dissipation_on": p.dissipation_on,
-            "dealias_on": p.dealias_on,
-            "linear_only": p.linear_only,
-        },
-        "control": {
-            "t_end": c.t_end,
-            "dt_max": c.dt_max,
-            "cfl": c.cfl,
-            "snapshot_every": c.snapshot_every,
-        },
-        "constants": {
-            "k1": constants.k1,
-            "k2": constants.k2,
-            "c0": constants.c0,
-            "C_star": constants.C_star,
-            "C1": constants.C1,
-            "C3": constants.C3,
-        },
+        "model": _field_values(p),
+        "control": _field_values(c),
+        "constants": _field_values(constants),
         "datum": datum if datum is not None else {"kind": "custom"},
         "holder_alphas": list(plan.holder_alphas),
     }
+
+
+def _field_values(obj) -> dict:
+    # Not dataclasses.asdict: every field here is a scalar, so its deep copy
+    # would only double the cost of each config hash.
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _predictions(theta0: RealField, p: ModelParams, constants: RegularityConstants):

@@ -124,6 +124,33 @@ class TestSweepAndReportCommands:
         assert main(["report", "/nonexistent/records.jsonl"]) == 1
         assert "records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["outcome", "tail_fraction"])
+    def test_report_on_a_record_missing_a_key_names_line_and_key(self, tmp_path, capsys, missing):
+        assert main(["sweep", "--gamma", "0.9", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
+        path = tmp_path / "sweep.jsonl"
+        payload = json.loads(path.read_text())
+        del (payload if missing == "outcome" else payload["samples"][1])[missing]
+        path.write_text(path.read_text() + json.dumps(payload) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep.jsonl:2" in err and repr(missing) in err
+        assert "Traceback" not in err
+
+    def test_config_axes_may_be_comma_separated_strings(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"gamma_values": "0.6,0.9", "resolutions": "64", "t_end": 0.1}}))
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        records = load_records(tmp_path / "sweep.jsonl")
+        assert [r.config["model"]["gamma"] for r in records] == [0.6, 0.9]
+        assert {r.config["model"]["n"] for r in records} == {64}
+
+    def test_unknown_constant_in_config_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constants": {"C_star": 2.0, "k9": 1.0}}))
+        assert main(["run", "--config", str(cfg), "--n", "64", "--out-dir", str(tmp_path)]) == 1
+        assert "k9" in capsys.readouterr().err
+
 
 class TestConsoleScript:
     def test_entry_point_is_installed(self):

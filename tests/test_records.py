@@ -15,7 +15,9 @@ from ccflab.records import (
     record_to_dict,
     record_to_json,
 )
-from ccflab.regularity import DiagnosticsSample
+from ccflab.experiments import cosine_positive
+from ccflab.regularity import DiagnosticsSample, RegularityConstants
+from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, build_config
 
 
 def _sample(t, l2=1.0):
@@ -76,6 +78,37 @@ class TestRunRecord:
         rec = _record()
         assert config_hash(rec.config) == rec.config_hash
 
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (
+                build_config(
+                    ModelParams(gamma=0.9, n=128),
+                    StepControl(t_end=1.0),
+                    RegularityConstants(),
+                    cosine_positive(1.0, 0.5).to_config(),
+                    DiagnosticPlan((0.2,)),
+                ),
+                "decd31bfc78e",
+            ),
+            (
+                build_config(
+                    ModelParams(gamma=1.5, n=64, dissipation_on=False, dealias_on=False),
+                    StepControl(t_end=0.5, dt_max=0.02, cfl=0.3, snapshot_every=0.05),
+                    RegularityConstants(C_star=2.0, k2=3.0),
+                    None,
+                    DiagnosticPlan(),
+                ),
+                "bb56de2b972b",
+            ),
+        ],
+        ids=["defaults", "every-field-set"],
+    )
+    def test_golden_hash_keeps_existing_sweep_files_resumable(self, config, expected):
+        # Hashes written by earlier builds: a schema edit that changes them
+        # would make every existing sweep file rerun from scratch.
+        assert config_hash(config) == expected
+
 
 class TestSerialization:
     def test_round_trip_preserves_floats_exactly(self):
@@ -93,6 +126,27 @@ class TestSerialization:
     def test_json_line_is_deterministic(self):
         assert record_to_json(_record()) == record_to_json(_record())
         assert "\n" not in record_to_json(_record())
+
+    def test_unknown_keys_are_ignored_and_outcome_detail_defaults_blank(self):
+        d = record_to_dict(_record())
+        d["future_field"] = 1
+        d["samples"][0]["future_metric"] = 2.0
+        del d["outcome_detail"]
+        back = record_from_dict(d)
+        assert back.outcome_detail == ""
+        assert back.samples == _record().samples
+
+    @pytest.mark.parametrize("level", ["record", "sample"])
+    def test_missing_key_is_a_value_error_naming_it(self, level):
+        d = record_to_dict(_record())
+        if level == "record":
+            del d["t_star_predicted"]
+            key = "t_star_predicted"
+        else:
+            del d["samples"][2]["holder"]
+            key = "holder"
+        with pytest.raises(ValueError, match=f"{level} is missing key '{key}'"):
+            record_from_dict(d)
 
     def test_unknown_schema_version_rejected(self):
         d = record_to_dict(_record())

@@ -72,6 +72,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="header"):
             parse_csv("a,b,c\n1,2,3\n")
 
+    def test_blank_required_cell_and_short_row_rejected(self, records):
+        header, row = emit_csv(build_summary(records)).splitlines()[:2]
+        blank_gamma = "," + row.split(",", 1)[1]
+        with pytest.raises(ValueError):
+            parse_csv(f"{header}\n{blank_gamma}\n")
+        with pytest.raises(ValueError, match="cells"):
+            parse_csv(f"{header}\n{row.rsplit(',', 1)[0]}\n")
+
 
 class TestSvgChart:
     def test_parses_as_xml_with_five_polylines(self, records):
