@@ -127,21 +127,33 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_list(values, cast):
+def _parse_list(values, cast, name: str):
     """A sweep axis from a flag or config value: None (unset), a
-    comma-separated string, or a JSON array."""
+    comma-separated string, a JSON array, or a bare number (one value)."""
     if values is None:
         return None
     if isinstance(values, str):
         values = [part for part in values.split(",") if part.strip()]
+    elif isinstance(values, (int, float)) and not isinstance(values, bool):
+        values = [values]
+    elif not isinstance(values, list):
+        raise ValueError(f"{name} must be a list, a comma-separated string or a number, got {values!r}")
     return tuple(cast(v) for v in values)
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     scfg = cfg.get("sweep", {})
-    gammas = _pick(_parse_list(args.gamma, float), _parse_list(scfg.get("gamma_values"), float), (0.6, 0.9))
-    ns = _pick(_parse_list(args.n, int), _parse_list(scfg.get("resolutions"), int), (128, 256))
+    gammas = _pick(
+        _parse_list(args.gamma, float, "--gamma"),
+        _parse_list(scfg.get("gamma_values"), float, "sweep.gamma_values"),
+        (0.6, 0.9),
+    )
+    ns = _pick(
+        _parse_list(args.n, int, "--n"),
+        _parse_list(scfg.get("resolutions"), int, "sweep.resolutions"),
+        (128, 256),
+    )
     datum_texts = _pick(args.datum or None, scfg.get("data"), ["cosine:1,1"])
     t_end = float(_pick(args.t_end, scfg.get("t_end"), 1.0))
     jobs = int(_pick(args.jobs, scfg.get("parallelism"), 1))

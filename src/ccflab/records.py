@@ -76,11 +76,16 @@ def _sample_to_dict(s: DiagnosticsSample) -> dict:
 
 
 def _sample_from_dict(d: dict) -> DiagnosticsSample:
+    if not isinstance(d, dict):
+        raise ValueError(f"sample must be a JSON object, got {type(d).__name__}")
     try:
         values = list(_sample_values(d))
     except KeyError as exc:
         raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
-    values[_HOLDER] = {float(a): v for a, v in values[_HOLDER].items()}
+    holder = values[_HOLDER]
+    if not isinstance(holder, dict):
+        raise ValueError(f"sample 'holder' must be a JSON object, got {type(holder).__name__}")
+    values[_HOLDER] = {float(a): v for a, v in holder.items()}
     return DiagnosticsSample(*values)
 
 
@@ -98,15 +103,20 @@ def record_to_dict(record: RunRecord) -> dict:
 
 
 def record_from_dict(d: dict) -> RunRecord:
+    if not isinstance(d, dict):
+        raise ValueError(f"record must be a JSON object, got {type(d).__name__}")
     version = d.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"unknown record schema_version {version!r}; this build reads version {SCHEMA_VERSION}"
         )
     try:
+        samples = d["samples"]
+        if not isinstance(samples, list):
+            raise ValueError(f"record 'samples' must be a JSON array, got {type(samples).__name__}")
         return RunRecord(
             config=d["config"],
-            samples=[_sample_from_dict(s) for s in d["samples"]],
+            samples=[_sample_from_dict(s) for s in samples],
             outcome=Outcome(d["outcome"]),
             outcome_detail=d.get("outcome_detail", ""),
             t_star_predicted=d["t_star_predicted"],
@@ -128,8 +138,9 @@ def append_record(path: Path, record: RunRecord) -> None:
 
 
 def load_records(path: Path) -> list[RunRecord]:
-    """Read a JSONL record file; unknown schema versions and missing keys are
-    rejected loudly, as a ValueError naming the file and line."""
+    """Read a JSONL record file; unknown schema versions, missing keys and
+    lines of the wrong shape are rejected loudly, as a ValueError naming the
+    file and line."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

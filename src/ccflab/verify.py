@@ -45,14 +45,18 @@ class VerifyRow:
 
 
 def random_band_limited(grid: TorusGrid, rng: np.random.Generator, max_mode: int | None = None) -> RealField:
-    """Zero-mean real field with Gaussian coefficients on modes 1..max_mode."""
+    """Zero-mean real field with Gaussian coefficients on modes 1..max_mode.
+
+    Each mode m gets a*cos(m x) + b*sin(m x), drawn as (a, b) pairs in mode
+    order. max_mode must lie in 0..n//2 - 1: the Nyquist mode has no sine.
+    """
     cutoff = grid.n // 8 if max_mode is None else max_mode
-    x = grid.points
-    values = np.zeros(grid.n)
-    for m in range(1, cutoff + 1):
-        a, b = rng.standard_normal(2)
-        values += a * np.cos(m * x) + b * np.sin(m * x)
-    return RealField(grid, values)
+    if not 0 <= cutoff < grid.n // 2:
+        raise ValueError(f"max_mode must be in 0..{grid.n // 2 - 1}, got {cutoff}")
+    ab = rng.standard_normal((cutoff, 2))
+    coeffs = np.zeros(grid.n // 2 + 1, dtype=complex)
+    coeffs[1 : cutoff + 1] = (ab[:, 0] - 1j * ab[:, 1]) * (grid.n / 2)
+    return RealField(grid, np.fft.irfft(coeffs, grid.n))
 
 
 def _rel(err: float, scale: float) -> float:

@@ -137,6 +137,39 @@ class TestSweepAndReportCommands:
         assert "sweep.jsonl:2" in err and repr(missing) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("shape", ["array", "null_samples", "null_holder"])
+    def test_report_on_a_wrong_shape_line_names_the_line(self, tmp_path, capsys, shape):
+        assert main(["sweep", "--gamma", "0.9", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
+        path = tmp_path / "sweep.jsonl"
+        payload = json.loads(path.read_text())
+        if shape == "array":
+            payload = [payload]
+        elif shape == "null_samples":
+            payload["samples"] = None
+        else:
+            payload["samples"][1]["holder"] = None
+        path.write_text(path.read_text() + json.dumps(payload) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep.jsonl:2" in err
+        assert "Traceback" not in err
+
+    def test_config_axis_may_be_a_bare_number(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"gamma_values": 0.6, "resolutions": 64, "t_end": 0.1}}))
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        records = load_records(tmp_path / "sweep.jsonl")
+        assert [(r.config["model"]["gamma"], r.config["model"]["n"]) for r in records] == [(0.6, 64)]
+
+    @pytest.mark.parametrize("value", [{"a": 0.6}, True])
+    def test_config_axis_of_another_type_is_named(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"gamma_values": value, "resolutions": 64, "t_end": 0.1}}))
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert "gamma_values" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.jsonl").exists()
+
     def test_config_axes_may_be_comma_separated_strings(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {"gamma_values": "0.6,0.9", "resolutions": "64", "t_end": 0.1}}))

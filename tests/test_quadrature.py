@@ -2,6 +2,7 @@
 dissipation functional, and the cross-route product-rule identity."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from ccflab.operators import (
     IMAGE_COUNT,
     CalibrationError,
     CgammaCalibration,
+    _apply_quadrature,
+    _half_shift,
     _kernel_weights,
     calibrate_cgamma,
     cordoba_identity_residual,
@@ -17,6 +20,7 @@ from ccflab.operators import (
     frac_laplacian_quadrature,
 )
 from ccflab.torus import RealField, TorusGrid
+from ccflab.verify import random_band_limited, verify_suite
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +131,63 @@ class TestCalibrationFailure:
             full = _kernel_weights(n, gamma, IMAGE_COUNT)
             assert np.max(np.abs(one - full) / np.abs(full)) < 1e-13
         assert isinstance(CalibrationError("x", 1.0), RuntimeError)
+
+
+def _dense_quadrature(f: RealField, gamma: float, squared: bool) -> np.ndarray:
+    """The direct O(n^2) sum dx * sum_j kern_j * (f(x_i) - s(x_i + y_j))^p,
+    with y_j = -pi + (j + 1/2) dx and s the half-shifted field."""
+    n = f.grid.n
+    kern = _kernel_weights(n, gamma, IMAGE_COUNT)
+    idx = (np.arange(n)[:, None] + np.arange(n)[None, :] - n // 2) % n
+    diff = f.values[:, None] - _half_shift(f.values)[idx]
+    if squared:
+        diff = diff * diff
+    return f.grid.dx * (diff @ kern)
+
+
+def _oracle_fields(grid):
+    x = grid.points
+    bump = np.exp(np.cos(x))
+    return {
+        "cos": np.cos(x),
+        "band_limited": random_band_limited(grid, np.random.default_rng(7)).values,
+        "exp_cos": bump,
+        "shifted_difference_3": np.roll(bump, -3) - bump,
+    }
+
+
+class TestCorrelationMatchesDenseSum:
+    """The rfft correlation against the direct sum over every offset. The
+    correlation's roundoff grows like eps * n^(1+gamma); the worst case here
+    (n = 256, gamma = 1.9) is a few 1e-12."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.9, 1.0, 1.5, 1.9])
+    def test_both_forms_agree(self, n, gamma):
+        grid = TorusGrid(n)
+        for name, values in _oracle_fields(grid).items():
+            f = RealField(grid, values)
+            for squared in (False, True):
+                want = _dense_quadrature(f, gamma, squared)
+                got = _apply_quadrature(f, gamma, 1.0, squared)
+                rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert rel <= 1e-11, (name, squared, rel)
+
+
+class TestScaling:
+    def test_calibration_memory_stays_linear_in_n(self):
+        """An n x n array at n = 4096 is over 130 MB; the correlation needs a
+        few length-n arrays."""
+        grid = TorusGrid(4096)
+        calibrate_cgamma(0.9, grid)
+        tracemalloc.start()
+        try:
+            calibrate_cgamma(0.9, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_verify_suite_passes_at_n_16384(self):
+        rows = verify_suite(n=16384)
+        assert [r.name for r in rows if not r.passed] == []

@@ -1,0 +1,44 @@
+"""Tests for the verify suite's random test fields."""
+
+import numpy as np
+import pytest
+
+from ccflab.torus import TorusGrid
+from ccflab.verify import random_band_limited
+
+
+def _per_mode_sum(grid, rng, cutoff):
+    """The field summed mode by mode, one (a, b) draw per mode."""
+    x = grid.points
+    values = np.zeros(grid.n)
+    for m in range(1, cutoff + 1):
+        a, b = rng.standard_normal(2)
+        values += a * np.cos(m * x) + b * np.sin(m * x)
+    return values
+
+
+class TestRandomBandLimited:
+    @pytest.mark.parametrize("n, max_mode", [(4096, None), (64, 31), (64, 1), (64, 0)])
+    def test_matches_the_per_mode_sum_and_leaves_the_stream_in_step(self, n, max_mode):
+        grid = TorusGrid(n)
+        cutoff = n // 8 if max_mode is None else max_mode
+        rng_sum, rng_field = np.random.default_rng(5), np.random.default_rng(5)
+        want = _per_mode_sum(grid, rng_sum, cutoff)
+        got = random_band_limited(grid, rng_field, max_mode).values
+        scale = max(np.max(np.abs(want)), 1.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert rng_field.standard_normal() == rng_sum.standard_normal()
+
+    def test_zero_mean_and_band_limited(self):
+        grid = TorusGrid(64)
+        f = random_band_limited(grid, np.random.default_rng(2), 5)
+        coeffs = np.fft.rfft(f.values)
+        assert abs(coeffs[0]) < 1e-12
+        assert np.max(np.abs(coeffs[6:])) < 1e-12
+
+    @pytest.mark.parametrize("max_mode", [-1, 32, 40])
+    def test_modes_outside_the_sine_band_are_rejected(self, max_mode):
+        """Mode n//2 (Nyquist) has no sine on the grid and higher modes alias,
+        so neither is a band-limited field."""
+        with pytest.raises(ValueError, match="max_mode"):
+            random_band_limited(TorusGrid(64), np.random.default_rng(0), max_mode)
