@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import regularity
 from .experiments import SweepPlan, make_datum, parse_datum, sweep
-from .operators import CalibrationError, calibrate_cgamma
+from .operators import calibrate_cgamma
 from .records import append_record, load_records
 from .regularity import RegularityConstants
 from .report import report
@@ -76,33 +76,36 @@ def _holder_alphas(gamma: float, alpha: float | None, dissipation_on: bool) -> t
     """Tracked Holder exponents: the explicit --alpha, validated against the
     schedule constraint, or the policy value when the schedule applies."""
     if alpha is not None:
-        if not 0.0 < gamma < 1.0:
-            raise ValueError(
-                f"gamma={gamma:g} is outside (0, 1): the regularity schedule that "
-                f"--alpha parameterizes needs a supercritical gamma"
-            )
-        if not (1.0 - gamma) <= alpha < 1.0:
-            raise ValueError(
-                f"alpha must lie in [1-gamma, 1) = [{1.0 - gamma:g}, 1), got {alpha:g}"
-            )
-        return (float(alpha),)
+        regularity.validate_schedule_params(gamma, alpha)
+        return (alpha,)
     if dissipation_on and 0.0 < gamma < 1.0:
         return (regularity.alpha_policy(gamma),)
     return ()
 
 
+def _number(value, name: str, whole: bool = False):
+    """A flag or config value as a float (an int when whole), or a ValueError naming the key."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if whole and not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(number) if whole else number
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    gamma = float(_pick(args.gamma, cfg.get("gamma"), 0.9))
-    n = int(_pick(args.n, cfg.get("n"), 256))
-    t_end = float(_pick(args.t_end, cfg.get("t_end"), 1.0))
-    dt_max = float(_pick(args.dt_max, cfg.get("dt_max"), StepControl.dt_max))
-    cfl = float(_pick(args.cfl, cfg.get("cfl"), StepControl.cfl))
-    snap = float(_pick(args.snapshot_every, cfg.get("snapshot_every"), t_end / 50.0))
+    gamma = _number(_pick(args.gamma, cfg.get("gamma"), 0.9), "gamma")
+    n = _number(_pick(args.n, cfg.get("n"), 256), "n", whole=True)
+    t_end = _number(_pick(args.t_end, cfg.get("t_end"), 1.0), "t_end")
+    dt_max = _number(_pick(args.dt_max, cfg.get("dt_max"), StepControl.dt_max), "dt_max")
+    cfl = _number(_pick(args.cfl, cfg.get("cfl"), StepControl.cfl), "cfl")
+    snap = _number(_pick(args.snapshot_every, cfg.get("snapshot_every"), t_end / 50.0), "snapshot_every")
     inviscid = bool(_pick(args.inviscid or None, cfg.get("inviscid"), False))
     dealias = not args.no_dealias and bool(cfg.get("dealias", True))
     alpha = _pick(args.alpha, cfg.get("alpha"))
-    alphas = _holder_alphas(gamma, None if alpha is None else float(alpha), not inviscid)
+    alphas = _holder_alphas(gamma, None if alpha is None else _number(alpha, "alpha"), not inviscid)
 
     datum = parse_datum(str(_pick(args.datum, cfg.get("datum"), "cosine:1,1")))
     params = ModelParams(gamma=gamma, n=n, dissipation_on=not inviscid, dealias_on=dealias)
@@ -127,7 +130,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_list(values, cast, name: str):
+def _parse_list(values, name: str, whole: bool = False):
     """A sweep axis from a flag or config value: None (unset), a
     comma-separated string, a JSON array, or a bare number (one value)."""
     if values is None:
@@ -138,32 +141,30 @@ def _parse_list(values, cast, name: str):
         values = [values]
     elif not isinstance(values, list):
         raise ValueError(f"{name} must be a list, a comma-separated string or a number, got {values!r}")
-    return tuple(cast(v) for v in values)
+    return tuple(_number(v, name, whole) for v in values)
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     scfg = cfg.get("sweep", {})
     gammas = _pick(
-        _parse_list(args.gamma, float, "--gamma"),
-        _parse_list(scfg.get("gamma_values"), float, "sweep.gamma_values"),
+        _parse_list(args.gamma, "--gamma"),
+        _parse_list(scfg.get("gamma_values"), "sweep.gamma_values"),
         (0.6, 0.9),
     )
     ns = _pick(
-        _parse_list(args.n, int, "--n"),
-        _parse_list(scfg.get("resolutions"), int, "sweep.resolutions"),
+        _parse_list(args.n, "--n", whole=True),
+        _parse_list(scfg.get("resolutions"), "sweep.resolutions", whole=True),
         (128, 256),
     )
     datum_texts = _pick(args.datum or None, scfg.get("data"), ["cosine:1,1"])
-    t_end = float(_pick(args.t_end, scfg.get("t_end"), 1.0))
-    jobs = int(_pick(args.jobs, scfg.get("parallelism"), 1))
+    t_end = _number(_pick(args.t_end, scfg.get("t_end"), 1.0), "sweep.t_end")
+    jobs = _number(_pick(args.jobs, scfg.get("parallelism"), 1), "sweep.parallelism", whole=True)
     inviscid = bool(_pick(args.inviscid or None, scfg.get("inviscid"), False))
     dealias = not args.no_dealias and bool(scfg.get("dealias", True))
-    snap = float(_pick(scfg.get("snapshot_every"), t_end / 50.0))
+    snap = _number(_pick(scfg.get("snapshot_every"), t_end / 50.0), "sweep.snapshot_every")
 
-    alphas = ()
-    if not inviscid:
-        alphas = tuple(sorted({regularity.alpha_policy(g) for g in gammas if 0.0 < g < 1.0}))
+    alphas = tuple(sorted({a for g in gammas for a in _holder_alphas(g, None, not inviscid)}))
     plan = SweepPlan(
         gamma_values=tuple(gammas),
         data=tuple(parse_datum(str(t)) for t in datum_texts),
@@ -293,10 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, RuntimeError) as exc:
+    except (OSError, RuntimeError) as exc:  # CalibrationError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

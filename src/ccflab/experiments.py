@@ -13,6 +13,7 @@ hash, so re-running a completed sweep performs zero new simulations.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import RunRecord, append_record, config_hash, load_records
+from .records import RunRecord, append_record, config_hash, drop_torn_tail, load_records
 from .regularity import RegularityConstants
 from .solver import DiagnosticPlan, ModelParams, StepControl, build_config, run
 from .torus import RealField, TorusGrid
@@ -223,14 +224,17 @@ def _run_cell(args: tuple[SweepPlan, InitialDatum, float, int]) -> RunRecord:
 def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
     """Run every cell of the plan, appending each record to out_path as it
     finishes. Cells whose config hash already appears in the file are reused
-    verbatim, so interrupted sweeps resume where they stopped.
+    verbatim, so interrupted sweeps resume where they stopped; a last line
+    torn by a kill mid-append is dropped with a warning, and that cell reruns.
 
     Numerical failures inside a cell land in that cell's outcome; they never
-    abort the sweep.
+    abort the sweep. Cells run in min(parallelism, pending cells, CPUs)
+    processes, and with one of them no pool is built.
     """
     out_path = Path(out_path)
     existing: dict[str, RunRecord] = {}
     if out_path.exists():
+        drop_torn_tail(out_path)
         for record in load_records(out_path):
             existing[record.config_hash] = record
 
@@ -246,8 +250,9 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
 
     if pending:
         jobs = [(plan, datum, gamma, n) for _, datum, gamma, n in pending]
-        if plan.parallelism > 1:
-            with ProcessPoolExecutor(max_workers=plan.parallelism) as pool:
+        workers = min(plan.parallelism, len(jobs), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 finished = pool.map(_run_cell, jobs)
                 for (i, *_), record in zip(pending, finished):
                     results[i] = record

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
 from operator import itemgetter
@@ -135,6 +137,29 @@ def record_to_json(record: RunRecord) -> str:
 def append_record(path: Path, record: RunRecord) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(record_to_json(record) + "\n")
+
+
+def drop_torn_tail(path: Path) -> None:
+    """Cut an unterminated last line that is not valid JSON, the trace of a
+    write killed mid-append, and warn with its byte count. A complete last
+    line missing only its newline gets the newline. Anything else is left
+    for load_records to judge."""
+    with open(path, "rb") as fh:
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        if fh.read(1) in (b"", b"\n"):
+            return
+        fh.seek(0)
+        data = fh.read()
+    start = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[start:])
+    except ValueError:
+        with open(path, "r+b") as fh:
+            fh.truncate(start)
+        warnings.warn(f"{path}: dropped a torn last line of {len(data) - start} bytes", stacklevel=2)
+    else:
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
 
 
 def load_records(path: Path) -> list[RunRecord]:

@@ -3,6 +3,10 @@ estimator and its modulated v-field, the xi(t) schedule with its vanishing
 time T*, the local-existence horizon T1, the gamma_1 dissipation threshold,
 and the energy-inequality probe run over recorded diagnostics.
 
+The Holder estimator and the v-field share one increment kernel, _increment,
+which reads theta(x+h) as a slice of the field laid out twice; xi(t) has one
+formula, RegularitySchedule.xi_at.
+
 All formulas involving the unknown analysis constants (k1, k2, c0, C_star,
 C1, C3) default those constants to 1; every reported T*, T1 or gamma_1 is in
 units of the configured constants, never an absolute physical claim.
@@ -49,7 +53,8 @@ class RegularityConstants:
             raise ValueError(f"k2 must be >= 1, got {self.k2}")
 
 
-def _validate_schedule_params(gamma: float, alpha: float) -> None:
+def validate_schedule_params(gamma: float, alpha: float) -> None:
+    """The xi schedule needs gamma in (0, 1) and alpha in [1-gamma, 1)."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1) for the schedule, got {gamma}")
     if not (1.0 - gamma <= alpha < 1.0):
@@ -67,7 +72,7 @@ def alpha_policy(gamma: float) -> float:
 
 def xi0_of(gamma: float, alpha: float, linf0: float, k: RegularityConstants) -> float:
     """Initial modulation scale xi_0 = (k2 * alpha * linf0)^{1/(1-gamma)}."""
-    _validate_schedule_params(gamma, alpha)
+    validate_schedule_params(gamma, alpha)
     if not linf0 > 0.0:
         raise ValueError(f"linf0 must be positive, got {linf0}")
     return (k.k2 * alpha * linf0) ** (1.0 / (1.0 - gamma))
@@ -81,33 +86,11 @@ def t_star(
     C = C_star * k1 * k2^{gamma/(1-gamma)} / gamma. Defined only for gamma in
     (0, 1); the formula degenerates at the critical exponent.
     """
-    _validate_schedule_params(gamma, alpha)
+    validate_schedule_params(gamma, alpha)
     if not linf0 > 0.0:
         raise ValueError(f"linf0 must be positive, got {linf0}")
     aggregate = k.C_star * k.k1 * k.k2 ** (gamma / (1.0 - gamma)) / gamma
     return aggregate * alpha ** (1.0 / (1.0 - gamma)) * linf0 ** (gamma / (1.0 - gamma))
-
-
-def xi_of_t(
-    t: float,
-    gamma: float,
-    alpha: float,
-    linf0: float,
-    k: RegularityConstants = RegularityConstants(),
-) -> float:
-    """Modulation scale xi(t) = [xi_0^gamma - (gamma/(alpha*k1*C_star)) t]^{1/gamma},
-    clamped to 0 for t >= T*.
-
-    C_star rescales the clock jointly with T* so that xi(T*) = 0 holds for
-    every constant choice; at C_star = 1 this is the plain closed form solving
-    xi' = -xi^{1-gamma} / (alpha * k1).
-    """
-    xi0 = xi0_of(gamma, alpha, linf0, k)
-    rate = gamma / (alpha * k.k1 * k.C_star)
-    base = xi0**gamma - rate * t
-    if base <= 0.0:
-        return 0.0
-    return base ** (1.0 / gamma)
 
 
 @dataclass(frozen=True)
@@ -122,12 +105,13 @@ class RegularitySchedule:
     M: float
 
     def __post_init__(self) -> None:
-        _validate_schedule_params(self.gamma, self.alpha)
+        validate_schedule_params(self.gamma, self.alpha)
         if self.xi0 < 0.0 or self.t_star < 0.0 or self.M < 0.0:
             raise ValueError("xi0, t_star and M must be nonnegative")
 
     def xi_at(self, t: float) -> float:
-        """xi(t) recovered from (xi0, t_star): xi0 * (1 - t/T*)^{1/gamma}, 0 past T*."""
+        """Modulation scale xi(t) = xi0 * (1 - t/T*)^{1/gamma}, 0 for t >= T*: the
+        solution of xi' = -xi^{1-gamma} / (alpha*k1*C_star), vanishing exactly at T*."""
         if t >= self.t_star:
             return 0.0
         return self.xi0 * (1.0 - t / self.t_star) ** (1.0 / self.gamma)
@@ -147,6 +131,13 @@ def make_schedule(
     )
 
 
+def xi_of_t(
+    t: float, gamma: float, alpha: float, linf0: float, k: RegularityConstants = RegularityConstants()
+) -> float:
+    """xi(t) for initial amplitude linf0; see RegularitySchedule.xi_at."""
+    return make_schedule(gamma, alpha, linf0, k).xi_at(t)
+
+
 def sobolev_norm(F: SpectralField, s: float) -> float:
     """Homogeneous Sobolev norm (2*pi * sum_m |m|^{2s} |theta_hat_m|^2)^{1/2}.
 
@@ -159,23 +150,28 @@ def sobolev_norm(F: SpectralField, s: float) -> float:
     return float(np.sqrt(TWO_PI * np.sum(weights * np.abs(F.coeffs) ** 2)))
 
 
+def _increment(doubled: np.ndarray, h: int, dx: float) -> tuple[np.ndarray, float]:
+    """(theta(x+h) - theta(x), geodesic |h|) for h in [0, n) cells of the field
+    laid out twice in doubled, where theta(x+h) is the slice doubled[h:h+n]."""
+    n = doubled.size // 2
+    return doubled[h : h + n] - doubled[:n], min(h * dx, TWO_PI - h * dx)
+
+
 def holder_seminorm(f: RealField, alpha: float) -> float:
     """C^alpha seminorm estimated over all grid-representable separations.
 
     For each offset of h grid cells the maximal increment is divided by the
-    geodesic distance d = min(h*dx, 2*pi - h*dx) raised to alpha; separations
-    below the grid spacing are unobservable and excluded by construction.
+    geodesic distance d_h raised to alpha; separations below the grid spacing
+    are unobservable and excluded by construction.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    values = f.values
-    n = f.grid.n
+    doubled = np.concatenate((f.values, f.values))
     dx = f.grid.dx
     best = 0.0
-    for h in range(1, n // 2 + 1):
-        d = min(h * dx, TWO_PI - h * dx)
-        increment = float(np.max(np.abs(np.roll(values, -h) - values)))
-        best = max(best, increment / d**alpha)
+    for h in range(1, f.grid.n // 2 + 1):
+        delta, d = _increment(doubled, h, dx)
+        best = max(best, float(np.max(np.abs(delta))) / d**alpha)
     return best
 
 
@@ -189,8 +185,7 @@ def v_field(theta: RealField, h_index: int, t: float, sched: RegularitySchedule)
     h = h_index % n
     if h == 0:
         return RealField(theta.grid, np.zeros(n))
-    delta = np.roll(theta.values, -h) - theta.values
-    d = min(h * theta.grid.dx, TWO_PI - h * theta.grid.dx)
+    delta, d = _increment(np.concatenate((theta.values, theta.values)), h, theta.grid.dx)
     xi = sched.xi_at(t)
     return RealField(theta.grid, delta / (xi * xi + d * d) ** (sched.alpha / 2.0))
 

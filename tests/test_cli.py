@@ -178,6 +178,50 @@ class TestSweepAndReportCommands:
         assert [r.config["model"]["gamma"] for r in records] == [0.6, 0.9]
         assert {r.config["model"]["n"] for r in records} == {64}
 
+    @pytest.mark.parametrize("resolutions", [[64.5], 64.5, "64,64.5"], ids=["list", "number", "string"])
+    def test_config_grid_size_must_be_whole(self, tmp_path, capsys, resolutions):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"gamma_values": 0.9, "resolutions": resolutions, "t_end": 0.1}}))
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert "sweep.resolutions must be a whole number" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.jsonl").exists()
+
+    def test_flag_grid_size_must_be_whole(self, tmp_path, capsys):
+        assert main(["sweep", "--gamma", "0.9", "--n", "64,64.5", "--out-dir", str(tmp_path)]) == 1
+        assert "--n must be a whole number" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.jsonl").exists()
+
+    def test_run_config_grid_size_must_be_whole(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64.5, "t_end": 0.1}))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert "n must be a whole number, got 64.5" in capsys.readouterr().err
+        assert not (tmp_path / "runs.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "sweep_cfg, key",
+        [
+            ({"gamma_values": ["a"], "resolutions": 64}, "sweep.gamma_values"),
+            ({"gamma_values": [None], "resolutions": 64}, "sweep.gamma_values"),
+            ({"gamma_values": 0.9, "resolutions": ["sixty-four"]}, "sweep.resolutions"),
+            ({"gamma_values": 0.9, "resolutions": 64, "parallelism": 1.5}, "sweep.parallelism"),
+        ],
+        ids=["string", "null", "resolution", "parallelism"],
+    )
+    def test_config_value_that_does_not_cast_names_its_key(self, tmp_path, capsys, sweep_cfg, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {**sweep_cfg, "t_end": 0.1}}))
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key}" in err and "Traceback" not in err
+        assert not (tmp_path / "sweep.jsonl").exists()
+
+    def test_run_config_value_that_does_not_cast_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": "a", "n": 64}))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert "error: gamma: could not convert" in capsys.readouterr().err
+
     def test_unknown_constant_in_config_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"constants": {"C_star": 2.0, "k9": 1.0}}))

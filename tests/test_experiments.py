@@ -1,8 +1,14 @@
 """Tests for the initial-data library and the resumable sweep harness."""
 
+import json
+import re
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ccflab import experiments
 from ccflab.experiments import (
     InitialDatum,
     SweepPlan,
@@ -178,3 +184,99 @@ class TestSweep:
         )
         (record,) = sweep(plan, tmp_path / "inviscid.jsonl")
         assert record.outcome in (Outcome.BLOWUP_SUSPECTED, Outcome.UNDER_RESOLVED)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in-process,
+    so no test starts a worker process."""
+
+    def __init__(self, max_workers, built):
+        built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """Pool sizes sweep() asks for, on a machine reporting 3 CPUs."""
+    built = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(max_workers, built))
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    return built
+
+
+class TestWorkerClamp:
+    def test_pool_is_no_larger_than_the_pending_cells(self, small_plan, tmp_path, pools):
+        records = sweep(replace(small_plan, parallelism=10000), tmp_path / "sweep.jsonl")
+        assert pools == [2]
+        assert len(records) == 2
+
+    def test_pool_is_no_larger_than_the_cpu_count(self, tmp_path, pools):
+        plan = SweepPlan(
+            gamma_values=(0.6, 0.7, 0.8, 0.9),
+            data=(cosine_positive(1.0, 1.0),),
+            resolutions=(32,),
+            control=StepControl(t_end=0.05, snapshot_every=0.025),
+            parallelism=10000,
+        )
+        assert len(sweep(plan, tmp_path / "sweep.jsonl")) == 4
+        assert pools == [3]
+
+    def test_one_pending_cell_builds_no_pool(self, small_plan, tmp_path, pools):
+        out = tmp_path / "sweep.jsonl"
+        sweep(small_plan, out)
+        out.write_text(out.read_text().splitlines()[0] + "\n")
+        assert len(sweep(replace(small_plan, parallelism=10000), out)) == 2
+        assert pools == []
+
+    def test_one_cpu_builds_no_pool(self, small_plan, tmp_path, pools, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert len(sweep(replace(small_plan, parallelism=4), tmp_path / "sweep.jsonl")) == 2
+        assert pools == []
+
+
+class TestTornTail:
+    @pytest.fixture()
+    def swept(self, small_plan, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        sweep(small_plan, out)
+        first, second = out.read_bytes().splitlines(keepends=True)
+        return out, first, second
+
+    def test_torn_last_line_is_dropped_and_only_its_cell_reruns(self, small_plan, swept, monkeypatch):
+        out, first, second = swept
+        torn = second[: len(second) // 2]
+        out.write_bytes(first + torn)
+        with pytest.raises(ValueError, match=r"sweep\.jsonl:2"):
+            load_records(out)  # the loader itself stays strict
+        ran = []
+        run_cell = experiments._run_cell
+        monkeypatch.setattr(experiments, "_run_cell", lambda job: ran.append(job[2]) or run_cell(job))
+        with pytest.warns(UserWarning, match=re.escape(f"{out}: dropped a torn last line of {len(torn)} bytes")):
+            records = sweep(small_plan, out)
+        assert ran == [0.9]
+        assert len(records) == 2
+        lines = out.read_bytes().splitlines()
+        assert len(lines) == 2 and all(json.loads(line) for line in lines)
+        assert out.read_bytes().startswith(first)
+
+    def test_complete_last_line_missing_its_newline_is_kept(self, small_plan, swept):
+        out, first, second = swept
+        out.write_bytes(first + second.rstrip(b"\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep(small_plan, out)
+        assert out.read_bytes() == first + second
+
+    def test_corruption_before_the_last_line_still_raises(self, small_plan, swept):
+        out, first, second = swept
+        out.write_bytes(first[: len(first) // 2] + b"\n" + second)
+        with pytest.raises(ValueError, match=r"sweep\.jsonl:1"):
+            sweep(small_plan, out)
