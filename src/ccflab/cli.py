@@ -60,12 +60,14 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _constants_from(cfg: dict) -> RegularityConstants:
+def _constants_from(cfg) -> RegularityConstants:
+    if not isinstance(cfg, dict):
+        raise ValueError(f"constants must be an object, got {cfg!r}")
     known = {f.name for f in fields(RegularityConstants)}
     unknown = set(cfg) - known
     if unknown:
         raise ValueError(f"unknown constants keys {sorted(unknown)}, expected among {sorted(known)}")
-    return RegularityConstants(**{k: float(v) for k, v in cfg.items()})
+    return RegularityConstants(**{k: _number(v, f"constants.{k}") for k, v in cfg.items()})
 
 
 def _out_dir(args) -> Path:
@@ -94,6 +96,13 @@ def _number(value, name: str, whole: bool = False):
     return int(number) if whole else number
 
 
+def _switch(value, name: str) -> bool:
+    """A config on/off value; only JSON true or false, so "false" cannot read as true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     gamma = _number(_pick(args.gamma, cfg.get("gamma"), 0.9), "gamma")
@@ -102,8 +111,8 @@ def _cmd_run(args) -> int:
     dt_max = _number(_pick(args.dt_max, cfg.get("dt_max"), StepControl.dt_max), "dt_max")
     cfl = _number(_pick(args.cfl, cfg.get("cfl"), StepControl.cfl), "cfl")
     snap = _number(_pick(args.snapshot_every, cfg.get("snapshot_every"), t_end / 50.0), "snapshot_every")
-    inviscid = bool(_pick(args.inviscid or None, cfg.get("inviscid"), False))
-    dealias = not args.no_dealias and bool(cfg.get("dealias", True))
+    inviscid = args.inviscid or _switch(cfg.get("inviscid", False), "inviscid")
+    dealias = not args.no_dealias and _switch(cfg.get("dealias", True), "dealias")
     alpha = _pick(args.alpha, cfg.get("alpha"))
     alphas = _holder_alphas(gamma, None if alpha is None else _number(alpha, "alpha"), not inviscid)
 
@@ -147,6 +156,8 @@ def _parse_list(values, name: str, whole: bool = False):
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     scfg = cfg.get("sweep", {})
+    if not isinstance(scfg, dict):
+        raise ValueError(f"sweep must be an object, got {scfg!r}")
     gammas = _pick(
         _parse_list(args.gamma, "--gamma"),
         _parse_list(scfg.get("gamma_values"), "sweep.gamma_values"),
@@ -157,11 +168,13 @@ def _cmd_sweep(args) -> int:
         _parse_list(scfg.get("resolutions"), "sweep.resolutions", whole=True),
         (128, 256),
     )
-    datum_texts = _pick(args.datum or None, scfg.get("data"), ["cosine:1,1"])
+    datum_texts = args.datum or scfg.get("data", ["cosine:1,1"])
+    if not isinstance(datum_texts, list):
+        raise ValueError(f"sweep.data must be an array of datum specs, got {datum_texts!r}")
     t_end = _number(_pick(args.t_end, scfg.get("t_end"), 1.0), "sweep.t_end")
     jobs = _number(_pick(args.jobs, scfg.get("parallelism"), 1), "sweep.parallelism", whole=True)
-    inviscid = bool(_pick(args.inviscid or None, scfg.get("inviscid"), False))
-    dealias = not args.no_dealias and bool(scfg.get("dealias", True))
+    inviscid = args.inviscid or _switch(scfg.get("inviscid", False), "sweep.inviscid")
+    dealias = not args.no_dealias and _switch(scfg.get("dealias", True), "sweep.dealias")
     snap = _number(_pick(scfg.get("snapshot_every"), t_end / 50.0), "sweep.snapshot_every")
 
     alphas = tuple(sorted({a for g in gammas for a in _holder_alphas(g, None, not inviscid)}))
@@ -191,7 +204,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows = verify_suite(n=int(args.n or 256), seed=int(args.seed or 0))
+    rows = verify_suite(n=_number(_pick(args.n, 256), "n", whole=True), seed=int(args.seed or 0))
     print(format_table(rows))
     if all(row.passed for row in rows):
         return 0
@@ -200,7 +213,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    grid = TorusGrid(int(args.n or 256))
+    grid = TorusGrid(_number(_pick(args.n, 256), "n", whole=True))
     cal = calibrate_cgamma(float(args.gamma), grid)
     print(
         f"gamma={cal.gamma:g} n={grid.n} c_gamma={cal.c_gamma!r} "
@@ -223,11 +236,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _add_common(sub, *, config=True, out_dir=True):
+def _add_common(sub, *, config=True):
     if config:
         sub.add_argument("--config", help="path to a JSON config file (flags override it)")
-    if out_dir:
-        sub.add_argument("--out-dir", help="output directory (fallback: env CCF_OUT_DIR, then .)")
+    sub.add_argument("--out-dir", help="output directory (fallback: env CCF_OUT_DIR, then .)")
 
 
 def build_parser() -> argparse.ArgumentParser:

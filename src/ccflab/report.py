@@ -148,12 +148,12 @@ def _scale(values: list[float], lo: float, hi: float, out_lo: float, out_hi: flo
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
 
 
-def norm_chart_svg(record: RunRecord, width: int = 640, height: int = 400) -> str:
+def norm_chart_svg(record: RunRecord) -> str:
     """Line chart of the five tracked norm histories, one polyline each.
 
     Self-contained SVG: no scripts, no external references.
     """
-    margin = 50.0
+    width, height, margin = 640, 400, 50.0
     times = [s.t for s in record.samples]
     series = {name: [getattr(s, name) for s in record.samples] for name in CHART_SERIES}
     all_values = [v for vs in series.values() for v in vs]

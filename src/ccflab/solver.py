@@ -29,7 +29,7 @@ import numpy as np
 from . import regularity
 from .records import Outcome, RunRecord
 from .regularity import DiagnosticsSample, RegularityConstants
-from .torus import RealField, SpectralField, TorusGrid, forward, inverse, tail_fraction
+from .torus import RealField, SpectralField, TorusGrid, derivative, forward, inverse, tail_fraction
 
 TAIL_FLAG = 1e-4
 GRADIENT_BLOWUP_FACTOR = 1e3
@@ -127,23 +127,22 @@ def _nonlinear_raw(coeffs: np.ndarray, p: ModelParams, grid: TorusGrid) -> np.nd
         return np.zeros_like(coeffs)
     if p.dealias_on:
         coeffs = coeffs * grid.dealias_mask
-    velocity = np.fft.ifft(grid.hilbert_mult * coeffs).real
-    gradient = np.fft.ifft(grid.derivative_mult * coeffs).real
-    product = np.fft.fft(velocity * gradient)
+    velocity = np.fft.ifft(grid.hilbert_mult * coeffs, norm="forward").real
+    gradient = np.fft.ifft(grid.derivative_mult * coeffs, norm="forward").real
+    product = np.fft.fft(velocity * gradient, norm="forward")
     return product * grid.dealias_mask if p.dealias_on else product
 
 
 def nonlinear_term(theta_hat: SpectralField, p: ModelParams) -> SpectralField:
     """Transform of H(theta)*theta_x, pseudospectral, dealiased when enabled."""
-    grid = theta_hat.grid
-    raw = _nonlinear_raw(theta_hat.coeffs * grid.n, p, grid)
+    raw = _nonlinear_raw(theta_hat.coeffs, p, theta_hat.grid)
     if not np.all(np.isfinite(raw)):
         raise NonFiniteStateError(t=float("nan"))
-    return SpectralField(grid, raw / grid.n)
+    return SpectralField(theta_hat.grid, raw)
 
 
 def _choose_dt(coeffs, c: StepControl, grid: TorusGrid, t: float, t_limit: float) -> float:
-    velocity = np.fft.ifft(grid.hilbert_mult * coeffs).real
+    velocity = np.fft.ifft(grid.hilbert_mult * coeffs, norm="forward").real
     speed = max(1.0, float(np.max(np.abs(velocity))))
     dt = min(c.dt_max, c.cfl * grid.dx / speed, t_limit - t)
     if dt < DT_FLOOR:
@@ -152,7 +151,7 @@ def _choose_dt(coeffs, c: StepControl, grid: TorusGrid, t: float, t_limit: float
 
 
 def _step_raw(coeffs, t, p, c, lam, grid, t_limit):
-    """One integrating-factor RK4 step on unnormalized FFT coefficients."""
+    """One integrating-factor RK4 step on the bare theta_hat array."""
     dt = _choose_dt(coeffs, c, grid, t, t_limit)
     half = np.exp(-lam * dt / 2.0)
     full = half * half
@@ -176,16 +175,13 @@ def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None =
     overshoots a snapshot boundary."""
     grid = s.theta_hat.grid
     limit = c.t_end if t_limit is None else t_limit
-    coeffs, t_new = _step_raw(
-        s.theta_hat.coeffs * grid.n, s.t, p, c, _dissipation(grid, p), grid, limit
-    )
-    return SolverState(t=t_new, theta_hat=SpectralField(grid, coeffs / grid.n), step_count=s.step_count + 1)
+    coeffs, t_new = _step_raw(s.theta_hat.coeffs, s.t, p, c, _dissipation(grid, p), grid, limit)
+    return SolverState(t=t_new, theta_hat=SpectralField(grid, coeffs), step_count=s.step_count + 1)
 
 
-def _take_sample(coeffs, grid: TorusGrid, t: float, gamma: float, plan: DiagnosticPlan) -> DiagnosticsSample:
-    F = SpectralField(grid, coeffs / grid.n)
+def _take_sample(F: SpectralField, t: float, gamma: float, plan: DiagnosticPlan) -> DiagnosticsSample:
     phys = inverse(F)
-    grad = np.fft.ifft(grid.derivative_mult * coeffs).real
+    grad = inverse(derivative(F)).values
     holder = {a: regularity.holder_seminorm(phys, a) for a in plan.holder_alphas}
     return DiagnosticsSample(
         t=t,
@@ -229,8 +225,11 @@ def _field_values(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _predictions(theta0: RealField, p: ModelParams, constants: RegularityConstants):
-    """T* and T1 predictions where the formulas apply, None elsewhere."""
+def _predictions(
+    theta0: RealField, first: DiagnosticsSample, p: ModelParams, constants: RegularityConstants
+):
+    """T* and T1 predictions where the formulas apply, None elsewhere; T1 reads the
+    norms of theta0 from the run's first sample."""
     t_star_pred = None
     t_local_pred = None
     if p.dissipation_on and 0.0 < p.gamma < 1.0:
@@ -240,11 +239,8 @@ def _predictions(theta0: RealField, p: ModelParams, constants: RegularityConstan
             if alpha >= 1.0 - p.gamma:
                 t_star_pred = regularity.t_star(p.gamma, alpha, linf0, constants)
     if p.dissipation_on and 0.0 < p.gamma <= 1.0:
-        F = forward(theta0)
-        l2 = regularity.sobolev_norm(F, 0.0)
-        hdot32 = regularity.sobolev_norm(F, 1.5)
-        if l2 > 0.0 and hdot32 > 0.0:
-            t_local_pred = regularity.t_local(p.gamma, l2, hdot32, constants)
+        if first.l2 > 0.0 and first.hdot_three_half > 0.0:
+            t_local_pred = regularity.t_local(p.gamma, first.l2, first.hdot_three_half, constants)
     return t_star_pred, t_local_pred
 
 
@@ -266,12 +262,12 @@ def run(
     grid = theta0.grid
     lam = _dissipation(grid, p)
     started = time.perf_counter()
-    t_star_pred, t_local_pred = _predictions(theta0, p, constants)
     config = build_config(p, c, constants, datum, plan)
 
-    coeffs = np.fft.fft(theta0.values)
-    t = 0.0
-    samples = [_take_sample(coeffs, grid, t, p.gamma, plan)]
+    F = forward(theta0)
+    coeffs, t = F.coeffs, 0.0
+    samples = [_take_sample(F, t, p.gamma, plan)]
+    t_star_pred, t_local_pred = _predictions(theta0, samples[0], p, constants)
     grad0 = samples[0].grad_linf
     outcome = None
     detail = ""
@@ -306,7 +302,7 @@ def run(
             target = min(snapshot_index * c.snapshot_every, c.t_end)
             while t < target - 1e-12:
                 coeffs, t = _step_raw(coeffs, t, p, c, lam, grid, target)
-            sample = _take_sample(coeffs, grid, t, p.gamma, plan)
+            sample = _take_sample(SpectralField(grid, coeffs), t, p.gamma, plan)
             flagged = detector(sample, samples[-1])
             samples.append(sample)
             if flagged is not None:

@@ -5,7 +5,10 @@ Conventions used across the package:
 * Grid points are x_j = 2*pi*j/n for j = 0..n-1, n even.
 * Spectral coefficients follow theta_hat[m] = (1/n) * sum_j theta(x_j) e^{-i m x_j},
   stored in FFT layout (m = 0, 1, ..., n/2-1, -n/2, ..., -1), so that cos(x)
-  maps to coefficients +-1/2 on modes +-1.
+  maps to coefficients +-1/2 on modes +-1. This is numpy's norm="forward" and the
+  only normalization: every field transform states it in the call, no coefficient
+  array is rescaled by n, and chained solver.step() reproduces solver.run() bit
+  for bit at every even n.
 * The slot at index n/2 is the Nyquist mode. It is zeroed by odd multipliers
   (derivative, Hilbert) because an odd symbol has no real-valued counterpart
   there on an even grid.
@@ -147,8 +150,8 @@ class SpectralField:
 
 
 def forward(f: RealField) -> SpectralField:
-    """DFT of a real field under the 1/n normalization."""
-    return SpectralField(f.grid, np.fft.fft(f.values) / f.grid.n)
+    """DFT of a real field under the 1/n normalization (norm="forward")."""
+    return SpectralField(f.grid, np.fft.fft(f.values, norm="forward"))
 
 
 def inverse(F: SpectralField) -> RealField:
@@ -157,7 +160,7 @@ def inverse(F: SpectralField) -> RealField:
     Symmetry was enforced at construction, so the imaginary residue of the
     inverse transform is roundoff and is discarded.
     """
-    return RealField(F.grid, np.fft.ifft(F.coeffs * F.grid.n).real)
+    return RealField(F.grid, np.fft.ifft(F.coeffs, norm="forward").real)
 
 
 def derivative(F: SpectralField) -> SpectralField:

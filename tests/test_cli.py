@@ -89,6 +89,10 @@ class TestVerifyCommand:
         assert "hilbert_involution" in out
         assert "FAIL" not in out
 
+    def test_grid_size_zero_is_rejected(self, capsys):
+        assert main(["verify", "--n", "0"]) == 1
+        assert "n must be even" in capsys.readouterr().err
+
 
 class TestCalibrateCommand:
     def test_prints_constant(self, capsys):
@@ -97,6 +101,11 @@ class TestCalibrateCommand:
 
     def test_gamma_flag_required(self, capsys):
         assert main(["calibrate"]) == 1
+
+    def test_grid_size_zero_is_rejected(self, capsys):
+        assert main(["calibrate", "--gamma", "0.5", "--n", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "n must be even" in captured.err and "c_gamma" not in captured.out
 
 
 class TestSweepAndReportCommands:
@@ -221,6 +230,50 @@ class TestSweepAndReportCommands:
         cfg.write_text(json.dumps({"gamma": "a", "n": 64}))
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert "error: gamma: could not convert" in capsys.readouterr().err
+
+    def test_config_switches_take_json_booleans(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inviscid": True, "dealias": False, "n": 64, "t_end": 0.1}))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        (record,) = load_records(tmp_path / "runs.jsonl")
+        assert record.config["model"]["dissipation_on"] is False
+        assert record.config["model"]["dealias_on"] is False
+
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("run", {"inviscid": "false", "n": 64}, "inviscid"),
+            ("run", {"dealias": "no", "n": 64}, "dealias"),
+            ("sweep", {"sweep": {"inviscid": "false", "resolutions": 64}}, "sweep.inviscid"),
+            ("sweep", {"sweep": {"dealias": 0, "resolutions": 64}}, "sweep.dealias"),
+        ],
+        ids=["run.inviscid", "run.dealias", "sweep.inviscid", "sweep.dealias"],
+    )
+    def test_config_switch_that_is_not_a_boolean_is_named(self, tmp_path, capsys, command, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "t_end": 0.1}))
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert f"error: {key} must be true or false" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.jsonl")) == []
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"constants": 5}, "constants must be an object"),
+            ({"constants": {"k1": "abc"}}, "constants.k1: could not convert"),
+            ({"sweep": 5}, "sweep must be an object"),
+            ({"sweep": {"data": "cosine:1,1", "resolutions": 64}}, "sweep.data must be an array"),
+            ({"sweep": {"data": 5, "resolutions": 64}}, "sweep.data must be an array"),
+        ],
+        ids=["constants_number", "constant_string", "sweep_number", "data_string", "data_number"],
+    )
+    def test_config_block_of_the_wrong_type_is_named(self, tmp_path, capsys, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "t_end": 0.1}))
+        assert main(["sweep", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "sweep.jsonl").exists()
 
     def test_unknown_constant_in_config_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
