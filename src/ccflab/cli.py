@@ -103,6 +103,13 @@ def _switch(value, name: str) -> bool:
     return value
 
 
+def _datum(value, name: str):
+    """A datum spec string such as cosine:1,1, or a ValueError naming the key."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a datum spec string such as cosine:1,1, got {value!r}")
+    return parse_datum(value)
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     gamma = _number(_pick(args.gamma, cfg.get("gamma"), 0.9), "gamma")
@@ -116,7 +123,7 @@ def _cmd_run(args) -> int:
     alpha = _pick(args.alpha, cfg.get("alpha"))
     alphas = _holder_alphas(gamma, None if alpha is None else _number(alpha, "alpha"), not inviscid)
 
-    datum = parse_datum(str(_pick(args.datum, cfg.get("datum"), "cosine:1,1")))
+    datum = _datum(_pick(args.datum, cfg.get("datum"), "cosine:1,1"), "datum")
     params = ModelParams(gamma=gamma, n=n, dissipation_on=not inviscid, dealias_on=dealias)
     control = StepControl(t_end=t_end, dt_max=dt_max, cfl=cfl, snapshot_every=snap)
     theta0 = make_datum(datum, TorusGrid(n))
@@ -180,7 +187,7 @@ def _cmd_sweep(args) -> int:
     alphas = tuple(sorted({a for g in gammas for a in _holder_alphas(g, None, not inviscid)}))
     plan = SweepPlan(
         gamma_values=tuple(gammas),
-        data=tuple(parse_datum(str(t)) for t in datum_texts),
+        data=tuple(_datum(t, "sweep.data") for t in datum_texts),
         resolutions=tuple(ns),
         constants=_constants_from(cfg.get("constants", {})),
         control=StepControl(t_end=t_end, snapshot_every=snap),

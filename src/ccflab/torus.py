@@ -17,6 +17,11 @@ Conventions used across the package:
   Every spectral operator reads them from there. The quadrature route in
   `operators` deliberately builds nothing from them.
 * Parseval under this normalization: ||theta||_{L^2}^2 = 2*pi * sum_m |theta_hat[m]|^2.
+* The public layout is the full FFT layout above; every SpectralField holds
+  all n coefficients. The solver's hot loop carries the rfft half spectrum
+  instead, which is the first n//2+1 entries of that layout (m = 0..n/2): the
+  negative modes are the conjugates of the positive ones. `half_spectrum` and
+  `full_spectrum` convert between the two, exactly.
 """
 
 from __future__ import annotations
@@ -147,6 +152,18 @@ class SpectralField:
         if abs(m) > n // 2:
             raise ValueError(f"mode {m} outside resolved range |m| <= {n // 2}")
         return complex(self.coeffs[m % n])
+
+
+def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """The rfft half spectrum (m = 0..n/2) of an FFT-layout array: a view of
+    its first n//2+1 entries. Slices symbols and Hermitian coefficients alike."""
+    return coeffs[: len(coeffs) // 2 + 1]
+
+
+def full_spectrum(half: np.ndarray) -> np.ndarray:
+    """The FFT-layout array whose half spectrum is `half`, completed by
+    Hermitian symmetry; its first n//2+1 entries are `half` bit for bit."""
+    return np.concatenate([half, np.conj(half[-2:0:-1])])
 
 
 def forward(f: RealField) -> SpectralField:

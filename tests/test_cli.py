@@ -275,6 +275,22 @@ class TestSweepAndReportCommands:
         assert f"error: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "sweep.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("run", {"datum": 5, "n": 64}, "datum"),
+            ("sweep", {"sweep": {"data": [5], "resolutions": 64}}, "sweep.data"),
+        ],
+        ids=["run.datum", "sweep.data"],
+    )
+    def test_config_datum_that_is_not_a_string_is_named(self, tmp_path, capsys, command, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "t_end": 0.1}))
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key} must be a datum spec string" in err and "Traceback" not in err
+        assert list(tmp_path.glob("*.jsonl")) == []
+
     def test_unknown_constant_in_config_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"constants": {"C_star": 2.0, "k9": 1.0}}))
