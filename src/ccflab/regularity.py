@@ -131,22 +131,16 @@ def make_schedule(
     )
 
 
-def xi_of_t(
-    t: float, gamma: float, alpha: float, linf0: float, k: RegularityConstants = RegularityConstants()
-) -> float:
-    """xi(t) for initial amplitude linf0; see RegularitySchedule.xi_at."""
-    return make_schedule(gamma, alpha, linf0, k).xi_at(t)
-
-
 def sobolev_norm(F: SpectralField, s: float) -> float:
     """Homogeneous Sobolev norm (2*pi * sum_m |m|^{2s} |theta_hat_m|^2)^{1/2}.
 
-    For s = 0 this is the full L2 norm (the mean contributes |0|^0 = 1);
-    for s > 0 the mean mode drops out automatically.
+    The sum runs over all modes |m| <= n/2; the half spectrum carries it with
+    the grid's Parseval weights. For s = 0 this is the full L2 norm (the mean
+    contributes |0|^0 = 1); for s > 0 the mean mode drops out automatically.
     """
     if s < 0.0:
         raise ValueError(f"s must be >= 0, got {s}")
-    weights = F.grid.abs_modes ** (2.0 * s)
+    weights = F.grid.weights * F.grid.abs_modes ** (2.0 * s)
     return float(np.sqrt(TWO_PI * np.sum(weights * np.abs(F.coeffs) ** 2)))
 
 

@@ -6,13 +6,11 @@ pure-dissipation runs are exact to roundoff and the full scheme is fourth
 order in time. The step size is dt = min(dt_max, cfl*dx/max(1, ||H theta||_inf)),
 further clamped so steps land exactly on snapshot times and t_end.
 
-The stepping state is theta_hat's rfft half spectrum (modes m = 0..n/2, see
-`torus.half_spectrum`): theta is real, so the negative modes carry nothing new.
-A step makes 9 real transforms: one irfft of H theta for the CFL speed, then in
-each RK4 stage one batched irfft of the velocity and the gradient together and
-one rfft of their product. (The full-spectrum loop it replaced made 13 complex
-FFTs.) run(), step() and nonlinear_term() share this one kernel; the public
-SpectralField and every snapshot keep the full FFT layout.
+The stepping state is theta_hat's rfft half spectrum (modes m = 0..n/2), the
+layout of every SpectralField, so run(), step() and nonlinear_term() pass the
+coefficients to one kernel as they are. A step makes 9 real transforms: one
+irfft of H theta for the CFL speed, then in each RK4 stage one batched irfft of
+the velocity and the gradient together and one rfft of their product.
 
 Detectors, evaluated on each recorded snapshot:
 
@@ -43,8 +41,6 @@ from .torus import (
     TorusGrid,
     derivative,
     forward,
-    full_spectrum,
-    half_spectrum,
     inverse,
     tail_fraction,
 )
@@ -136,19 +132,19 @@ class DiagnosticPlan:
 
 
 class _Kernel:
-    """Half-spectrum symbols of one (grid, model) pair, and the integrating
-    factors of the last dt, which most steps of a run repeat."""
+    """Symbols of one (grid, model) pair, and the integrating factors of the
+    last dt, which most steps of a run repeat."""
 
     def __init__(self, grid: TorusGrid, p: ModelParams):
         self.n = grid.n
         self.dx = grid.dx
         self.linear_only = p.linear_only
-        modes = half_spectrum(grid.abs_modes)
+        modes = grid.abs_modes
         self.lam = modes**p.gamma if p.dissipation_on else np.zeros_like(modes)
-        self.hilbert = half_spectrum(grid.hilbert_mult)
-        symbols = np.stack([self.hilbert, half_spectrum(grid.derivative_mult)])
+        self.hilbert = grid.hilbert_mult
+        symbols = np.stack([self.hilbert, grid.derivative_mult])
         # The mask is 0/1, so folding it into the symbols is exact.
-        self.mask = half_spectrum(grid.dealias_mask) if p.dealias_on else None
+        self.mask = grid.dealias_mask if p.dealias_on else None
         self.velocity_gradient = symbols if self.mask is None else symbols * self.mask
         self._dt = None
         self._factors = None
@@ -172,10 +168,10 @@ def _nonlinear_raw(h: np.ndarray, kernel: _Kernel) -> np.ndarray:
 def nonlinear_term(theta_hat: SpectralField, p: ModelParams) -> SpectralField:
     """Transform of H(theta)*theta_x, pseudospectral, dealiased when enabled."""
     grid = theta_hat.grid
-    raw = _nonlinear_raw(half_spectrum(theta_hat.coeffs), _Kernel(grid, p))
+    raw = _nonlinear_raw(theta_hat.coeffs, _Kernel(grid, p))
     if not np.all(np.isfinite(raw)):
         raise NonFiniteStateError(t=float("nan"))
-    return SpectralField(grid, full_spectrum(raw))
+    return SpectralField(grid, raw)
 
 
 def _choose_dt(h, c: StepControl, kernel: _Kernel, t: float, t_limit: float) -> float:
@@ -189,7 +185,7 @@ def _choose_dt(h, c: StepControl, kernel: _Kernel, t: float, t_limit: float) -> 
 
 
 def _step_raw(h, t, c, kernel: _Kernel, t_limit):
-    """One integrating-factor RK4 step on the half spectrum."""
+    """One integrating-factor RK4 step."""
     dt = _choose_dt(h, c, kernel, t, t_limit)
     half, full = kernel.factors(dt)
 
@@ -212,9 +208,8 @@ def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None =
     overshoots a snapshot boundary."""
     grid = s.theta_hat.grid
     limit = c.t_end if t_limit is None else t_limit
-    h, t_new = _step_raw(half_spectrum(s.theta_hat.coeffs), s.t, c, _Kernel(grid, p), limit)
-    theta_hat = SpectralField(grid, full_spectrum(h))
-    return SolverState(t=t_new, theta_hat=theta_hat, step_count=s.step_count + 1)
+    h, t_new = _step_raw(s.theta_hat.coeffs, s.t, c, _Kernel(grid, p), limit)
+    return SolverState(t=t_new, theta_hat=SpectralField(grid, h), step_count=s.step_count + 1)
 
 
 def _take_sample(F: SpectralField, t: float, gamma: float, plan: DiagnosticPlan) -> DiagnosticsSample:
@@ -303,7 +298,7 @@ def run(
     config = build_config(p, c, constants, datum, plan)
 
     F = forward(theta0)
-    h, t = half_spectrum(F.coeffs), 0.0
+    h, t = F.coeffs, 0.0
     samples = [_take_sample(F, t, p.gamma, plan)]
     t_star_pred, t_local_pred = _predictions(theta0, samples[0], p, constants)
     grad0 = samples[0].grad_linf
@@ -340,7 +335,7 @@ def run(
             target = min(snapshot_index * c.snapshot_every, c.t_end)
             while t < target - 1e-12:
                 h, t = _step_raw(h, t, c, kernel, target)
-            sample = _take_sample(SpectralField(grid, full_spectrum(h)), t, p.gamma, plan)
+            sample = _take_sample(SpectralField(grid, h), t, p.gamma, plan)
             flagged = detector(sample, samples[-1])
             samples.append(sample)
             if flagged is not None:

@@ -4,24 +4,23 @@ Conventions used across the package:
 
 * Grid points are x_j = 2*pi*j/n for j = 0..n-1, n even.
 * Spectral coefficients follow theta_hat[m] = (1/n) * sum_j theta(x_j) e^{-i m x_j},
-  stored in FFT layout (m = 0, 1, ..., n/2-1, -n/2, ..., -1), so that cos(x)
-  maps to coefficients +-1/2 on modes +-1. This is numpy's norm="forward" and the
-  only normalization: every field transform states it in the call, no coefficient
-  array is rescaled by n, and chained solver.step() reproduces solver.run() bit
-  for bit at every even n.
+  so that cos(x) maps to coefficient 1/2 on mode 1. This is numpy's
+  norm="forward" and the only normalization: every field transform states it
+  in the call, no coefficient array is rescaled by n, and chained solver.step()
+  reproduces solver.run() bit for bit at every even n.
+* Fields are real, so the negative modes are the conjugates of the positive
+  ones and carry nothing new. Every coefficient array, the solver state
+  included, is the rfft half spectrum m = 0, 1, ..., n/2 (n//2+1 entries).
 * The slot at index n/2 is the Nyquist mode. It is zeroed by odd multipliers
   (derivative, Hilbert) because an odd symbol has no real-valued counterpart
   there on an even grid.
 * TorusGrid is the one place the spectral symbols are built: |m|, the
-  derivative i*m, the Hilbert symbol -i*sign(m) and the 2/3-rule dealias mask.
-  Every spectral operator reads them from there. The quadrature route in
-  `operators` deliberately builds nothing from them.
-* Parseval under this normalization: ||theta||_{L^2}^2 = 2*pi * sum_m |theta_hat[m]|^2.
-* The public layout is the full FFT layout above; every SpectralField holds
-  all n coefficients. The solver's hot loop carries the rfft half spectrum
-  instead, which is the first n//2+1 entries of that layout (m = 0..n/2): the
-  negative modes are the conjugates of the positive ones. `half_spectrum` and
-  `full_spectrum` convert between the two, exactly.
+  derivative i*m, the Hilbert symbol -i*sign(m), the 2/3-rule dealias mask and
+  the Parseval weights. Every spectral operator reads them from there. The
+  quadrature route in `operators` deliberately builds nothing from them.
+* Parseval under this normalization: ||theta||_{L^2}^2 = 2*pi * sum_m w_m |theta_hat[m]|^2,
+  where the weight w_m counts the modes +-m a half-spectrum slot stands for:
+  1 at m = 0 and m = n/2, 2 elsewhere.
 """
 
 from __future__ import annotations
@@ -33,8 +32,9 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Hermitian symmetry tolerance for SpectralField construction, scaled by the
-# coefficient magnitude so large-amplitude states are not rejected for roundoff.
+# Tolerance on the imaginary parts of the mean and Nyquist coefficients at
+# SpectralField construction, scaled by the coefficient magnitude so
+# large-amplitude states are not rejected for roundoff.
 SYMMETRY_TOL = 1e-12
 
 
@@ -62,26 +62,33 @@ class TorusGrid:
 
     @cached_property
     def modes(self) -> np.ndarray:
-        """Signed integer wavenumbers in FFT layout (index n/2 holds -n/2)."""
-        return _read_only(np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64))
+        """Integer wavenumbers m = 0..n/2 of the half spectrum."""
+        return _read_only(np.arange(self.n // 2 + 1, dtype=np.int64))
 
     @cached_property
     def abs_modes(self) -> np.ndarray:
         """|m| as float64, the base of every |m|^s multiplier."""
-        return _read_only(np.abs(self.modes).astype(np.float64))
+        return _read_only(self.modes.astype(np.float64))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Parseval multiplicity of each slot: 1 at m = 0 and m = n/2, else 2."""
+        w = np.full(self.n // 2 + 1, 2.0)
+        w[[0, -1]] = 1.0
+        return _read_only(w)
 
     @cached_property
     def derivative_mult(self) -> np.ndarray:
         """Derivative symbol i*m, Nyquist slot zeroed."""
-        mult = 1j * self.modes.astype(np.float64)
-        mult[self.n // 2] = 0.0
+        mult = 1j * self.abs_modes
+        mult[-1] = 0.0
         return _read_only(mult)
 
     @cached_property
     def hilbert_mult(self) -> np.ndarray:
         """Hilbert symbol -i*sign(m): mean slot 0, Nyquist slot zeroed."""
-        mult = -1j * np.sign(self.modes).astype(np.float64)
-        mult[self.n // 2] = 0.0
+        mult = -1j * np.sign(self.abs_modes)
+        mult[-1] = 0.0
         return _read_only(mult)
 
     @cached_property
@@ -116,10 +123,11 @@ class RealField:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Fourier coefficients theta_hat[m] in FFT layout, Hermitian symmetric.
+    """Fourier coefficients theta_hat[m] of a real field, m = 0..n/2.
 
-    Construction rejects coefficient arrays that are not (up to SYMMETRY_TOL,
-    scaled by the coefficient magnitude) the transform of a real field.
+    The half spectrum can still fail to be the transform of a real field in
+    one way: a mean or Nyquist coefficient with an imaginary part. Construction
+    rejects that beyond SYMMETRY_TOL, scaled by the coefficient magnitude.
     """
 
     grid: TorusGrid
@@ -127,16 +135,15 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        n = self.grid.n
-        if coeffs.shape != (n,):
-            raise ValueError(f"coeffs must have shape ({n},), got {coeffs.shape}")
+        size = self.grid.n // 2 + 1
+        if coeffs.shape != (size,):
+            raise ValueError(f"coeffs must have shape ({size},), got {coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coeffs must be finite")
-        # conjugate partner of index m is (-m) mod n; the Nyquist slot pairs
-        # with itself, which forces it (and the mean) to be real.
-        partner = np.conj(coeffs[(-np.arange(n)) % n])
+        # The mean and Nyquist modes are their own conjugate partners, so
+        # their defect |c - conj(c)| is twice the imaginary part.
         scale = max(1.0, float(np.max(np.abs(coeffs))))
-        defect = float(np.max(np.abs(coeffs - partner)))
+        defect = 2.0 * max(abs(coeffs[0].imag), abs(coeffs[-1].imag))
         if defect > SYMMETRY_TOL * scale:
             raise ValueError(
                 f"coeffs violate Hermitian symmetry (defect {defect:.3e}, "
@@ -147,37 +154,22 @@ class SpectralField:
         object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, m: int) -> complex:
-        """Coefficient of mode m for |m| <= n/2 (the +-n/2 slots coincide)."""
+        """Coefficient of mode m for |m| <= n/2; coeff(-m) is conj(coeff(m))."""
         n = self.grid.n
         if abs(m) > n // 2:
             raise ValueError(f"mode {m} outside resolved range |m| <= {n // 2}")
-        return complex(self.coeffs[m % n])
-
-
-def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    """The rfft half spectrum (m = 0..n/2) of an FFT-layout array: a view of
-    its first n//2+1 entries. Slices symbols and Hermitian coefficients alike."""
-    return coeffs[: len(coeffs) // 2 + 1]
-
-
-def full_spectrum(half: np.ndarray) -> np.ndarray:
-    """The FFT-layout array whose half spectrum is `half`, completed by
-    Hermitian symmetry; its first n//2+1 entries are `half` bit for bit."""
-    return np.concatenate([half, np.conj(half[-2:0:-1])])
+        c = complex(self.coeffs[abs(m)])
+        return c if m >= 0 else c.conjugate()
 
 
 def forward(f: RealField) -> SpectralField:
-    """DFT of a real field under the 1/n normalization (norm="forward")."""
-    return SpectralField(f.grid, np.fft.fft(f.values, norm="forward"))
+    """Half-spectrum DFT of a real field under the 1/n normalization."""
+    return SpectralField(f.grid, np.fft.rfft(f.values, norm="forward"))
 
 
 def inverse(F: SpectralField) -> RealField:
-    """Inverse DFT back to real samples.
-
-    Symmetry was enforced at construction, so the imaginary residue of the
-    inverse transform is roundoff and is discarded.
-    """
-    return RealField(F.grid, np.fft.ifft(F.coeffs, norm="forward").real)
+    """Inverse DFT of the half spectrum back to real samples."""
+    return RealField(F.grid, np.fft.irfft(F.coeffs, F.grid.n, norm="forward"))
 
 
 def derivative(F: SpectralField) -> SpectralField:
@@ -195,7 +187,7 @@ def tail_fraction(F: SpectralField) -> float:
 
     Returns 0 for an (almost) zero field by convention.
     """
-    energy = np.abs(F.coeffs) ** 2
+    energy = F.grid.weights * np.abs(F.coeffs) ** 2
     energy[0] = 0.0
     total = float(energy.sum())
     if total == 0.0:

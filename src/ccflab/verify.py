@@ -27,7 +27,7 @@ from .operators import (
     frac_laplacian_spectral,
     hilbert,
 )
-from .torus import RealField, TorusGrid, derivative, forward, inverse
+from .torus import RealField, SpectralField, TorusGrid, derivative, forward, inverse
 
 EXACT_TOL = 1e-10
 QUADRATURE_TOL = 1e-2
@@ -56,7 +56,7 @@ def random_band_limited(grid: TorusGrid, rng: np.random.Generator, max_mode: int
     ab = rng.standard_normal((cutoff, 2))
     coeffs = np.zeros(grid.n // 2 + 1, dtype=complex)
     coeffs[1 : cutoff + 1] = (ab[:, 0] - 1j * ab[:, 1]) / 2
-    return RealField(grid, np.fft.irfft(coeffs, grid.n, norm="forward"))
+    return inverse(SpectralField(grid, coeffs))
 
 
 def _rel(err: float, scale: float) -> float:

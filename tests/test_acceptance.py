@@ -28,9 +28,9 @@ from ccflab.regularity import (
     gamma_one,
     gamma_one_condition,
     holder_seminorm,
+    make_schedule,
     t_local_exponents,
     t_star,
-    xi_of_t,
 )
 from ccflab.solver import DiagnosticPlan, ModelParams, SolverState, StepControl, run, step
 from ccflab.torus import RealField, TorusGrid, derivative, forward, inverse
@@ -184,15 +184,16 @@ def test_criterion_06_formula_calculators():
     t0 = time.perf_counter()
     exact_t_star = t_star(0.8, 0.4, 2.0) == 0.2048
     xi_ok = True
+    sched = make_schedule(0.5, 0.5, 1.0)
     for t in np.linspace(0.0, 0.5, 26):
-        xi_ok = xi_ok and abs(xi_of_t(float(t), 0.5, 0.5, 1.0) - (0.5 - t) ** 2) < 1e-14
-    xi_ok = xi_ok and xi_of_t(0.7, 0.5, 0.5, 1.0) == 0.0
-    xi_ok = xi_ok and xi_of_t(t_star(0.5, 0.5, 1.0), 0.5, 0.5, 1.0) == 0.0
+        xi_ok = xi_ok and abs(sched.xi_at(float(t)) - (0.5 - t) ** 2) < 1e-14
+    xi_ok = xi_ok and sched.xi_at(0.7) == 0.0
+    xi_ok = xi_ok and sched.xi_at(t_star(0.5, 0.5, 1.0)) == 0.0
     ode_ok = True
     h = 1e-6
     for t in (0.1, 0.25, 0.4):
-        fd = (xi_of_t(t + h, 0.5, 0.5, 1.0) - xi_of_t(t - h, 0.5, 0.5, 1.0)) / (2 * h)
-        xi = xi_of_t(t, 0.5, 0.5, 1.0)
+        fd = (sched.xi_at(t + h) - sched.xi_at(t - h)) / (2 * h)
+        xi = sched.xi_at(t)
         expected = -(xi**0.5) / 0.5
         ode_ok = ode_ok and abs(fd - expected) <= 1e-6 * abs(expected)
     e1, e2 = t_local_exponents(0.5)

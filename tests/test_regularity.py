@@ -19,7 +19,6 @@ from ccflab.regularity import (
     t_star,
     v_field,
     xi0_of,
-    xi_of_t,
 )
 from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, run
 from ccflab.torus import RealField, TorusGrid, forward
@@ -79,14 +78,16 @@ class TestXiSchedule:
     def test_closed_form_at_half(self):
         """gamma = alpha = 1/2, unit everything: xi(t) = (1/2 - t)^2."""
         assert xi0_of(0.5, 0.5, 1.0, RegularityConstants()) == 0.25
+        sched = make_schedule(0.5, 0.5, 1.0)
         for t in np.linspace(0.0, 0.5, 26):
-            assert xi_of_t(float(t), 0.5, 0.5, 1.0) == pytest.approx((0.5 - t) ** 2, abs=1e-14)
-        assert xi_of_t(0.6, 0.5, 0.5, 1.0) == 0.0
+            assert sched.xi_at(float(t)) == pytest.approx((0.5 - t) ** 2, abs=1e-14)
+        assert sched.xi_at(0.6) == 0.0
 
     def test_ode_satisfied_at_zero_by_finite_differences(self):
         gamma, alpha, L = 0.5, 0.5, 1.0
         h = 1e-7
-        fd = (xi_of_t(h, gamma, alpha, L) - xi_of_t(0.0, gamma, alpha, L)) / h
+        sched = make_schedule(gamma, alpha, L)
+        fd = (sched.xi_at(h) - sched.xi_at(0.0)) / h
         xi0 = xi0_of(gamma, alpha, L, RegularityConstants())
         expected = -(xi0 ** (1 - gamma)) / (alpha * 1.0)
         assert fd == pytest.approx(expected, rel=1e-6)
@@ -105,13 +106,15 @@ class TestXiSchedule:
             ts = t_star(gamma, alpha, L, k)
             # bracket the vanishing time to 1e-12 relative: just before it the
             # schedule is still positive, just after it the clamp engages
-            assert xi_of_t(ts * (1 - 2e-12), gamma, alpha, L, k) > 0.0
-            assert xi_of_t(ts * (1 + 2e-12), gamma, alpha, L, k) == 0.0
-            assert xi_of_t(ts * 0.5, gamma, alpha, L, k) > 0.0
+            sched = make_schedule(gamma, alpha, L, k)
+            assert sched.xi_at(ts * (1 - 2e-12)) > 0.0
+            assert sched.xi_at(ts * (1 + 2e-12)) == 0.0
+            assert sched.xi_at(ts * 0.5) > 0.0
 
     def test_non_increasing(self):
         ts = np.linspace(0, 1.2, 49)
-        vals = [xi_of_t(float(t), 0.7, 0.6, 2.0) for t in ts]
+        sched = make_schedule(0.7, 0.6, 2.0)
+        vals = [sched.xi_at(float(t)) for t in ts]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_schedule_object_consistency(self):
@@ -120,7 +123,7 @@ class TestXiSchedule:
         assert sched.t_star == 0.5
         assert sched.M == 4.0 * 1.0 / 0.25**0.5
         for t in (0.0, 0.2, 0.499, 0.5, 0.7):
-            assert sched.xi_at(t) == pytest.approx(xi_of_t(t, 0.5, 0.5, 1.0), abs=1e-13)
+            assert sched.xi_at(t) == pytest.approx(max(0.5 - t, 0.0) ** 2, abs=1e-13)
 
 
 class TestSobolevNorm:

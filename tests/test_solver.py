@@ -75,24 +75,27 @@ class TestNonlinearTerm:
     @pytest.mark.parametrize("dealias_on", [True, False])
     @pytest.mark.parametrize("n", [64, 96, 4096])
     def test_matches_a_full_spectrum_oracle(self, n, dealias_on):
-        """The half-spectrum kernel against H(theta)*theta_x made here with
-        full-length complex transforms and symbols built from the wavenumbers."""
+        """The half-spectrum kernel against the first n//2+1 entries of
+        H(theta)*theta_x made here with full-length complex transforms and
+        symbols built from the signed wavenumbers."""
         grid = TorusGrid(n)
-        F = forward(RealField(grid, np.random.default_rng(n).standard_normal(n)))
+        theta = np.random.default_rng(n).standard_normal(n)
+        F = forward(RealField(grid, theta))
         m = np.fft.fftfreq(n, d=1.0 / n)
         odd = m != -n // 2  # odd symbols vanish on the Nyquist slot
         keep = np.abs(m) <= n // 3 if dealias_on else np.ones(n, dtype=bool)
-        c = np.where(keep, F.coeffs, 0.0)
+        c = np.where(keep, np.fft.fft(theta, norm="forward"), 0.0)
         velocity = np.fft.ifft(np.where(odd, -1j * np.sign(m), 0.0) * c, norm="forward").real
         gradient = np.fft.ifft(np.where(odd, 1j * m, 0.0) * c, norm="forward").real
-        want = np.where(keep, np.fft.fft(velocity * gradient, norm="forward"), 0.0)
+        want = np.where(keep, np.fft.fft(velocity * gradient, norm="forward"), 0.0)[: n // 2 + 1]
 
         out = nonlinear_term(F, ModelParams(gamma=1.0, n=n, dealias_on=dealias_on))
 
+        assert out.coeffs.shape == want.shape
         assert np.max(np.abs(out.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
         SpectralField(grid, out.coeffs)  # the Hermitian check of a fresh field
         if dealias_on:
-            assert np.all(out.coeffs[~keep] == 0)
+            assert np.all(out.coeffs[~keep[: n // 2 + 1]] == 0)
 
     def test_linear_only_hook_nulls_the_term(self):
         grid = TorusGrid(64)
