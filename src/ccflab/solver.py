@@ -8,9 +8,10 @@ further clamped so steps land exactly on snapshot times and t_end.
 
 The stepping state is theta_hat's rfft half spectrum (modes m = 0..n/2), the
 layout of every SpectralField, so run(), step() and nonlinear_term() pass the
-coefficients to one kernel as they are. A step makes 9 real transforms: one
-irfft of H theta for the CFL speed, then in each RK4 stage one batched irfft of
-the velocity and the gradient together and one rfft of their product.
+coefficients as they are to one kernel, built once per (grid, params). A step
+makes 9 real transforms: one irfft of H theta for the CFL speed, then in each
+RK4 stage one batched irfft of the velocity and the gradient together and one
+rfft of their product.
 
 Detectors, evaluated on each recorded snapshot:
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,7 +135,12 @@ class DiagnosticPlan:
 
 class _Kernel:
     """Symbols of one (grid, model) pair, and the integrating factors of the
-    last dt, which most steps of a run repeat."""
+    last dt, which most steps of a run repeat.
+
+    Kernels are shared through _kernel: nothing writes to their arrays once
+    built, and the factors are replaced as one (dt, half, full) tuple, so a
+    reader never pairs one dt with the factors of another.
+    """
 
     def __init__(self, grid: TorusGrid, p: ModelParams):
         self.n = grid.n
@@ -146,15 +153,20 @@ class _Kernel:
         # The mask is 0/1, so folding it into the symbols is exact.
         self.mask = grid.dealias_mask if p.dealias_on else None
         self.velocity_gradient = symbols if self.mask is None else symbols * self.mask
-        self._dt = None
-        self._factors = None
+        self._last = (None, None, None)
 
     def factors(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """e^{-lam dt/2} and its square."""
-        if dt != self._dt:
+        last = self._last
+        if dt != last[0]:
             half = np.exp(-self.lam * dt / 2.0)
-            self._dt, self._factors = dt, (half, half * half)
-        return self._factors
+            last = self._last = (dt, half, half * half)
+        return last[1], last[2]
+
+
+# run(), step() and nonlinear_term() build the kernel of a (grid, params) pair
+# once; a sweep worker cycles through a few (n, gamma) pairs.
+_kernel = lru_cache(maxsize=8)(_Kernel)
 
 
 def _nonlinear_raw(h: np.ndarray, kernel: _Kernel) -> np.ndarray:
@@ -168,7 +180,7 @@ def _nonlinear_raw(h: np.ndarray, kernel: _Kernel) -> np.ndarray:
 def nonlinear_term(theta_hat: SpectralField, p: ModelParams) -> SpectralField:
     """Transform of H(theta)*theta_x, pseudospectral, dealiased when enabled."""
     grid = theta_hat.grid
-    raw = _nonlinear_raw(theta_hat.coeffs, _Kernel(grid, p))
+    raw = _nonlinear_raw(theta_hat.coeffs, _kernel(grid, p))
     if not np.all(np.isfinite(raw)):
         raise NonFiniteStateError(t=float("nan"))
     return SpectralField(grid, raw)
@@ -208,7 +220,7 @@ def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None =
     overshoots a snapshot boundary."""
     grid = s.theta_hat.grid
     limit = c.t_end if t_limit is None else t_limit
-    h, t_new = _step_raw(s.theta_hat.coeffs, s.t, c, _Kernel(grid, p), limit)
+    h, t_new = _step_raw(s.theta_hat.coeffs, s.t, c, _kernel(grid, p), limit)
     return SolverState(t=t_new, theta_hat=SpectralField(grid, h), step_count=s.step_count + 1)
 
 
@@ -293,7 +305,7 @@ def run(
     if theta0.grid.n != p.n:
         raise ValueError(f"n mismatch: field has n={theta0.grid.n}, params n={p.n}")
     grid = theta0.grid
-    kernel = _Kernel(grid, p)
+    kernel = _kernel(grid, p)
     started = time.perf_counter()
     config = build_config(p, c, constants, datum, plan)
 

@@ -4,6 +4,7 @@ linear exactness, detectors, monitors, and temporal convergence."""
 import numpy as np
 import pytest
 
+from ccflab import solver
 from ccflab.records import Outcome, record_to_dict
 from ccflab.solver import (
     DiagnosticPlan,
@@ -165,6 +166,20 @@ class TestStep:
         final = _take_sample(s.theta_hat, s.t, p.gamma, DiagnosticPlan())
         assert len(rec.samples) == 2
         assert final == rec.samples[-1]
+
+    def test_chained_steps_build_one_kernel(self):
+        """run(), step() and nonlinear_term() share the kernel of one (grid,
+        params) pair, so a chain of public steps builds its symbols once."""
+        grid = TorusGrid(64)
+        p = ModelParams(gamma=0.9, n=64)
+        c = StepControl(t_end=1.0)
+        s = SolverState(t=0.0, theta_hat=forward(RealField(grid, 1.0 + np.cos(grid.points))))
+        solver._kernel.cache_clear()
+        for _ in range(5):
+            s = step(s, p, c)
+        nonlinear_term(s.theta_hat, p)
+        run(inverse(s.theta_hat), p, StepControl(t_end=0.02))
+        assert solver._kernel.cache_info().misses == 1
 
     def test_step_never_overshoots_the_limit(self):
         grid = TorusGrid(64)
