@@ -107,7 +107,10 @@ def _datum(value, name: str):
     """A datum spec string such as cosine:1,1, or a ValueError naming the key."""
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a datum spec string such as cosine:1,1, got {value!r}")
-    return parse_datum(value)
+    try:
+        return parse_datum(value)
+    except (OSError, ValueError) as exc:  # a missing custom: file is a bad spec too
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _cmd_run(args) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -178,6 +179,12 @@ class SweepPlan:
     def __post_init__(self) -> None:
         if not self.gamma_values or not self.data or not self.resolutions:
             raise ValueError("sweep axes gamma_values, data, resolutions must be non-empty")
+        for axis in ("gamma_values", "data", "resolutions"):
+            values = getattr(self, axis)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    first = values.index(value)
+                    raise ValueError(f"sweep axis {axis} lists one value twice (entries {first} and {i})")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         for gamma in self.gamma_values:
@@ -251,15 +258,8 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
     if pending:
         jobs = [(plan, datum, gamma, n) for _, datum, gamma, n in pending]
         workers = min(plan.parallelism, len(jobs), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                finished = pool.map(_run_cell, jobs)
-                for (i, *_), record in zip(pending, finished):
-                    results[i] = record
-                    append_record(out_path, record)
-        else:
-            for (i, *_), job in zip(pending, jobs):
-                record = _run_cell(job)
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            for (i, *_), record in zip(pending, (pool.map if pool else map)(_run_cell, jobs)):
                 results[i] = record
                 append_record(out_path, record)
 

@@ -51,7 +51,6 @@ from .torus import (
     RealField,
     SpectralField,
     TorusGrid,
-    dealias,
     forward,
     inverse,
     tail_fraction,
@@ -244,27 +243,6 @@ def cordoba_identity_residual(f: RealField, gamma: float, cal: CgammaCalibration
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def commutator(f: RealField, g: RealField, s: float) -> RealField:
-    """Commutator bracket L^s(f*g) - f*L^s(g), evaluated spectrally.
-
-    Pointwise products are dealiased before transforming back. The exponent s
-    is not capped at 2 here; the bracket is well defined for any s > 0.
-    A constant commutes with Lambda^s and with the dealias mask, so f's mean
-    is removed first: it would only add roundoff to both terms.
-    """
-    if f.grid != g.grid:
-        raise ValueError("fields must share a grid")
-    if not s > 0.0:
-        raise ValueError(f"s must be positive, got {s}")
-    mult = f.grid.abs_modes**s
-    v = f.values - f.values.mean()
-    product = forward(RealField(f.grid, v * g.values))
-    first = dealias(product).coeffs * mult
-    lsg = inverse(SpectralField(g.grid, forward(g).coeffs * mult))
-    second = dealias(forward(RealField(f.grid, v * lsg.values)))
-    return inverse(SpectralField(f.grid, first - second.coeffs))
-
-
 __all__ = [
     "CALIBRATION_TOL",
     "QUADRATURE_TAIL_LIMIT",
@@ -278,5 +256,4 @@ __all__ = [
     "frac_laplacian_quadrature",
     "dgamma",
     "cordoba_identity_residual",
-    "commutator",
 ]

@@ -77,16 +77,21 @@ def _sample_to_dict(s: DiagnosticsSample) -> dict:
     return d
 
 
+def _expect(value, kind: type, what: str):
+    """Return value if it has the JSON shape kind (dict or list), else raise
+    a ValueError naming what."""
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "array"
+        raise ValueError(f"{what} must be a JSON {shape}, got {type(value).__name__}")
+    return value
+
+
 def _sample_from_dict(d: dict) -> DiagnosticsSample:
-    if not isinstance(d, dict):
-        raise ValueError(f"sample must be a JSON object, got {type(d).__name__}")
     try:
-        values = list(_sample_values(d))
+        values = list(_sample_values(_expect(d, dict, "sample")))
     except KeyError as exc:
         raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
-    holder = values[_HOLDER]
-    if not isinstance(holder, dict):
-        raise ValueError(f"sample 'holder' must be a JSON object, got {type(holder).__name__}")
+    holder = _expect(values[_HOLDER], dict, "sample 'holder'")
     values[_HOLDER] = {float(a): v for a, v in holder.items()}
     return DiagnosticsSample(*values)
 
@@ -105,20 +110,18 @@ def record_to_dict(record: RunRecord) -> dict:
 
 
 def record_from_dict(d: dict) -> RunRecord:
-    if not isinstance(d, dict):
-        raise ValueError(f"record must be a JSON object, got {type(d).__name__}")
-    version = d.get("schema_version")
+    version = _expect(d, dict, "record").get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"unknown record schema_version {version!r}; this build reads version {SCHEMA_VERSION}"
         )
     try:
-        samples = d["samples"]
-        if not isinstance(samples, list):
-            raise ValueError(f"record 'samples' must be a JSON array, got {type(samples).__name__}")
+        config = _expect(d["config"], dict, "record 'config'")
+        for block in ("model", "datum"):
+            _expect(config.get(block, {}), dict, f"record 'config.{block}'")
         return RunRecord(
-            config=d["config"],
-            samples=[_sample_from_dict(s) for s in samples],
+            config=config,
+            samples=[_sample_from_dict(s) for s in _expect(d["samples"], list, "record 'samples'")],
             outcome=Outcome(d["outcome"]),
             outcome_detail=d.get("outcome_detail", ""),
             t_star_predicted=d["t_star_predicted"],

@@ -337,20 +337,6 @@ class ProbeReport:
     t1_fitted: float | None
 
 
-def h32_barrier(t: float, x0: float, l2_0: float, gamma: float, c: float) -> float:
-    """Closed-form barrier x0 * (1 - c*e2*l2_0^{e1}*x0^{e2}*t)^{-1/e2}.
-
-    Bounds the homogeneous H^{3/2} norm while the bracket stays positive
-    (always, for c <= 0). Returns inf at or past the blow-up time of the
-    barrier itself.
-    """
-    e1, e2 = t_local_exponents(gamma)
-    bracket = 1.0 - c * e2 * l2_0**e1 * x0**e2 * t
-    if bracket <= 0.0:
-        return float("inf")
-    return x0 * bracket ** (-1.0 / e2)
-
-
 def energy_inequality_probe(record: "RunRecord", gamma: float) -> ProbeReport:
     """Fit the smallest C with (X^2)'/2 + D^2/2 <= C*X^{2+e2}*l2_0^{e1} at snapshots.
 

@@ -118,7 +118,6 @@ class SolverState:
 
     t: float
     theta_hat: SpectralField
-    step_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -221,7 +220,7 @@ def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None =
     grid = s.theta_hat.grid
     limit = c.t_end if t_limit is None else t_limit
     h, t_new = _step_raw(s.theta_hat.coeffs, s.t, c, _kernel(grid, p), limit)
-    return SolverState(t=t_new, theta_hat=SpectralField(grid, h), step_count=s.step_count + 1)
+    return SolverState(t=t_new, theta_hat=SpectralField(grid, h))
 
 
 def _take_sample(F: SpectralField, t: float, gamma: float, plan: DiagnosticPlan) -> DiagnosticsSample:

@@ -177,11 +177,6 @@ def derivative(F: SpectralField) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * F.grid.derivative_mult)
 
 
-def dealias(F: SpectralField) -> SpectralField:
-    """Zero all modes with |m| > floor(n/3) (2/3 rule for quadratic terms)."""
-    return SpectralField(F.grid, np.where(F.grid.dealias_mask, F.coeffs, 0.0))
-
-
 def tail_fraction(F: SpectralField) -> float:
     """Energy fraction carried by modes |m| > n/4, mean mode excluded.
 

@@ -44,15 +44,13 @@ class VerifyRow:
         return self.residual < self.tolerance
 
 
-def random_band_limited(grid: TorusGrid, rng: np.random.Generator, max_mode: int | None = None) -> RealField:
-    """Zero-mean real field with Gaussian coefficients on modes 1..max_mode.
+def random_band_limited(grid: TorusGrid, rng: np.random.Generator) -> RealField:
+    """Zero-mean real field with Gaussian coefficients on modes 1..n//8.
 
     Each mode m gets a*cos(m x) + b*sin(m x), drawn as (a, b) pairs in mode
-    order. max_mode must lie in 0..n//2 - 1: the Nyquist mode has no sine.
+    order.
     """
-    cutoff = grid.n // 8 if max_mode is None else max_mode
-    if not 0 <= cutoff < grid.n // 2:
-        raise ValueError(f"max_mode must be in 0..{grid.n // 2 - 1}, got {cutoff}")
+    cutoff = grid.n // 8
     ab = rng.standard_normal((cutoff, 2))
     coeffs = np.zeros(grid.n // 2 + 1, dtype=complex)
     coeffs[1 : cutoff + 1] = (ab[:, 0] - 1j * ab[:, 1]) / 2

@@ -146,7 +146,9 @@ class TestSweepAndReportCommands:
         assert "sweep.jsonl:2" in err and repr(missing) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("shape", ["array", "null_samples", "null_holder"])
+    @pytest.mark.parametrize(
+        "shape", ["array", "null_samples", "null_holder", "null_config", "null_model", "list_datum"]
+    )
     def test_report_on_a_wrong_shape_line_names_the_line(self, tmp_path, capsys, shape):
         assert main(["sweep", "--gamma", "0.9", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
         path = tmp_path / "sweep.jsonl"
@@ -155,14 +157,35 @@ class TestSweepAndReportCommands:
             payload = [payload]
         elif shape == "null_samples":
             payload["samples"] = None
-        else:
+        elif shape == "null_holder":
             payload["samples"][1]["holder"] = None
+        elif shape == "null_config":
+            payload["config"] = None
+        elif shape == "null_model":
+            payload["config"]["model"] = None
+        else:
+            payload["config"]["datum"] = [payload["config"]["datum"]]
         path.write_text(path.read_text() + json.dumps(payload) + "\n")
         capsys.readouterr()
         assert main(["report", str(path), "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "sweep.jsonl:2" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, axis",
+        [
+            (["--gamma", "0.6,0.6", "--n", "32"], "gamma_values"),
+            (["--gamma", "0.6", "--n", "32,32"], "resolutions"),
+            (["--gamma", "0.6", "--n", "32", "--datum", "cosine:1,1", "--datum", "cosine:1,1"], "data"),
+        ],
+        ids=["gamma", "n", "datum"],
+    )
+    def test_sweep_with_a_repeated_axis_value_exits_1(self, tmp_path, capsys, flags, axis):
+        assert main(["sweep", *flags, "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: sweep axis {axis} lists one value twice" in err and "Traceback" not in err
+        assert not (tmp_path / "sweep.jsonl").exists()
 
     def test_config_axis_may_be_a_bare_number(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -289,6 +312,26 @@ class TestSweepAndReportCommands:
         assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert f"error: {key} must be a datum spec string" in err and "Traceback" not in err
+        assert list(tmp_path.glob("*.jsonl")) == []
+
+    @pytest.mark.parametrize(
+        "command, spec, key",
+        [
+            ("run", "cosine:1,x", "datum"),
+            ("run", "custom:{missing}", "datum"),
+            ("sweep", "cosine:1,x", "sweep.data"),
+            ("sweep", "custom:{missing}", "sweep.data"),
+        ],
+        ids=["run.bad_number", "run.missing_file", "sweep.bad_number", "sweep.missing_file"],
+    )
+    def test_config_datum_spec_that_does_not_parse_is_named(self, tmp_path, capsys, command, spec, key):
+        spec = spec.format(missing=tmp_path / "missing.txt")
+        cfg = {"datum": spec, "n": 64} if command == "run" else {"sweep": {"data": [spec], "resolutions": 64}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "t_end": 0.1}))
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key}: " in err and "Traceback" not in err
         assert list(tmp_path.glob("*.jsonl")) == []
 
     def test_unknown_constant_in_config_is_named(self, tmp_path, capsys):

@@ -111,6 +111,22 @@ class TestSweepPlan:
         with pytest.raises(ValueError, match="n must be"):
             SweepPlan(gamma_values=(0.9,), data=(cosine_positive(1, 1),), resolutions=(48, 31))
 
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("gamma_values", (0.6, 0.9, 0.6)),
+            ("data", (cosine_positive(1, 1), von_mises_bump(2.0), cosine_positive(1.0, 1.0))),
+            ("resolutions", (64, 128, 64)),
+        ],
+        ids=["gamma_values", "data", "resolutions"],
+    )
+    def test_repeated_axis_value_is_rejected(self, axis, values):
+        """A repeated value would run one cell twice and append two records
+        with one config hash."""
+        axes = {"gamma_values": (0.9,), "data": (cosine_positive(1, 1),), "resolutions": (64,), axis: values}
+        with pytest.raises(ValueError, match=rf"sweep axis {axis} lists one value twice \(entries 0 and 2\)"):
+            SweepPlan(**axes)
+
     def test_enumeration_is_datum_major(self):
         plan = SweepPlan(
             gamma_values=(0.6, 0.9),

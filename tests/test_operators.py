@@ -1,11 +1,10 @@
-"""Tests for the spectral-route operators: Hilbert transform, fractional
-Laplacian multiplier, and the commutator bracket."""
+"""Tests for the spectral-route operators: Hilbert transform and the fractional
+Laplacian multiplier."""
 
 import numpy as np
 import pytest
 
-from ccflab.operators import commutator, frac_laplacian_spectral, hilbert
-from ccflab.regularity import sobolev_norm
+from ccflab.operators import frac_laplacian_spectral, hilbert
 from ccflab.torus import RealField, TorusGrid, derivative, forward, inverse
 from ccflab.verify import random_band_limited
 
@@ -80,40 +79,3 @@ class TestFracLaplacianSpectral:
         once = frac_laplacian_spectral(frac_laplacian_spectral(forward(f), 0.4), 0.8)
         direct = frac_laplacian_spectral(forward(f), 1.2)
         assert np.max(np.abs(once.coeffs - direct.coeffs)) < 1e-13
-
-
-class TestCommutator:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_constant_f_commutes(self, seed):
-        grid = TorusGrid(128)
-        rng = np.random.default_rng(seed)
-        f = RealField(grid, np.full(grid.n, 3.0))
-        g = random_band_limited(grid, rng)
-        out = commutator(f, g, 1.5)
-        assert np.max(np.abs(out.values)) < 1e-12
-
-    def test_grid_mismatch_rejected(self):
-        f = RealField(TorusGrid(64), np.zeros(64))
-        g = RealField(TorusGrid(128), np.zeros(128))
-        with pytest.raises(ValueError, match="grid"):
-            commutator(f, g, 1.0)
-
-    def test_bound_fit_is_stable_across_random_fields(self):
-        """The bracket norm over f_x/Lambda^s f terms: fit the constant on the
-        first pair, then demand every later ratio stays within a factor 3."""
-        grid = TorusGrid(256)
-        rng = np.random.default_rng(23)
-        s = 1.5
-        ratios = []
-        for _ in range(20):
-            f = random_band_limited(grid, rng)
-            g = random_band_limited(grid, rng)
-            bracket = sobolev_norm(forward(commutator(f, g, s)), 0.0)
-            fx = np.max(np.abs(inverse(derivative(forward(f))).values))
-            lsf = np.max(np.abs(_apply(frac_laplacian_spectral, f, s)))
-            bound = fx * sobolev_norm(forward(g), s - 1.0) + lsf * sobolev_norm(forward(g), 0.0)
-            ratios.append(bracket / bound)
-        fitted = ratios[0]
-        for r in ratios[1:]:
-            assert r < 3.0 * fitted
-            assert r > fitted / 3.0

@@ -10,7 +10,6 @@ from ccflab.regularity import (
     energy_inequality_probe,
     gamma_one,
     gamma_one_condition,
-    h32_barrier,
     holder_seminorm,
     make_schedule,
     sobolev_norm,
@@ -330,17 +329,6 @@ class TestEnergyProbe:
         )
         rep = energy_inequality_probe(rec, 0.9)
         assert rep.fitted_c < 1e-3
-
-    def test_h32_series_stays_below_barrier(self, smooth_run):
-        rep = energy_inequality_probe(smooth_run, 0.9)
-        x0 = smooth_run.samples[0].hdot_three_half
-        l2_0 = smooth_run.samples[0].l2
-        horizon = rep.t1_fitted if rep.t1_fitted is not None else np.inf
-        for s in smooth_run.samples:
-            if s.t <= horizon:
-                assert s.hdot_three_half <= h32_barrier(s.t, x0, l2_0, 0.9, rep.fitted_c) * (
-                    1 + 1e-9
-                )
 
     def test_probe_refuses_underresolved_record(self):
         """An inviscid blow-up record must not be fed to the probe."""

@@ -140,7 +140,6 @@ class TestStep:
         c = StepControl(t_end=0.3, dt_max=0.01)
         state = _integrate_to(RealField(grid, np.zeros(64)), p, c)
         assert np.max(np.abs(state.theta_hat.coeffs)) == 0.0
-        assert state.step_count > 0
 
     def test_time_and_count_advance(self):
         grid = TorusGrid(64)
@@ -148,7 +147,6 @@ class TestStep:
         s0 = SolverState(t=0.0, theta_hat=forward(theta0))
         s1 = step(s0, ModelParams(gamma=0.9, n=64), StepControl(t_end=1.0, dt_max=0.01))
         assert s1.t > s0.t
-        assert s1.step_count == 1
 
     @pytest.mark.parametrize("n", [96, 128, 192])
     def test_chained_steps_reproduce_the_run(self, n):

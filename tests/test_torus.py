@@ -9,7 +9,6 @@ from ccflab.torus import (
     RealField,
     SpectralField,
     TorusGrid,
-    dealias,
     derivative,
     forward,
     inverse,
@@ -178,18 +177,6 @@ class TestDerivative:
         grid = TorusGrid(32)
         df = inverse(derivative(forward(RealField(grid, np.ones(32)))))
         assert np.max(np.abs(df.values)) == 0.0
-
-
-class TestDealias:
-    def test_cutoff_at_two_thirds(self):
-        grid = TorusGrid(96)  # n//3 = 32
-        rng = np.random.default_rng(5)
-        F = forward(RealField(grid, rng.standard_normal(grid.n)))
-        G = dealias(F)
-        m = grid.modes
-        assert np.all(G.coeffs[np.abs(m) > 32] == 0)
-        kept = np.abs(m) <= 32
-        assert np.array_equal(G.coeffs[kept], F.coeffs[kept])
 
 
 class TestTailFraction:

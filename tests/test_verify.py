@@ -18,27 +18,19 @@ def _per_mode_sum(grid, rng, cutoff):
 
 
 class TestRandomBandLimited:
-    @pytest.mark.parametrize("n, max_mode", [(4096, None), (64, 31), (64, 1), (64, 0)])
-    def test_matches_the_per_mode_sum_and_leaves_the_stream_in_step(self, n, max_mode):
+    @pytest.mark.parametrize("n", [4096, 64])
+    def test_matches_the_per_mode_sum_and_leaves_the_stream_in_step(self, n):
         grid = TorusGrid(n)
-        cutoff = n // 8 if max_mode is None else max_mode
         rng_sum, rng_field = np.random.default_rng(5), np.random.default_rng(5)
-        want = _per_mode_sum(grid, rng_sum, cutoff)
-        got = random_band_limited(grid, rng_field, max_mode).values
+        want = _per_mode_sum(grid, rng_sum, n // 8)
+        got = random_band_limited(grid, rng_field).values
         scale = max(np.max(np.abs(want)), 1.0)
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
         assert rng_field.standard_normal() == rng_sum.standard_normal()
 
     def test_zero_mean_and_band_limited(self):
         grid = TorusGrid(64)
-        f = random_band_limited(grid, np.random.default_rng(2), 5)
+        f = random_band_limited(grid, np.random.default_rng(2))
         coeffs = np.fft.rfft(f.values)
         assert abs(coeffs[0]) < 1e-12
-        assert np.max(np.abs(coeffs[6:])) < 1e-12
-
-    @pytest.mark.parametrize("max_mode", [-1, 32, 40])
-    def test_modes_outside_the_sine_band_are_rejected(self, max_mode):
-        """Mode n//2 (Nyquist) has no sine on the grid and higher modes alias,
-        so neither is a band-limited field."""
-        with pytest.raises(ValueError, match="max_mode"):
-            random_band_limited(TorusGrid(64), np.random.default_rng(0), max_mode)
+        assert np.max(np.abs(coeffs[9:])) < 1e-12
