@@ -1,16 +1,27 @@
-"""Tests for the spectral-route operators: Hilbert transform and the fractional
-Laplacian multiplier."""
+"""Tests for the spectral-route operators: Hilbert transform, the fractional
+Laplacian multiplier, and the commutator bracket built from them."""
 
 import numpy as np
 import pytest
 
 from ccflab.operators import frac_laplacian_spectral, hilbert
-from ccflab.torus import RealField, TorusGrid, derivative, forward, inverse
+from ccflab.regularity import sobolev_norm
+from ccflab.torus import RealField, SpectralField, TorusGrid, derivative, forward, inverse
 from ccflab.verify import random_band_limited
 
 
 def _apply(op, f, *args):
     return inverse(op(forward(f), *args)).values
+
+
+def _bracket(f, g, s):
+    """[Lambda^s, f] g = Lambda^s(f*g) - f*Lambda^s(g), each product cut by the
+    grid's 2/3 dealias mask before transforming back."""
+    mask = f.grid.dealias_mask
+    lsg = inverse(frac_laplacian_spectral(forward(g), s))
+    first = frac_laplacian_spectral(forward(RealField(f.grid, f.values * g.values)), s)
+    second = forward(RealField(f.grid, f.values * lsg.values))
+    return inverse(SpectralField(f.grid, (first.coeffs - second.coeffs) * mask))
 
 
 class TestHilbert:
@@ -79,3 +90,38 @@ class TestFracLaplacianSpectral:
         once = frac_laplacian_spectral(frac_laplacian_spectral(forward(f), 0.4), 0.8)
         direct = frac_laplacian_spectral(forward(f), 1.2)
         assert np.max(np.abs(once.coeffs - direct.coeffs)) < 1e-13
+
+
+class TestCommutator:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_constant_f_commutes_to_roundoff(self, seed):
+        """A constant commutes with Lambda^s and with the dealias mask, so the
+        bracket is the roundoff of one irfft/rfft round trip, measured against
+        the size of the f*Lambda^s(g) term it cancels."""
+        grid = TorusGrid(128)
+        rng = np.random.default_rng(seed)
+        f = RealField(grid, np.full(grid.n, 3.0))
+        g = random_band_limited(grid, rng)
+        out = _bracket(f, g, 1.5)
+        scale = np.max(np.abs(3.0 * _apply(frac_laplacian_spectral, g, 1.5)))
+        assert np.max(np.abs(out.values)) < 1e-14 * scale
+
+    def test_bound_fit_is_stable_across_random_fields(self):
+        """The bracket norm over f_x/Lambda^s f terms: fit the constant on the
+        first pair, then demand every later ratio stays within a factor 3."""
+        grid = TorusGrid(256)
+        rng = np.random.default_rng(23)
+        s = 1.5
+        ratios = []
+        for _ in range(20):
+            f = random_band_limited(grid, rng)
+            g = random_band_limited(grid, rng)
+            bracket = sobolev_norm(forward(_bracket(f, g, s)), 0.0)
+            fx = np.max(np.abs(inverse(derivative(forward(f))).values))
+            lsf = np.max(np.abs(_apply(frac_laplacian_spectral, f, s)))
+            bound = fx * sobolev_norm(forward(g), s - 1.0) + lsf * sobolev_norm(forward(g), 0.0)
+            ratios.append(bracket / bound)
+        fitted = ratios[0]
+        for r in ratios[1:]:
+            assert r < 3.0 * fitted
+            assert r > fitted / 3.0

@@ -25,6 +25,15 @@ from ccflab.torus import RealField, TorusGrid, forward
 SQRT_PI = np.sqrt(np.pi)
 
 
+def _h32_barrier(t, x0, l2_0, gamma, c):
+    """x0 * (1 - c*e2*l2_0^{e1}*x0^{e2}*t)^{-1/e2}: the H^{3/2} bound that the
+    probe's inequality (X^2)'/2 <= C*X^{2+e2}*l2_0^{e1} integrates to; inf once
+    the bracket reaches 0."""
+    e1, e2 = t_local_exponents(gamma)
+    bracket = 1.0 - c * e2 * l2_0**e1 * x0**e2 * t
+    return x0 * bracket ** (-1.0 / e2) if bracket > 0.0 else np.inf
+
+
 class TestConstants:
     def test_defaults_are_unit(self):
         k = RegularityConstants()
@@ -329,6 +338,17 @@ class TestEnergyProbe:
         )
         rep = energy_inequality_probe(rec, 0.9)
         assert rep.fitted_c < 1e-3
+
+    def test_h32_series_stays_below_barrier(self, smooth_run):
+        rep = energy_inequality_probe(smooth_run, 0.9)
+        x0 = smooth_run.samples[0].hdot_three_half
+        l2_0 = smooth_run.samples[0].l2
+        horizon = rep.t1_fitted if rep.t1_fitted is not None else np.inf
+        for s in smooth_run.samples:
+            if s.t <= horizon:
+                assert s.hdot_three_half <= _h32_barrier(s.t, x0, l2_0, 0.9, rep.fitted_c) * (
+                    1 + 1e-9
+                )
 
     def test_probe_refuses_underresolved_record(self):
         """An inviscid blow-up record must not be fed to the probe."""
