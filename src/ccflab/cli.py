@@ -86,7 +86,10 @@ def _holder_alphas(gamma: float, alpha: float | None, dissipation_on: bool) -> t
 
 
 def _number(value, name: str, whole: bool = False):
-    """A flag or config value as a float (an int when whole), or a ValueError naming the key."""
+    """A flag or config value as a float (an int when whole), or a ValueError naming the key.
+    JSON true and false are not numbers, though Python reads them as 1 and 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:

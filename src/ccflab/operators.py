@@ -17,11 +17,11 @@ _apply_quadrature) reads none of them.
 Quadrature scheme.  The singular integral over y in [-pi, pi) is split into n
 cells of width dx and evaluated with the midpoint rule: the cell midpoints are
 offset half a cell from the grid, so no evaluation point hits the y=0
-singularity, and field values there come from a single FFT half-cell phase
-shift (exact for the trigonometric interpolant).  The periodized kernel sums
-the images |y - 2*pi*k|^{-(1+gamma)} for |k| <= IMAGE_COUNT explicitly and adds
-the remainder in closed form via the Hurwitz zeta function, so the only
-discretization error left is the midpoint rule itself.
+singularity, and field values there come from a single rfft half-cell phase
+shift (exact for the trigonometric interpolant).  The periodized kernel is the
+image at y plus the closed-form Hurwitz-zeta sum of every other image
+|y - 2*pi*k|^{-(1+gamma)}, so the only discretization error left is the
+midpoint rule itself.
 
 The sum over the n offsets is a circular correlation, evaluated with rfft in
 O(n log n) time and O(n) memory.  With s the half-shifted field (s_j the value
@@ -60,8 +60,6 @@ from .torus import (
 CALIBRATION_TOL = 1e-3
 # Fields feeding the quadrature must be spectrally resolved at the grid scale.
 QUADRATURE_TAIL_LIMIT = 0.1
-# Periodic images summed explicitly on each side of y before the analytic tail.
-IMAGE_COUNT = 20
 
 
 class CalibrationError(RuntimeError):
@@ -112,21 +110,17 @@ def frac_laplacian_spectral(F: SpectralField, gamma: float) -> SpectralField:
 
 
 @lru_cache(maxsize=64)
-def _kernel_weights(n: int, gamma: float, image_count: int) -> np.ndarray:
+def _kernel_weights(n: int, gamma: float) -> np.ndarray:
     """Periodized kernel sampled at the cell midpoints -pi + (j+1/2)*dx.
 
-    Returned weights include the analytic Hurwitz-zeta tail for images beyond
-    image_count, so truncation error in the image sum is eliminated. No
+    With q = y/(2*pi) in (-1/2, 1/2), the images k >= 1 and k <= -1 sum to
+    (2*pi)^{-(1+gamma)} * zeta(1+gamma, 1-q) and zeta(1+gamma, 1+q). No
     midpoint lies on an image of the y=0 singularity.
     """
+    s = 1.0 + gamma
     y = -np.pi + (np.arange(n) + 0.5) * (TWO_PI / n)
-    kern = np.zeros(n)
-    for k in range(-image_count, image_count + 1):
-        kern += np.abs(y - TWO_PI * k) ** (-(1.0 + gamma))
     q = y / TWO_PI
-    kern += TWO_PI ** (-(1.0 + gamma)) * (
-        zeta(1.0 + gamma, image_count + 1 - q) + zeta(1.0 + gamma, image_count + 1 + q)
-    )
+    kern = np.abs(y) ** (-s) + TWO_PI ** (-s) * (zeta(s, 1.0 - q) + zeta(s, 1.0 + q))
     kern.flags.writeable = False
     return kern
 
@@ -138,18 +132,16 @@ def _half_shift(values: np.ndarray) -> np.ndarray:
     real-valued convention.
     """
     n = values.size
-    m = np.fft.fftfreq(n, d=1.0 / n)
-    dx = TWO_PI / n
-    shift = np.exp(1j * m * dx / 2.0)
+    shift = np.exp(1j * np.pi * np.arange(n // 2 + 1) / n)
     shift[n // 2] = 0.0
-    return np.fft.ifft(np.fft.fft(values) * shift).real
+    return np.fft.irfft(np.fft.rfft(values) * shift, n)
 
 
 def _apply_quadrature(f: RealField, gamma: float, c: float, squared: bool) -> np.ndarray:
     """Evaluate c * dx * sum_j kern_j * (f(x) - f(x+y_j))^(1 or 2) as an rfft
     correlation (see "Quadrature scheme" above)."""
     n = f.grid.n
-    kern = np.roll(_kernel_weights(n, float(gamma), IMAGE_COUNT), -(n // 2))
+    kern = np.roll(_kernel_weights(n, float(gamma)), -(n // 2))
     kern_hat = np.conj(np.fft.rfft(kern))
     # The differences ignore the mean; removing it shrinks the cancellation.
     v = f.values - f.values.mean()
@@ -182,15 +174,14 @@ def calibrate_cgamma(gamma: float, grid: TorusGrid) -> CgammaCalibration:
     denom = float(raw @ raw)
     if not np.isfinite(denom) or denom == 0.0:
         raise CalibrationError(
-            f"degenerate quadrature for gamma={gamma} (n={grid.n}, K={IMAGE_COUNT})",
+            f"degenerate quadrature for gamma={gamma} (n={grid.n})",
             residual=float("inf"),
         )
     c = float(raw @ target) / denom
     residual = float(np.linalg.norm(c * raw - target) / np.linalg.norm(target))
     if not (c > 0.0 and residual < CALIBRATION_TOL):
         raise CalibrationError(
-            f"calibration failed for gamma={gamma}: residual {residual:.3e} "
-            f"(n={grid.n}, K={IMAGE_COUNT})",
+            f"calibration failed for gamma={gamma}: residual {residual:.3e} (n={grid.n})",
             residual=residual,
         )
     return CgammaCalibration(gamma=float(gamma), c_gamma=c, residual=residual)
@@ -215,16 +206,11 @@ def frac_laplacian_quadrature(f: RealField, gamma: float, cal: CgammaCalibration
     return RealField(f.grid, _apply_quadrature(f, gamma, cal.c_gamma, squared=False))
 
 
-def dgamma(f: RealField, h_shift: int, gamma: float, cal: CgammaCalibration) -> RealField:
-    """Pointwise dissipation functional D_gamma, optionally of a difference field.
+def dgamma(f: RealField, gamma: float, cal: CgammaCalibration) -> RealField:
+    """Pointwise dissipation functional D_gamma of f.
 
-    With h_shift = 0 the functional applies to f itself; otherwise it applies
-    to the finite difference f(x + h) - f(x) with h = h_shift grid cells.
     The integrand is a square, so the output is nonnegative up to roundoff.
     """
-    if h_shift % f.grid.n != 0:
-        shifted = np.roll(f.values, -int(h_shift)) - f.values
-        f = RealField(f.grid, shifted)
     _check_quadrature_input(f, gamma, cal)
     return RealField(f.grid, _apply_quadrature(f, gamma, cal.c_gamma, squared=True))
 
@@ -239,14 +225,13 @@ def cordoba_identity_residual(f: RealField, gamma: float, cal: CgammaCalibration
     lhs = 2.0 * f.values * inverse(frac_laplacian_spectral(F, gamma)).values
     square = RealField(f.grid, f.values * f.values)
     rhs = inverse(frac_laplacian_spectral(forward(square), gamma)).values
-    rhs = rhs + dgamma(f, 0, gamma, cal).values
+    rhs = rhs + dgamma(f, gamma, cal).values
     return float(np.max(np.abs(lhs - rhs)))
 
 
 __all__ = [
     "CALIBRATION_TOL",
     "QUADRATURE_TAIL_LIMIT",
-    "IMAGE_COUNT",
     "CalibrationError",
     "UnderResolvedFieldError",
     "CgammaCalibration",

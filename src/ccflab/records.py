@@ -86,13 +86,30 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+# The types json gives a number; true and false load as bool, which is not one.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _expect_number(value, what: str, nullable: bool = False):
+    """Return value if it is a JSON number (or null when nullable), else raise
+    a ValueError naming what."""
+    if type(value) in _NUMBER_TYPES or (nullable and value is None):
+        return value
+    shape = "number or null" if nullable else "number"
+    raise ValueError(f"{what} must be a JSON {shape}, got {type(value).__name__}")
+
+
 def _sample_from_dict(d: dict) -> DiagnosticsSample:
     try:
         values = list(_sample_values(_expect(d, dict, "sample")))
     except KeyError as exc:
         raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
+    for name, value in zip(_SAMPLE_FIELDS, values):
+        # Tested inline so the message is built only for a bad value.
+        if type(value) not in _NUMBER_TYPES and name != "holder":
+            _expect_number(value, f"sample {name!r}")
     holder = _expect(values[_HOLDER], dict, "sample 'holder'")
-    values[_HOLDER] = {float(a): v for a, v in holder.items()}
+    values[_HOLDER] = {float(a): _expect_number(v, "sample 'holder' value") for a, v in holder.items()}
     return DiagnosticsSample(*values)
 
 
@@ -117,16 +134,19 @@ def record_from_dict(d: dict) -> RunRecord:
         )
     try:
         config = _expect(d["config"], dict, "record 'config'")
-        for block in ("model", "datum"):
-            _expect(config.get(block, {}), dict, f"record 'config.{block}'")
+        model = _expect(config.get("model", {}), dict, "record 'config.model'")
+        _expect(config.get("datum", {}), dict, "record 'config.datum'")
+        for key in ("gamma", "n"):
+            if key in model:
+                _expect_number(model[key], f"record 'config.model.{key}'")
         return RunRecord(
             config=config,
             samples=[_sample_from_dict(s) for s in _expect(d["samples"], list, "record 'samples'")],
             outcome=Outcome(d["outcome"]),
             outcome_detail=d.get("outcome_detail", ""),
-            t_star_predicted=d["t_star_predicted"],
-            t_local_predicted=d["t_local_predicted"],
-            wall_time=d["wall_time"],
+            t_star_predicted=_expect_number(d["t_star_predicted"], "record 't_star_predicted'", True),
+            t_local_predicted=_expect_number(d["t_local_predicted"], "record 't_local_predicted'", True),
+            wall_time=_expect_number(d["wall_time"], "record 'wall_time'"),
         )
     except KeyError as exc:
         raise ValueError(f"record is missing key {exc.args[0]!r}") from None

@@ -23,7 +23,7 @@ units of the configured constants, never an absolute physical claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -311,10 +311,10 @@ class DiagnosticsSample:
     hdot_half: float
     hdot_three_half: float
     hdot_mid: float
-    holder: dict[float, float] = field(default_factory=dict)
-    tail_fraction: float = 0.0
-    min_value: float = 0.0
-    grad_linf: float = 0.0
+    holder: dict[float, float]
+    tail_fraction: float
+    min_value: float
+    grad_linf: float
 
 
 @dataclass(frozen=True)
@@ -327,13 +327,7 @@ class ProbeReport:
     a positive fit.
     """
 
-    gamma: float
     fitted_c: float
-    e1: float
-    e2: float
-    l2_0: float
-    hdot32_0: float
-    n_samples: int
     t1_fitted: float | None
 
 
@@ -373,13 +367,4 @@ def energy_inequality_probe(record: "RunRecord", gamma: float) -> ProbeReport:
     t1 = None
     if fitted > 0.0 and l2_0 > 0.0 and x[0] > 0.0:
         t1 = t_local(gamma, l2_0, float(x[0]), RegularityConstants(C1=fitted))
-    return ProbeReport(
-        gamma=gamma,
-        fitted_c=fitted,
-        e1=e1,
-        e2=e2,
-        l2_0=float(l2_0),
-        hdot32_0=float(x[0]),
-        n_samples=len(samples),
-        t1_fitted=t1,
-    )
+    return ProbeReport(fitted_c=fitted, t1_fitted=t1)

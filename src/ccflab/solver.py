@@ -28,6 +28,7 @@ inputs give bit-identical records.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -288,6 +289,31 @@ def _predictions(
     return t_star_pred, t_local_pred
 
 
+def _detect(samples: list[DiagnosticsSample]) -> tuple[Outcome, str] | None:
+    """Judge the newest snapshot: its gradient against the first snapshot's, its
+    tail growth against the snapshot before it (the first against itself)."""
+    sample, grad0 = samples[-1], samples[0].grad_linf
+    prev = samples[-2] if len(samples) > 1 else sample
+    if grad0 > 0.0 and sample.grad_linf > GRADIENT_BLOWUP_FACTOR * grad0:
+        return (
+            Outcome.BLOWUP_SUSPECTED,
+            f"gradient grew {sample.grad_linf / grad0:.3g}x (limit {GRADIENT_BLOWUP_FACTOR:g}x)"
+            f" at t={sample.t:.6g}",
+        )
+    if sample.tail_fraction > TAIL_FLAG:
+        if sample.tail_fraction > prev.tail_fraction:
+            return (
+                Outcome.BLOWUP_SUSPECTED,
+                f"tail fraction {sample.tail_fraction:.3e} exceeds {TAIL_FLAG:g} and is "
+                f"growing at t={sample.t:.6g}",
+            )
+        return (
+            Outcome.UNDER_RESOLVED,
+            f"tail fraction {sample.tail_fraction:.3e} exceeds {TAIL_FLAG:g} at t={sample.t:.6g}",
+        )
+    return None
+
+
 def run(
     theta0: RealField,
     p: ModelParams,
@@ -308,58 +334,25 @@ def run(
     started = time.perf_counter()
     config = build_config(p, c, constants, datum, plan)
 
-    F = forward(theta0)
-    h, t = F.coeffs, 0.0
-    samples = [_take_sample(F, t, p.gamma, plan)]
-    t_star_pred, t_local_pred = _predictions(theta0, samples[0], p, constants)
-    grad0 = samples[0].grad_linf
-    outcome = None
-    detail = ""
-
-    def detector(sample: DiagnosticsSample, prev: DiagnosticsSample) -> tuple[Outcome, str] | None:
-        if grad0 > 0.0 and sample.grad_linf > GRADIENT_BLOWUP_FACTOR * grad0:
-            return (
-                Outcome.BLOWUP_SUSPECTED,
-                f"gradient grew {sample.grad_linf / grad0:.3g}x (limit {GRADIENT_BLOWUP_FACTOR:g}x)"
-                f" at t={sample.t:.6g}",
-            )
-        if sample.tail_fraction > TAIL_FLAG:
-            if sample.tail_fraction > prev.tail_fraction:
-                return (
-                    Outcome.BLOWUP_SUSPECTED,
-                    f"tail fraction {sample.tail_fraction:.3e} exceeds {TAIL_FLAG:g} and is "
-                    f"growing at t={sample.t:.6g}",
-                )
-            return (
-                Outcome.UNDER_RESOLVED,
-                f"tail fraction {sample.tail_fraction:.3e} exceeds {TAIL_FLAG:g} at t={sample.t:.6g}",
-            )
-        return None
-
-    flagged = detector(samples[0], samples[0])
-    if flagged is not None:
-        outcome, detail = flagged
-
-    snapshot_index = 1
+    h, t = forward(theta0).coeffs, 0.0
+    samples: list[DiagnosticsSample] = []
     try:
-        while outcome is None and t < c.t_end - 1e-12:
+        for snapshot_index in itertools.count():
             target = min(snapshot_index * c.snapshot_every, c.t_end)
             while t < target - 1e-12:
                 h, t = _step_raw(h, t, c, kernel, target)
-            sample = _take_sample(SpectralField(grid, h), t, p.gamma, plan)
-            flagged = detector(sample, samples[-1])
-            samples.append(sample)
-            if flagged is not None:
-                outcome, detail = flagged
-            snapshot_index += 1
-        if outcome is None:
-            outcome, detail = Outcome.COMPLETED, f"reached t_end={c.t_end:g}"
+            samples.append(_take_sample(SpectralField(grid, h), t, p.gamma, plan))
+            flagged = _detect(samples)
+            if flagged is not None or t >= c.t_end - 1e-12:
+                break
+        outcome, detail = flagged or (Outcome.COMPLETED, f"reached t_end={c.t_end:g}")
     except NonFiniteStateError as exc:
         outcome = Outcome.BLOWUP_SUSPECTED
         detail = f"non-finite state at t={exc.t:.6g}"
     except StepCollapseError as exc:
         outcome = Outcome.STEP_COLLAPSE
         detail = str(exc)
+    t_star_pred, t_local_pred = _predictions(theta0, samples[0], p, constants)
 
     return RunRecord(
         config=config,

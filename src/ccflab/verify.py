@@ -117,7 +117,7 @@ def _calibration_cross_mode(grid: TorusGrid, gamma: float) -> tuple[CgammaCalibr
 def _dgamma_closed_form(grid: TorusGrid, gamma: float, cal: CgammaCalibration) -> float:
     """D_gamma(cos) against 1 + (1 - 2^(gamma-1)) cos(2x), exact for all gamma."""
     f = RealField(grid, np.cos(grid.points))
-    got = dgamma(f, 0, gamma, cal).values
+    got = dgamma(f, gamma, cal).values
     expected = 1.0 + (1.0 - 2.0 ** (gamma - 1.0)) * np.cos(2.0 * grid.points)
     return float(np.max(np.abs(got - expected)))
 

@@ -147,7 +147,23 @@ class TestSweepAndReportCommands:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "shape", ["array", "null_samples", "null_holder", "null_config", "null_model", "list_datum"]
+        "shape",
+        [
+            "array",
+            "null_samples",
+            "null_holder",
+            "null_config",
+            "null_model",
+            "list_datum",
+            "string_t_star",
+            "bool_t_local",
+            "string_wall_time",
+            "string_sample_t",
+            "bool_sample_l2",
+            "bool_holder_value",
+            "string_gamma",
+            "bool_n",
+        ],
     )
     def test_report_on_a_wrong_shape_line_names_the_line(self, tmp_path, capsys, shape):
         assert main(["sweep", "--gamma", "0.9", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
@@ -163,6 +179,23 @@ class TestSweepAndReportCommands:
             payload["config"] = None
         elif shape == "null_model":
             payload["config"]["model"] = None
+        elif shape == "string_t_star":
+            payload["t_star_predicted"] = "0.5"
+        elif shape == "bool_t_local":
+            payload["t_local_predicted"] = True
+        elif shape == "string_wall_time":
+            payload["wall_time"] = "fast"
+        elif shape == "string_sample_t":
+            payload["samples"][1]["t"] = "0.02"
+        elif shape == "bool_sample_l2":
+            payload["samples"][1]["l2"] = True
+        elif shape == "bool_holder_value":
+            holder = payload["samples"][1]["holder"]
+            holder[next(iter(holder))] = True
+        elif shape == "string_gamma":
+            payload["config"]["model"]["gamma"] = "x"
+        elif shape == "bool_n":
+            payload["config"]["model"]["n"] = True
         else:
             payload["config"]["datum"] = [payload["config"]["datum"]]
         path.write_text(path.read_text() + json.dumps(payload) + "\n")
@@ -277,6 +310,22 @@ class TestSweepAndReportCommands:
         path.write_text(json.dumps({**cfg, "t_end": 0.1}))
         assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert f"error: {key} must be true or false" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.jsonl")) == []
+
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("run", {"gamma": True, "n": 64}, "gamma"),
+            ("sweep", {"sweep": {"gamma_values": [True], "resolutions": 64}}, "sweep.gamma_values"),
+            ("run", {"constants": {"k1": True}, "n": 64}, "constants.k1"),
+        ],
+        ids=["run.gamma", "sweep.gamma_values", "constants.k1"],
+    )
+    def test_config_number_that_is_a_boolean_is_named(self, tmp_path, capsys, command, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "t_end": 0.1}))
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert f"error: {key} must be a number, got True" in capsys.readouterr().err
         assert list(tmp_path.glob("*.jsonl")) == []
 
     @pytest.mark.parametrize(

@@ -6,9 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from ccflab.operators import (
-    IMAGE_COUNT,
     CalibrationError,
     CgammaCalibration,
     _apply_quadrature,
@@ -65,7 +65,7 @@ class TestDgamma:
         f = RealField(grid, np.cos(x))
         for gamma in (0.5, 1.0):
             cal = calibrate_cgamma(gamma, grid)
-            got = dgamma(f, 0, gamma, cal).values
+            got = dgamma(f, gamma, cal).values
             want = 1.0 + (1.0 - 2.0 ** (gamma - 1.0)) * np.cos(2 * x)
             assert np.max(np.abs(got - want)) < 1e-2
 
@@ -75,23 +75,24 @@ class TestDgamma:
         x = grid.points
         values = sum(c * np.cos((k + 1) * x) for k, c in enumerate(coeffs))
         cal = calibrate_cgamma(0.8, grid)
-        out = dgamma(RealField(grid, values), 0, 0.8, cal).values
+        out = dgamma(RealField(grid, values), 0.8, cal).values
         assert np.min(out) > -1e-10 * max(1.0, np.max(np.abs(out)))
 
     def test_shifted_difference_variant(self, grid):
-        """h_shift applies the functional to f(x+h)-f(x); for cos x with
-        h = pi the difference is -2cos x, so D_gamma picks up a factor 4."""
+        """D_gamma of the difference f(x+h)-f(x); for cos x with h = pi the
+        difference is -2cos x, so D_gamma picks up a factor 4."""
         x = grid.points
         f = RealField(grid, np.cos(x))
         cal = calibrate_cgamma(0.5, grid)
-        base = dgamma(f, 0, 0.5, cal).values
-        shifted = dgamma(f, grid.n // 2, 0.5, cal).values
+        base = dgamma(f, 0.5, cal).values
+        difference = RealField(grid, np.roll(f.values, -(grid.n // 2)) - f.values)
+        shifted = dgamma(difference, 0.5, cal).values
         # delta_h cos = -2 cos, and D_gamma is quadratic in its argument
         assert np.max(np.abs(shifted - 4.0 * base)) < 5e-2
 
     def test_constant_field_maps_to_zero(self, grid):
         cal = calibrate_cgamma(0.5, grid)
-        out = dgamma(RealField(grid, np.full(grid.n, 2.5)), 0, 0.5, cal).values
+        out = dgamma(RealField(grid, np.full(grid.n, 2.5)), 0.5, cal).values
         assert np.max(np.abs(out)) < 1e-12
 
 
@@ -111,7 +112,7 @@ class TestCordobaIdentity:
         cal = calibrate_cgamma(0.5, grid)
         rough = RealField(grid, np.cos((grid.n // 2 - 1) * grid.points))
         with pytest.raises(ValueError, match="tail"):
-            dgamma(rough, 0, 0.5, cal)
+            dgamma(rough, 0.5, cal)
 
 
 class TestCalibrationFailure:
@@ -122,22 +123,49 @@ class TestCalibrationFailure:
             CgammaCalibration(gamma=0.5, c_gamma=1.0, residual=0.5)
 
     def test_kernel_tail_absorbs_the_truncated_images(self):
-        """The analytic Hurwitz-zeta tail carries every image beyond the
-        explicit ones, so one explicit image gives the IMAGE_COUNT kernel to
-        roundoff (the CalibrationError path guards a failure no reachable
-        input produces)."""
+        """The analytic Hurwitz-zeta tail carries every image but the one at
+        y, so the kernel matches one that sums 20 images on each side
+        explicitly to roundoff (the CalibrationError path guards a failure no
+        reachable input produces)."""
         for n, gamma in itertools.product((64, 256), (0.3, 0.5, 0.9, 1.5)):
-            one = _kernel_weights(n, gamma, 1)
-            full = _kernel_weights(n, gamma, IMAGE_COUNT)
-            assert np.max(np.abs(one - full) / np.abs(full)) < 1e-13
+            got = _kernel_weights(n, gamma)
+            want = _image_sum_kernel(n, gamma, 20)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
         assert isinstance(CalibrationError("x", 1.0), RuntimeError)
+
+
+def _image_sum_kernel(n: int, gamma: float, images: int) -> np.ndarray:
+    """The periodized kernel at the cell midpoints with the images |k| <= images
+    summed explicitly and the Hurwitz-zeta sum of the rest."""
+    s = 1.0 + gamma
+    y = -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+    kern = sum(np.abs(y - 2.0 * np.pi * k) ** (-s) for k in range(-images, images + 1))
+    q = y / (2.0 * np.pi)
+    return kern + (2.0 * np.pi) ** (-s) * (zeta(s, images + 1 - q) + zeta(s, images + 1 + q))
+
+
+class TestHalfShift:
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_trig_modes_move_half_a_cell(self, n):
+        """cos(m x) and sin(m x) go to cos(m (x + dx/2)) and sin(m (x + dx/2))
+        for 0 < m < n/2, and the Nyquist mode cos(n x / 2) to 0. The phases
+        are reduced mod 2 pi in integers, in units of dx/2 = pi/n, so the
+        reference carries no argument roundoff."""
+        j = np.arange(n)
+        for m in range(1, n // 2):
+            phase = np.pi / n * ((2 * m * j) % (2 * n))
+            shifted = np.pi / n * ((2 * m * j + m) % (2 * n))
+            assert np.max(np.abs(_half_shift(np.cos(phase)) - np.cos(shifted))) < 1e-13
+            assert np.max(np.abs(_half_shift(np.sin(phase)) - np.sin(shifted))) < 1e-13
+        nyquist = np.cos(np.pi * j)
+        assert np.max(np.abs(_half_shift(nyquist))) < 1e-13
 
 
 def _dense_quadrature(f: RealField, gamma: float, squared: bool) -> np.ndarray:
     """The direct O(n^2) sum dx * sum_j kern_j * (f(x_i) - s(x_i + y_j))^p,
     with y_j = -pi + (j + 1/2) dx and s the half-shifted field."""
     n = f.grid.n
-    kern = _kernel_weights(n, gamma, IMAGE_COUNT)
+    kern = _kernel_weights(n, gamma)
     idx = (np.arange(n)[:, None] + np.arange(n)[None, :] - n // 2) % n
     diff = f.values[:, None] - _half_shift(f.values)[idx]
     if squared:
