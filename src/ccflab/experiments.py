@@ -13,6 +13,7 @@ hash, so re-running a completed sweep performs zero new simulations.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -27,15 +28,16 @@ from .regularity import RegularityConstants
 from .solver import DiagnosticPlan, ModelParams, StepControl, build_config, run
 from .torus import RealField, TorusGrid
 
-DATUM_KINDS = ("cosine_positive", "von_mises_bump", "li_rodrigo_type", "custom")
-
-# Accepted on the command line as shorthand for the kinds above.
-DATUM_ALIASES = {
-    "cosine": "cosine_positive",
-    "von_mises": "von_mises_bump",
-    "li_rodrigo": "li_rodrigo_type",
-    "custom": "custom",
+# Each datum family: its command-line alias and its parameter names, in the
+# order the command line lists them. custom's one parameter is its samples.
+DATUM_FAMILIES = {
+    "cosine_positive": ("cosine", ("a", "b")),
+    "von_mises_bump": ("von_mises", ("kappa",)),
+    "li_rodrigo_type": ("li_rodrigo", ("scale",)),
+    "custom": ("custom", ("samples",)),
 }
+DATUM_KINDS = tuple(DATUM_FAMILIES)
+DATUM_ALIASES = {alias: kind for kind, (alias, _) in DATUM_FAMILIES.items()}
 
 SIGN_TOL = 1e-12
 
@@ -57,22 +59,25 @@ class InitialDatum:
         if self.kind not in DATUM_KINDS:
             raise ValueError(f"unknown datum kind {self.kind!r}, expected one of {DATUM_KINDS}")
         p = self.params
-        if self.kind == "cosine_positive":
-            a, b = float(p.get("a", 0.0)), float(p.get("b", 0.0))
-            if not (a >= b > 0.0):
-                raise ValueError(f"cosine_positive requires a >= b > 0, got a={a}, b={b}")
-        elif self.kind == "von_mises_bump":
-            kappa = float(p.get("kappa", 0.0))
-            if not kappa > 0.0:
-                raise ValueError(f"von_mises_bump requires kappa > 0, got {kappa}")
-        elif self.kind == "li_rodrigo_type":
-            scale = float(p.get("scale", 0.0))
-            if not scale > 0.0:
-                raise ValueError(f"li_rodrigo_type requires scale > 0, got {scale}")
-        else:
+        if self.kind == "custom":
             samples = p.get("samples")
             if samples is None or len(samples) == 0:
                 raise ValueError("custom datum requires a non-empty samples sequence")
+            if not all(math.isfinite(v) for v in samples):
+                raise ValueError("custom datum samples must be finite")
+            return
+        values = {key: float(p.get(key, 0.0)) for key in DATUM_FAMILIES[self.kind][1]}
+        for key, value in values.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} parameter {key} must be finite, got {value}")
+        if self.kind == "cosine_positive":
+            a, b = values["a"], values["b"]
+            if not (a >= b > 0.0):
+                raise ValueError(f"cosine_positive requires a >= b > 0, got a={a}, b={b}")
+        else:
+            ((key, value),) = values.items()
+            if not value > 0.0:
+                raise ValueError(f"{self.kind} requires {key} > 0, got {value}")
 
     def to_config(self) -> dict:
         """JSON-serializable form embedded in the run config (and its hash)."""
@@ -136,25 +141,31 @@ def parse_datum(text: str) -> InitialDatum:
     where path is a text file of newline-separated sample values.
     """
     name, sep, arg = text.partition(":")
-    kind = DATUM_ALIASES.get(name.strip())
+    name, arg = name.strip(), arg.strip()
+    kind = DATUM_ALIASES.get(name)
     if kind is None:
-        raise ValueError(
-            f"unknown datum {name.strip()!r}, expected one of {sorted(DATUM_ALIASES)}"
-        )
-    if not sep or not arg.strip():
-        raise ValueError(f"datum {name.strip()!r} requires parameters after a colon")
-    arg = arg.strip()
-    if kind == "cosine_positive":
-        parts = arg.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"cosine datum expects a,b, got {arg!r}")
-        return cosine_positive(float(parts[0]), float(parts[1]))
-    if kind == "von_mises_bump":
-        return von_mises_bump(float(arg))
-    if kind == "li_rodrigo_type":
-        return li_rodrigo_type(float(arg))
-    samples = np.loadtxt(arg, dtype=np.float64, ndmin=1)
-    return custom_datum(samples)
+        raise ValueError(f"unknown datum {name!r}, expected one of {sorted(DATUM_ALIASES)}")
+    if not sep or not arg:
+        raise ValueError(f"datum {name!r} requires parameters after a colon")
+    if kind == "custom":
+        return custom_datum(np.loadtxt(arg, dtype=np.float64, ndmin=1))
+    names = DATUM_FAMILIES[kind][1]
+    parts = arg.split(",")
+    if len(parts) != len(names):
+        raise ValueError(f"{name} datum expects {','.join(names)}, got {arg!r}")
+    return InitialDatum(kind, {key: float(part) for key, part in zip(names, parts)})
+
+
+def datum_label(cfg: dict) -> str:
+    """Short label of a config's datum block, such as cosine_positive(1,0.5) or
+    custom(n=64); the bare kind when its parameters are missing."""
+    kind = cfg.get("kind", "custom")
+    if kind == "custom" and "samples" in cfg:
+        return f"custom(n={len(cfg['samples'])})"
+    names = DATUM_FAMILIES[kind][1] if kind in DATUM_FAMILIES else ()
+    if names and all(key in cfg for key in names):
+        return f"{kind}({','.join(f'{cfg[key]:g}' for key in names)})"
+    return str(kind)
 
 
 @dataclass(frozen=True)
@@ -187,39 +198,23 @@ class SweepPlan:
                     raise ValueError(f"sweep axis {axis} lists one value twice (entries {first} and {i})")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        for gamma in self.gamma_values:
-            for n in self.resolutions:
-                ModelParams(gamma=gamma, n=n)  # reject bad axes before any cell runs
+        # Reject bad axes and data before any cell runs.
+        for gamma, n in product(self.gamma_values, self.resolutions):
+            ModelParams(gamma=gamma, n=n)
+        for datum, n in product(self.data, self.resolutions):
+            try:
+                make_datum(datum, TorusGrid(n))
+            except ValueError as exc:
+                raise ValueError(f"sweep datum {datum_label(datum.to_config())} at n={n}: {exc}") from None
 
     def cells(self) -> list[tuple[InitialDatum, float, int]]:
         return list(product(self.data, self.gamma_values, self.resolutions))
 
 
-def _cell_model(plan: SweepPlan, gamma: float, n: int) -> ModelParams:
-    return ModelParams(
-        gamma=gamma,
-        n=n,
-        dissipation_on=plan.dissipation_on,
-        dealias_on=plan.dealias_on,
-    )
-
-
-def _cell_config(plan: SweepPlan, datum: InitialDatum, gamma: float, n: int) -> dict:
-    return build_config(
-        _cell_model(plan, gamma, n),
-        plan.control,
-        plan.constants,
-        datum.to_config(),
-        DiagnosticPlan(plan.holder_alphas),
-    )
-
-
-def _run_cell(args: tuple[SweepPlan, InitialDatum, float, int]) -> RunRecord:
-    plan, datum, gamma, n = args
-    params = _cell_model(plan, gamma, n)
-    theta0 = make_datum(datum, TorusGrid(n))
+def _run_cell(args: tuple[SweepPlan, InitialDatum, ModelParams]) -> RunRecord:
+    plan, datum, params = args
     return run(
-        theta0,
+        make_datum(datum, TorusGrid(params.n)),
         params,
         plan.control,
         plan=DiagnosticPlan(plan.holder_alphas),
@@ -245,22 +240,22 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
         for record in load_records(out_path):
             existing[record.config_hash] = record
 
-    cells = plan.cells()
-    results: list[RunRecord | None] = [None] * len(cells)
-    pending: list[tuple[int, InitialDatum, float, int]] = []
-    for i, (datum, gamma, n) in enumerate(cells):
-        cached = existing.get(config_hash(_cell_config(plan, datum, gamma, n)))
-        if cached is not None:
-            results[i] = cached
-        else:
-            pending.append((i, datum, gamma, n))
+    diagnostics = DiagnosticPlan(plan.holder_alphas)
+    results: list[RunRecord | None] = []
+    jobs: dict[int, tuple[SweepPlan, InitialDatum, ModelParams]] = {}  # by index in results
+    for datum, gamma, n in plan.cells():
+        params = ModelParams(
+            gamma=gamma, n=n, dissipation_on=plan.dissipation_on, dealias_on=plan.dealias_on
+        )
+        config = build_config(params, plan.control, plan.constants, datum.to_config(), diagnostics)
+        results.append(existing.get(config_hash(config)))
+        if results[-1] is None:
+            jobs[len(results) - 1] = (plan, datum, params)
 
-    if pending:
-        jobs = [(plan, datum, gamma, n) for _, datum, gamma, n in pending]
+    if jobs:
         workers = min(plan.parallelism, len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            for (i, *_), record in zip(pending, (pool.map if pool else map)(_run_cell, jobs)):
+            for i, record in zip(jobs, (pool.map if pool else map)(_run_cell, jobs.values())):
                 results[i] = record
                 append_record(out_path, record)
-
-    return [record for record in results if record is not None]
+    return results

@@ -1,5 +1,7 @@
-"""Persistent run records: outcome classification, JSONL serialization with a
-versioned schema, and the configuration hash used for sweep resumption.
+"""Persistent run records: the diagnostics sample and run record types,
+outcome classification, JSONL serialization with a versioned schema, and the
+configuration hash used for sweep resumption. This module imports no other
+ccflab module, so every layer can read records.
 
 Serialization rules that keep sweeps byte-reproducible:
 
@@ -20,8 +22,6 @@ from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 
-from .regularity import DiagnosticsSample
-
 SCHEMA_VERSION = 1
 
 
@@ -32,6 +32,27 @@ class Outcome(str, Enum):
     BLOWUP_SUSPECTED = "BlowupSuspected"
     UNDER_RESOLVED = "UnderResolved"
     STEP_COLLAPSE = "StepCollapse"
+
+
+@dataclass(frozen=True)
+class DiagnosticsSample:
+    """One snapshot of run diagnostics.
+
+    holder maps each tracked Holder exponent to its seminorm estimate;
+    grad_linf is ||theta_x||_inf, needed by the gradient-growth detector.
+    """
+
+    t: float
+    l2: float
+    linf: float
+    mean: float
+    hdot_half: float
+    hdot_three_half: float
+    hdot_mid: float
+    holder: dict[float, float]
+    tail_fraction: float
+    min_value: float
+    grad_linf: float
 
 
 @dataclass(frozen=True)
@@ -99,6 +120,21 @@ def _expect_number(value, what: str, nullable: bool = False):
     raise ValueError(f"{what} must be a JSON {shape}, got {type(value).__name__}")
 
 
+def _check_datum(datum: dict) -> None:
+    """Raise a ValueError naming the key unless kind is a string, samples an
+    array of numbers and every other value a number."""
+    for key, value in datum.items():
+        what = f"record 'config.datum.{key}'"
+        if key == "kind":
+            if not isinstance(value, str):
+                raise ValueError(f"{what} must be a JSON string, got {type(value).__name__}")
+        elif key == "samples":
+            if any(type(v) not in _NUMBER_TYPES for v in _expect(value, list, what)):
+                raise ValueError(f"{what} must hold only JSON numbers")
+        else:
+            _expect_number(value, what)
+
+
 def _sample_from_dict(d: dict) -> DiagnosticsSample:
     try:
         values = list(_sample_values(_expect(d, dict, "sample")))
@@ -135,7 +171,7 @@ def record_from_dict(d: dict) -> RunRecord:
     try:
         config = _expect(d["config"], dict, "record 'config'")
         model = _expect(config.get("model", {}), dict, "record 'config.model'")
-        _expect(config.get("datum", {}), dict, "record 'config.datum'")
+        _check_datum(_expect(config.get("datum", {}), dict, "record 'config.datum'"))
         for key in ("gamma", "n"):
             if key in model:
                 _expect_number(model[key], f"record 'config.model.{key}'")

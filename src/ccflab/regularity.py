@@ -5,7 +5,7 @@ and the energy-inequality probe run over recorded diagnostics.
 
 The Holder estimator and the v-field share one increment kernel, _increment,
 which reads theta(x+h) as a slice of the field laid out twice; xi(t) has one
-formula, RegularitySchedule.xi_at.
+formula, RegularitySchedule.xi_at, and xi_0 one, in make_schedule.
 
 The Holder estimator is an exact pruned scan. The sup increment
 A(h) = max_x |theta(x+h) - theta(x)| is subadditive in h, so after A is
@@ -24,14 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .records import Outcome, RunRecord
 from .torus import TWO_PI, RealField, SpectralField
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .records import RunRecord
 
 # Records feeding the energy probe must be spectrally resolved throughout.
 PROBE_TAIL_LIMIT = 1e-4
@@ -84,14 +81,6 @@ def alpha_policy(gamma: float) -> float:
     return min(2.0 * (1.0 - gamma), 0.5)
 
 
-def xi0_of(gamma: float, alpha: float, linf0: float, k: RegularityConstants) -> float:
-    """Initial modulation scale xi_0 = (k2 * alpha * linf0)^{1/(1-gamma)}."""
-    validate_schedule_params(gamma, alpha)
-    if not linf0 > 0.0:
-        raise ValueError(f"linf0 must be positive, got {linf0}")
-    return (k.k2 * alpha * linf0) ** (1.0 / (1.0 - gamma))
-
-
 def t_star(
     gamma: float, alpha: float, linf0: float, k: RegularityConstants = RegularityConstants()
 ) -> float:
@@ -109,19 +98,15 @@ def t_star(
 
 @dataclass(frozen=True)
 class RegularitySchedule:
-    """Frozen xi schedule for one run: exponents, xi_0, T*, and the threshold
-    M = 4*linf0/xi_0^alpha above which the modulated field would be flagged."""
+    """Frozen xi schedule for one run, built by make_schedule: exponents, xi_0,
+    T*, and the threshold M = 4*linf0/xi_0^alpha above which the modulated
+    field would be flagged."""
 
     gamma: float
     alpha: float
     xi0: float
     t_star: float
     M: float
-
-    def __post_init__(self) -> None:
-        validate_schedule_params(self.gamma, self.alpha)
-        if self.xi0 < 0.0 or self.t_star < 0.0 or self.M < 0.0:
-            raise ValueError("xi0, t_star and M must be nonnegative")
 
     def xi_at(self, t: float) -> float:
         """Modulation scale xi(t) = xi0 * (1 - t/T*)^{1/gamma}, 0 for t >= T*: the
@@ -134,15 +119,11 @@ class RegularitySchedule:
 def make_schedule(
     gamma: float, alpha: float, linf0: float, k: RegularityConstants = RegularityConstants()
 ) -> RegularitySchedule:
-    """Build the schedule for initial amplitude linf0 = ||theta_0||_inf > 0."""
-    xi0 = xi0_of(gamma, alpha, linf0, k)
-    return RegularitySchedule(
-        gamma=gamma,
-        alpha=alpha,
-        xi0=xi0,
-        t_star=t_star(gamma, alpha, linf0, k),
-        M=4.0 * linf0 / xi0**alpha,
-    )
+    """Build the schedule for initial amplitude linf0 = ||theta_0||_inf > 0,
+    with xi_0 = (k2 * alpha * linf0)^{1/(1-gamma)}; t_star validates the inputs."""
+    vanishing = t_star(gamma, alpha, linf0, k)
+    xi0 = (k.k2 * alpha * linf0) ** (1.0 / (1.0 - gamma))
+    return RegularitySchedule(gamma, alpha, xi0, vanishing, 4.0 * linf0 / xi0**alpha)
 
 
 def sobolev_norm(F: SpectralField, s: float) -> float:
@@ -297,27 +278,6 @@ def gamma_one_condition(gamma: float, R: float, k: RegularityConstants) -> bool:
 
 
 @dataclass(frozen=True)
-class DiagnosticsSample:
-    """One snapshot of run diagnostics.
-
-    holder maps each tracked Holder exponent to its seminorm estimate;
-    grad_linf is ||theta_x||_inf, needed by the gradient-growth detector.
-    """
-
-    t: float
-    l2: float
-    linf: float
-    mean: float
-    hdot_half: float
-    hdot_three_half: float
-    hdot_mid: float
-    holder: dict[float, float]
-    tail_fraction: float
-    min_value: float
-    grad_linf: float
-
-
-@dataclass(frozen=True)
 class ProbeReport:
     """Result of fitting the energy-inequality constant over a recorded run.
 
@@ -331,7 +291,7 @@ class ProbeReport:
     t1_fitted: float | None
 
 
-def energy_inequality_probe(record: "RunRecord", gamma: float) -> ProbeReport:
+def energy_inequality_probe(record: RunRecord, gamma: float) -> ProbeReport:
     """Fit the smallest C with (X^2)'/2 + D^2/2 <= C*X^{2+e2}*l2_0^{e1} at snapshots.
 
     X is the homogeneous H^{3/2} norm series, D the H^{(3+gamma)/2} series;
@@ -339,8 +299,6 @@ def energy_inequality_probe(record: "RunRecord", gamma: float) -> ProbeReport:
     ends). Under-resolved records are refused: their high-mode content makes
     the norm series meaningless.
     """
-    from .records import Outcome  # local import, records depends on this module
-
     if record.outcome is not Outcome.COMPLETED:
         raise ValueError(f"probe refused: record outcome is {record.outcome.value}")
     samples = record.samples

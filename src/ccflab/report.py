@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import regularity
+from .experiments import datum_label
 from .records import RunRecord
 
 
@@ -42,19 +43,6 @@ CHART_COLORS = ("#1f6f8b", "#c0392b", "#27ae60", "#8e44ad", "#d4880c")
 class ReportBundle:
     csv_path: Path
     chart_paths: tuple[Path, ...]
-
-
-def _datum_label(cfg: dict) -> str:
-    kind = cfg.get("kind", "custom")
-    if kind == "cosine_positive" and "a" in cfg and "b" in cfg:
-        return f"cosine_positive({cfg['a']:g},{cfg['b']:g})"
-    if kind == "von_mises_bump" and "kappa" in cfg:
-        return f"von_mises_bump({cfg['kappa']:g})"
-    if kind == "li_rodrigo_type" and "scale" in cfg:
-        return f"li_rodrigo_type({cfg['scale']:g})"
-    if kind == "custom" and "samples" in cfg:
-        return f"custom(n={len(cfg['samples'])})"
-    return str(kind)
 
 
 def _pick_holder_alpha(record: RunRecord, gamma: float) -> float | None:
@@ -98,7 +86,7 @@ def build_summary(records: list[RunRecord]) -> list[dict]:
             {
                 "gamma": gamma,
                 "n": int(model.get("n", 0)),
-                "datum": _datum_label(record.config.get("datum", {})),
+                "datum": datum_label(record.config.get("datum", {})),
                 "outcome": record.outcome.value,
                 "holder_alpha": alpha,
                 "max_holder_after_tstar": max_holder,

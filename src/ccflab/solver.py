@@ -36,8 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import regularity
-from .records import Outcome, RunRecord
-from .regularity import DiagnosticsSample, RegularityConstants
+from .records import DiagnosticsSample, Outcome, RunRecord
+from .regularity import RegularityConstants
 from .torus import (
     RealField,
     SpectralField,

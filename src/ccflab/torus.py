@@ -43,6 +43,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(values, dtype, size: int, name: str) -> np.ndarray:
+    """A read-only private copy of values as a finite (size,) array of dtype,
+    or a ValueError naming the field."""
+    a = np.array(values, dtype=dtype)
+    if a.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return _read_only(a)
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform collocation grid with n points on [0, 2*pi)."""
@@ -109,16 +120,7 @@ class RealField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (self.grid.n,):
-            raise ValueError(
-                f"values must have shape ({self.grid.n},), got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(self.values, np.float64, self.grid.n, "values"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,12 +136,7 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        size = self.grid.n // 2 + 1
-        if coeffs.shape != (size,):
-            raise ValueError(f"coeffs must have shape ({size},), got {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coeffs must be finite")
+        coeffs = _frozen(self.coeffs, np.complex128, self.grid.n // 2 + 1, "coeffs")
         # The mean and Nyquist modes are their own conjugate partners, so
         # their defect |c - conj(c)| is twice the imaginary part.
         scale = max(1.0, float(np.max(np.abs(coeffs))))
@@ -149,8 +146,6 @@ class SpectralField:
                 f"coeffs violate Hermitian symmetry (defect {defect:.3e}, "
                 f"tolerance {SYMMETRY_TOL * scale:.3e})"
             )
-        coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, m: int) -> complex:

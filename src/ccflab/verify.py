@@ -104,14 +104,13 @@ def _semigroup(fields: list[RealField], a: float = 0.3, b: float = 0.7) -> float
     return worst
 
 
-def _calibration_cross_mode(grid: TorusGrid, gamma: float) -> tuple[CgammaCalibration, float]:
-    """Calibrate on mode 1, test on mode 2 against the exact multiplier 2^gamma."""
-    cal = calibrate_cgamma(gamma, grid)
+def _calibration_cross_mode(grid: TorusGrid, gamma: float, cal: CgammaCalibration) -> float:
+    """A mode-1 calibration tested on mode 2 against the exact multiplier 2^gamma."""
     f2 = RealField(grid, np.cos(2.0 * grid.points))
     quad = frac_laplacian_quadrature(f2, gamma, cal).values
     exact = 2.0**gamma * np.cos(2.0 * grid.points)
     err = float(np.sqrt(np.mean((quad - exact) ** 2)))
-    return cal, _rel(err, float(np.sqrt(np.mean(exact**2))))
+    return _rel(err, float(np.sqrt(np.mean(exact**2))))
 
 
 def _dgamma_closed_form(grid: TorusGrid, gamma: float, cal: CgammaCalibration) -> float:
@@ -134,8 +133,10 @@ def verify_suite(n: int = 256, seed: int = 0) -> list[VerifyRow]:
         VerifyRow("lambda_equals_H_dx", _lambda_is_h_dx(fields), EXACT_TOL),
         VerifyRow("multiplier_semigroup_0.3_0.7", _semigroup(fields), EXACT_TOL),
     ]
+    cals = {gamma: calibrate_cgamma(gamma, grid) for gamma in (0.5, 0.9, 1.0)}
     for gamma in (0.5, 0.9):
-        cal, cross = _calibration_cross_mode(grid, gamma)
+        cal = cals[gamma]
+        cross = _calibration_cross_mode(grid, gamma, cal)
         rows.append(
             VerifyRow(f"calibration_residual_gamma_{gamma:g}", cal.residual, CALIBRATION_TOL)
         )
@@ -149,11 +150,10 @@ def verify_suite(n: int = 256, seed: int = 0) -> list[VerifyRow]:
             )
         )
     for gamma in (0.5, 1.0):
-        cal = calibrate_cgamma(gamma, grid)
         rows.append(
             VerifyRow(
                 f"dissipation_closed_form_gamma_{gamma:g}",
-                _dgamma_closed_form(grid, gamma, cal),
+                _dgamma_closed_form(grid, gamma, cals[gamma]),
                 QUADRATURE_TOL,
             )
         )

@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import ccflab
 from ccflab.cli import main
 from ccflab.records import load_records
 
@@ -163,6 +168,10 @@ class TestSweepAndReportCommands:
             "bool_holder_value",
             "string_gamma",
             "bool_n",
+            "string_datum_param",
+            "bool_datum_param",
+            "number_datum_kind",
+            "string_datum_sample",
         ],
     )
     def test_report_on_a_wrong_shape_line_names_the_line(self, tmp_path, capsys, shape):
@@ -196,6 +205,14 @@ class TestSweepAndReportCommands:
             payload["config"]["model"]["gamma"] = "x"
         elif shape == "bool_n":
             payload["config"]["model"]["n"] = True
+        elif shape == "string_datum_param":
+            payload["config"]["datum"]["a"] = "x"
+        elif shape == "bool_datum_param":
+            payload["config"]["datum"]["a"] = True
+        elif shape == "number_datum_kind":
+            payload["config"]["datum"]["kind"] = 5
+        elif shape == "string_datum_sample":
+            payload["config"]["datum"]["samples"] = [1.0, "x"]
         else:
             payload["config"]["datum"] = [payload["config"]["datum"]]
         path.write_text(path.read_text() + json.dumps(payload) + "\n")
@@ -218,6 +235,24 @@ class TestSweepAndReportCommands:
         assert main(["sweep", *flags, "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert f"error: sweep axis {axis} lists one value twice" in err and "Traceback" not in err
+        assert not (tmp_path / "sweep.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--datum", "custom:{samples}", "--n", "64,128"], "sweep datum custom(n=64) at n=128: "),
+            (["--datum", "cosine:1,1", "--datum", "von_mises:800", "--n", "64"], "sweep datum von_mises_bump(800) at n=64: "),
+        ],
+        ids=["custom_length", "von_mises_underflow"],
+    )
+    def test_sweep_with_a_datum_that_cannot_be_sampled_exits_1(self, tmp_path, capsys, flags, message):
+        """Every (datum, n) is sampled before the first cell runs, so no record is appended."""
+        samples = tmp_path / "samples.txt"
+        samples.write_text("\n".join(["1.5"] * 64))
+        flags = [flag.format(samples=samples) for flag in flags]
+        assert main(["sweep", *flags, "--gamma", "0.9", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "sweep.jsonl").exists()
 
     def test_config_axis_may_be_a_bare_number(self, tmp_path, capsys):
@@ -383,6 +418,15 @@ class TestSweepAndReportCommands:
         assert f"error: {key}: " in err and "Traceback" not in err
         assert list(tmp_path.glob("*.jsonl")) == []
 
+    def test_non_finite_datum_parameter_is_named(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--datum", "von_mises:inf", "--n", "64", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: datum: von_mises_bump parameter kappa must be finite, got inf" in err
+        assert list(tmp_path.glob("*.jsonl")) == []
+
     def test_unknown_constant_in_config_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"constants": {"C_star": 2.0, "k9": 1.0}}))
@@ -397,3 +441,13 @@ class TestConsoleScript:
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "verify" in proc.stdout
+
+    def test_package_runs_as_a_module(self):
+        """python -m ccflab reaches cli.main without the installed script."""
+        src = str(Path(ccflab.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccflab", "verify", "--n", "64"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "product_rule_identity_gamma_0.9" in proc.stdout

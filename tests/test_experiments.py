@@ -14,6 +14,7 @@ from ccflab.experiments import (
     SweepPlan,
     cosine_positive,
     custom_datum,
+    datum_label,
     li_rodrigo_type,
     make_datum,
     parse_datum,
@@ -47,6 +48,24 @@ class TestDatumValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown datum kind"):
             InitialDatum("gaussian", {})
+
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("cosine_positive", {"a": float("inf"), "b": 1.0}, "a"),
+            ("cosine_positive", {"a": 1.0, "b": float("nan")}, "b"),
+            ("von_mises_bump", {"kappa": float("inf")}, "kappa"),
+            ("li_rodrigo_type", {"scale": float("inf")}, "scale"),
+        ],
+        ids=["cosine.a", "cosine.b", "von_mises.kappa", "li_rodrigo.scale"],
+    )
+    def test_non_finite_parameter_is_named(self, kind, params, key):
+        with pytest.raises(ValueError, match=rf"{kind} parameter {key} must be finite"):
+            InitialDatum(kind, params)
+
+    def test_non_finite_custom_samples_rejected(self):
+        with pytest.raises(ValueError, match="custom datum samples must be finite"):
+            custom_datum([0.0, float("nan"), 1.0])
 
 
 class TestMakeDatum:
@@ -99,6 +118,37 @@ class TestParseDatum:
         with pytest.raises(ValueError, match="a,b"):
             parse_datum("cosine:1")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("cosine:1,1,1", "cosine datum expects a,b, got '1,1,1'"),
+            ("von_mises:1,2", "von_mises datum expects kappa, got '1,2'"),
+            ("li_rodrigo:1,2", "li_rodrigo datum expects scale, got '1,2'"),
+        ],
+        ids=["cosine", "von_mises", "li_rodrigo"],
+    )
+    def test_every_family_checks_its_arity(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_datum(text)
+
+
+class TestDatumLabel:
+    @pytest.mark.parametrize(
+        "cfg, label",
+        [
+            (cosine_positive(1.0, 0.5).to_config(), "cosine_positive(1,0.5)"),
+            (von_mises_bump(3.0).to_config(), "von_mises_bump(3)"),
+            (li_rodrigo_type(0.25).to_config(), "li_rodrigo_type(0.25)"),
+            (custom_datum(np.zeros(64)).to_config(), "custom(n=64)"),
+            ({"kind": "custom"}, "custom"),
+            ({}, "custom"),
+            ({"kind": "cosine_positive", "a": 1.0}, "cosine_positive"),
+            ({"kind": "gaussian", "a": 1.0}, "gaussian"),
+        ],
+    )
+    def test_labels(self, cfg, label):
+        assert datum_label(cfg) == label
+
 
 class TestSweepPlan:
     def test_axes_must_be_non_empty(self):
@@ -126,6 +176,18 @@ class TestSweepPlan:
         axes = {"gamma_values": (0.9,), "data": (cosine_positive(1, 1),), "resolutions": (64,), axis: values}
         with pytest.raises(ValueError, match=rf"sweep axis {axis} lists one value twice \(entries 0 and 2\)"):
             SweepPlan(**axes)
+
+    @pytest.mark.parametrize(
+        "datum, message",
+        [
+            (custom_datum(np.ones(64)), "sweep datum custom(n=64) at n=128: custom samples have length 64"),
+            (von_mises_bump(800.0), "sweep datum von_mises_bump(800) at n=64: von_mises_bump underflowed"),
+        ],
+        ids=["custom_length", "von_mises_underflow"],
+    )
+    def test_datum_that_cannot_be_sampled_is_rejected_up_front(self, datum, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepPlan(gamma_values=(0.9,), data=(cosine_positive(1, 1), datum), resolutions=(64, 128))
 
     def test_enumeration_is_datum_major(self):
         plan = SweepPlan(
@@ -274,7 +336,7 @@ class TestTornTail:
             load_records(out)  # the loader itself stays strict
         ran = []
         run_cell = experiments._run_cell
-        monkeypatch.setattr(experiments, "_run_cell", lambda job: ran.append(job[2]) or run_cell(job))
+        monkeypatch.setattr(experiments, "_run_cell", lambda job: ran.append(job[2].gamma) or run_cell(job))
         with pytest.warns(UserWarning, match=re.escape(f"{out}: dropped a torn last line of {len(torn)} bytes")):
             records = sweep(small_plan, out)
         assert ran == [0.9]

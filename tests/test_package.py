@@ -1,6 +1,9 @@
 """Tests for the package's public surface."""
 
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,23 @@ def test_report_is_the_module():
     assert isinstance(ccflab.report, types.ModuleType)
     assert callable(ccflab.report.build_summary)
     assert "report" not in ccflab.__all__
+
+
+def test_records_loads_no_other_ccflab_module():
+    """records reads and writes what every layer produces, so it depends on none
+    of them. The package is registered bare, so its __init__ imports nothing."""
+    src = Path(ccflab.__file__).resolve().parent
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('ccflab')\n"
+        f"pkg.__path__ = [{str(src)!r}]\n"
+        "sys.modules['ccflab'] = pkg\n"
+        "import ccflab.records\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ccflab'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['ccflab', 'ccflab.records']"
 
 
 def test_no_full_spectrum_transform_is_reached(monkeypatch):

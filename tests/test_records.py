@@ -6,6 +6,7 @@ import pytest
 
 from ccflab.records import (
     SCHEMA_VERSION,
+    DiagnosticsSample,
     Outcome,
     RunRecord,
     append_record,
@@ -16,7 +17,7 @@ from ccflab.records import (
     record_to_json,
 )
 from ccflab.experiments import cosine_positive
-from ccflab.regularity import DiagnosticsSample, RegularityConstants
+from ccflab.regularity import RegularityConstants
 from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, build_config
 
 

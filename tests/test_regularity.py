@@ -17,7 +17,6 @@ from ccflab.regularity import (
     t_local_exponents,
     t_star,
     v_field,
-    xi0_of,
 )
 from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, run
 from ccflab.torus import RealField, TorusGrid, forward
@@ -85,7 +84,7 @@ class TestTStar:
 class TestXiSchedule:
     def test_closed_form_at_half(self):
         """gamma = alpha = 1/2, unit everything: xi(t) = (1/2 - t)^2."""
-        assert xi0_of(0.5, 0.5, 1.0, RegularityConstants()) == 0.25
+        assert make_schedule(0.5, 0.5, 1.0, RegularityConstants()).xi0 == 0.25
         sched = make_schedule(0.5, 0.5, 1.0)
         for t in np.linspace(0.0, 0.5, 26):
             assert sched.xi_at(float(t)) == pytest.approx((0.5 - t) ** 2, abs=1e-14)
@@ -96,7 +95,7 @@ class TestXiSchedule:
         h = 1e-7
         sched = make_schedule(gamma, alpha, L)
         fd = (sched.xi_at(h) - sched.xi_at(0.0)) / h
-        xi0 = xi0_of(gamma, alpha, L, RegularityConstants())
+        xi0 = make_schedule(gamma, alpha, L, RegularityConstants()).xi0
         expected = -(xi0 ** (1 - gamma)) / (alpha * 1.0)
         assert fd == pytest.approx(expected, rel=1e-6)
 

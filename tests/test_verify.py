@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from ccflab import verify
 from ccflab.torus import TorusGrid
-from ccflab.verify import random_band_limited
+from ccflab.verify import random_band_limited, verify_suite
 
 
 def _per_mode_sum(grid, rng, cutoff):
@@ -34,3 +35,11 @@ class TestRandomBandLimited:
         coeffs = np.fft.rfft(f.values)
         assert abs(coeffs[0]) < 1e-12
         assert np.max(np.abs(coeffs[9:])) < 1e-12
+
+
+def test_suite_calibrates_each_gamma_once(monkeypatch):
+    calibrated = []
+    calibrate = verify.calibrate_cgamma
+    monkeypatch.setattr(verify, "calibrate_cgamma", lambda gamma, grid: calibrated.append(gamma) or calibrate(gamma, grid))
+    assert all(row.passed for row in verify_suite(n=64))
+    assert sorted(calibrated) == [0.5, 0.9, 1.0]
