@@ -4,6 +4,8 @@ Exit codes are a stable contract: 0 success, 1 validation error (the message
 names the offending parameter), 2 runtime failure (calibration miss, failed
 verification, I/O trouble). Values resolve as flag > config file > default,
 and the full effective configuration is echoed into every persisted record.
+`run` is a one-cell sweep: both commands read the model and control keys
+through one table and build their cells through SweepPlan.cells.
 --seed only affects the randomized test fields in verify; simulations are
 deterministic regardless.
 """
@@ -18,12 +20,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import regularity
-from .experiments import SweepPlan, make_datum, parse_datum, sweep
+from .experiments import SweepPlan, _run_cell, parse_datum, sweep
 from .operators import calibrate_cgamma
 from .records import append_record, load_records
 from .regularity import RegularityConstants
 from .report import report
-from .solver import DiagnosticPlan, ModelParams, StepControl, run
+from .solver import StepControl
 from .torus import TorusGrid
 from .verify import format_table, verify_suite
 
@@ -71,18 +73,9 @@ def _constants_from(cfg) -> RegularityConstants:
 
 
 def _out_dir(args) -> Path:
-    return Path(_pick(args.out_dir, os.environ.get("CCF_OUT_DIR"), "."))
-
-
-def _holder_alphas(gamma: float, alpha: float | None, dissipation_on: bool) -> tuple[float, ...]:
-    """Tracked Holder exponents: the explicit --alpha, validated against the
-    schedule constraint, or the policy value when the schedule applies."""
-    if alpha is not None:
-        regularity.validate_schedule_params(gamma, alpha)
-        return (alpha,)
-    if dissipation_on and 0.0 < gamma < 1.0:
-        return (regularity.alpha_policy(gamma),)
-    return ()
+    out_dir = Path(_pick(args.out_dir, os.environ.get("CCF_OUT_DIR"), "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _number(value, name: str, whole: bool = False):
@@ -116,36 +109,53 @@ def _datum(value, name: str):
         raise ValueError(f"{name}: {exc}") from None
 
 
+# The model and control keys that run and sweep share: key -> (reader, default,
+# flag, flag options). Each resolves as flag > config block > default. An unset
+# snapshot_every is t_end / 50, and an unset alpha leaves each cell its own rule.
+_SHARED_KEYS = {
+    "t_end": (_number, 1.0, "--t-end", {"type": float, "help": "final time"}),
+    "dt_max": (_number, StepControl.dt_max, "--dt-max", {"type": float, "help": "step ceiling"}),
+    "cfl": (_number, StepControl.cfl, "--cfl", {"type": float, "help": "CFL number in (0, 1]"}),
+    "snapshot_every": (_number, None, "--snapshot-every", {"type": float, "help": "diagnostics cadence"}),
+    "inviscid": (_switch, False, "--inviscid", {"action": "store_true", "help": "disable dissipation"}),
+    "dealias": (_switch, True, "--no-dealias", {"action": "store_false", "help": "disable the 2/3-rule filter"}),
+    "alpha": (_number, None, "--alpha", {"type": float, "help": "Holder exponent to track; needs gamma in (0,1)"}),
+}
+
+
+def _plan(args, cfg: dict, block: dict, prefix: str, **axes) -> SweepPlan:
+    """The SweepPlan of these axes, with the shared keys read from the flags, then
+    from block, the config object that holds them; errors name prefix + key."""
+    values = {}
+    for key, (read, default, _, _) in _SHARED_KEYS.items():
+        value = _pick(getattr(args, key), block.get(key))
+        values[key] = default if value is None else read(value, prefix + key)
+    alpha, dissipation_on, dealias_on = values.pop("alpha"), not values.pop("inviscid"), values.pop("dealias")
+    if alpha is not None:
+        for gamma in axes["gamma_values"]:
+            regularity.holder_alphas(gamma, alpha, dissipation_on)  # rejects an alpha off a cell's schedule
+    values["snapshot_every"] = _pick(values["snapshot_every"], values["t_end"] / 50.0)
+    return SweepPlan(
+        **axes,
+        constants=_constants_from(cfg.get("constants", {})),
+        control=StepControl(**values),
+        dissipation_on=dissipation_on,
+        dealias_on=dealias_on,
+        holder_alphas=None if alpha is None else (alpha,),
+    )
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    gamma = _number(_pick(args.gamma, cfg.get("gamma"), 0.9), "gamma")
-    n = _number(_pick(args.n, cfg.get("n"), 256), "n", whole=True)
-    t_end = _number(_pick(args.t_end, cfg.get("t_end"), 1.0), "t_end")
-    dt_max = _number(_pick(args.dt_max, cfg.get("dt_max"), StepControl.dt_max), "dt_max")
-    cfl = _number(_pick(args.cfl, cfg.get("cfl"), StepControl.cfl), "cfl")
-    snap = _number(_pick(args.snapshot_every, cfg.get("snapshot_every"), t_end / 50.0), "snapshot_every")
-    inviscid = args.inviscid or _switch(cfg.get("inviscid", False), "inviscid")
-    dealias = not args.no_dealias and _switch(cfg.get("dealias", True), "dealias")
-    alpha = _pick(args.alpha, cfg.get("alpha"))
-    alphas = _holder_alphas(gamma, None if alpha is None else _number(alpha, "alpha"), not inviscid)
-
-    datum = _datum(_pick(args.datum, cfg.get("datum"), "cosine:1,1"), "datum")
-    params = ModelParams(gamma=gamma, n=n, dissipation_on=not inviscid, dealias_on=dealias)
-    control = StepControl(t_end=t_end, dt_max=dt_max, cfl=cfl, snapshot_every=snap)
-    theta0 = make_datum(datum, TorusGrid(n))
-    constants = _constants_from(cfg.get("constants", {}))
-
-    record = run(
-        theta0,
-        params,
-        control,
-        plan=DiagnosticPlan(alphas),
-        constants=constants,
-        datum=datum.to_config(),
+    plan = _plan(
+        args, cfg, cfg, "",
+        gamma_values=(_number(_pick(args.gamma, cfg.get("gamma"), 0.9), "gamma"),),
+        resolutions=(_number(_pick(args.n, cfg.get("n"), 256), "n", whole=True),),
+        data=(_datum(_pick(args.datum, cfg.get("datum"), "cosine:1,1"), "datum"),),
     )
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "runs.jsonl"
+    ((datum, params, diagnostics, _),) = plan.cells()
+    record = _run_cell((plan, datum, params, diagnostics))
+    path = _out_dir(args) / "runs.jsonl"
     append_record(path, record)
     print(f"{record.outcome.value}: {record.outcome_detail}")
     print(f"record {record.config_hash} appended to {path}")
@@ -168,50 +178,26 @@ def _parse_list(values, name: str, whole: bool = False):
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    scfg = cfg.get("sweep", {})
-    if not isinstance(scfg, dict):
-        raise ValueError(f"sweep must be an object, got {scfg!r}")
-    gammas = _pick(
-        _parse_list(args.gamma, "--gamma"),
-        _parse_list(scfg.get("gamma_values"), "sweep.gamma_values"),
-        (0.6, 0.9),
-    )
-    ns = _pick(
-        _parse_list(args.n, "--n", whole=True),
-        _parse_list(scfg.get("resolutions"), "sweep.resolutions", whole=True),
-        (128, 256),
-    )
-    datum_texts = args.datum or scfg.get("data", ["cosine:1,1"])
+    block = cfg.get("sweep", {})
+    if not isinstance(block, dict):
+        raise ValueError(f"sweep must be an object, got {block!r}")
+    datum_texts = args.datum or block.get("data", ["cosine:1,1"])
     if not isinstance(datum_texts, list):
         raise ValueError(f"sweep.data must be an array of datum specs, got {datum_texts!r}")
-    t_end = _number(_pick(args.t_end, scfg.get("t_end"), 1.0), "sweep.t_end")
-    jobs = _number(_pick(args.jobs, scfg.get("parallelism"), 1), "sweep.parallelism", whole=True)
-    inviscid = args.inviscid or _switch(scfg.get("inviscid", False), "sweep.inviscid")
-    dealias = not args.no_dealias and _switch(scfg.get("dealias", True), "sweep.dealias")
-    snap = _number(_pick(scfg.get("snapshot_every"), t_end / 50.0), "sweep.snapshot_every")
-
-    alphas = tuple(sorted({a for g in gammas for a in _holder_alphas(g, None, not inviscid)}))
-    plan = SweepPlan(
-        gamma_values=tuple(gammas),
+    plan = _plan(
+        args, cfg, block, "sweep.",
+        gamma_values=_pick(_parse_list(args.gamma, "--gamma"),
+                           _parse_list(block.get("gamma_values"), "sweep.gamma_values"), (0.6, 0.9)),
+        resolutions=_pick(_parse_list(args.n, "--n", whole=True),
+                          _parse_list(block.get("resolutions"), "sweep.resolutions", whole=True), (128, 256)),
         data=tuple(_datum(t, "sweep.data") for t in datum_texts),
-        resolutions=tuple(ns),
-        constants=_constants_from(cfg.get("constants", {})),
-        control=StepControl(t_end=t_end, snapshot_every=snap),
-        dissipation_on=not inviscid,
-        dealias_on=dealias,
-        holder_alphas=alphas,
-        parallelism=jobs,
+        parallelism=_number(_pick(args.jobs, block.get("parallelism"), 1), "sweep.parallelism", whole=True),
     )
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "sweep.jsonl"
+    path = _out_dir(args) / "sweep.jsonl"
     records = sweep(plan, path)
     for record in records:
-        model = record.config["model"]
-        print(
-            f"gamma={model['gamma']:g} n={model['n']} "
-            f"datum={record.config['datum'].get('kind')} -> {record.outcome.value}"
-        )
+        model, kind = record.config["model"], record.config["datum"].get("kind")
+        print(f"gamma={model['gamma']:g} n={model['n']} datum={kind} -> {record.outcome.value}")
     print(f"{len(records)} records in {path}")
     return 0
 
@@ -249,10 +235,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _add_common(sub, *, config=True):
-    if config:
-        sub.add_argument("--config", help="path to a JSON config file (flags override it)")
-    sub.add_argument("--out-dir", help="output directory (fallback: env CCF_OUT_DIR, then .)")
+_OUT_DIR_HELP = "output directory (fallback: env CCF_OUT_DIR, then .)"
+
+
+def _add_cell_flags(sub, handler) -> None:
+    """The flags run and sweep share: one per _SHARED_KEYS key, --config and --out-dir."""
+    for key, (_, _, flag, options) in _SHARED_KEYS.items():
+        sub.add_argument(flag, dest=key, default=None, **options)
+    sub.add_argument("--config", help="path to a JSON config file (flags override it)")
+    sub.add_argument("--out-dir", help=_OUT_DIR_HELP)
+    sub.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,27 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = subs.add_parser("run", help="integrate one configuration and append its record")
     p_run.add_argument("--gamma", type=float, help="dissipation exponent in (0, 2]")
     p_run.add_argument("--n", type=int, help="grid size (even, >= 32)")
-    p_run.add_argument("--t-end", type=float, help="final time")
-    p_run.add_argument("--alpha", type=float, help="Holder exponent to track; needs gamma in (0,1)")
     p_run.add_argument("--datum", help="cosine:a,b | von_mises:kappa | li_rodrigo:scale | custom:path")
-    p_run.add_argument("--inviscid", action="store_true", help="disable dissipation")
-    p_run.add_argument("--no-dealias", action="store_true", help="disable the 2/3-rule filter")
-    p_run.add_argument("--dt-max", type=float, help="step ceiling")
-    p_run.add_argument("--cfl", type=float, help="CFL number in (0, 1]")
-    p_run.add_argument("--snapshot-every", type=float, help="diagnostics cadence")
-    _add_common(p_run)
-    p_run.set_defaults(handler=_cmd_run)
+    _add_cell_flags(p_run, _cmd_run)
 
     p_sweep = subs.add_parser("sweep", help="run a (datum, gamma, n) grid, resumable")
     p_sweep.add_argument("--gamma", help="comma-separated gamma values")
     p_sweep.add_argument("--n", help="comma-separated grid sizes")
     p_sweep.add_argument("--datum", action="append", help="datum spec; repeat for several")
-    p_sweep.add_argument("--t-end", type=float, help="final time per cell")
-    p_sweep.add_argument("--inviscid", action="store_true", help="disable dissipation")
-    p_sweep.add_argument("--no-dealias", action="store_true", help="disable the 2/3-rule filter")
     p_sweep.add_argument("--jobs", type=int, help="max concurrent cells (default 1)")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(handler=_cmd_sweep)
+    _add_cell_flags(p_sweep, _cmd_sweep)
 
     p_verify = subs.add_parser("verify", help="operator residual table")
     p_verify.add_argument("--n", type=int, help="grid size (default 256)")
@@ -299,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = subs.add_parser("report", help="CSV summary and SVG charts from a record file")
     p_rep.add_argument("records", help="path to a JSONL record file")
-    _add_common(p_rep, config=False)
+    p_rep.add_argument("--out-dir", help=_OUT_DIR_HELP)
     p_rep.set_defaults(handler=_cmd_report)
 
     return parser

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import regularity
 from .records import RunRecord, append_record, config_hash, drop_torn_tail, load_records
 from .regularity import RegularityConstants
 from .solver import DiagnosticPlan, ModelParams, StepControl, build_config, run
@@ -174,7 +175,10 @@ class SweepPlan:
 
     Cells are enumerated datum-major, then gamma, then resolution; the order
     is part of the persisted-file contract. The constants and control block
-    replicate into every cell's config.
+    replicate into every cell's config. Every cell tracks the Holder exponents
+    in holder_alphas (none by default). With None, each cell tracks its own:
+    regularity.holder_alphas gives the policy alpha of a dissipative cell with
+    gamma in (0, 1), and none to any other cell.
     """
 
     gamma_values: tuple[float, ...]
@@ -184,7 +188,7 @@ class SweepPlan:
     control: StepControl = StepControl(t_end=1.0)
     dissipation_on: bool = True
     dealias_on: bool = True
-    holder_alphas: tuple[float, ...] = ()
+    holder_alphas: tuple[float, ...] | None = ()
     parallelism: int = 1
 
     def __post_init__(self) -> None:
@@ -207,20 +211,27 @@ class SweepPlan:
             except ValueError as exc:
                 raise ValueError(f"sweep datum {datum_label(datum.to_config())} at n={n}: {exc}") from None
 
-    def cells(self) -> list[tuple[InitialDatum, float, int]]:
-        return list(product(self.data, self.gamma_values, self.resolutions))
+    def cells(self) -> list[tuple[InitialDatum, ModelParams, DiagnosticPlan, dict]]:
+        """Each cell's datum, model, tracked exponents and run config, in sweep order."""
+        cells = []
+        for datum, gamma, n in product(self.data, self.gamma_values, self.resolutions):
+            params = ModelParams(gamma=gamma, n=n, dissipation_on=self.dissipation_on, dealias_on=self.dealias_on)
+            alphas = self.holder_alphas
+            if alphas is None:
+                alphas = regularity.holder_alphas(gamma, None, self.dissipation_on)
+            diagnostics = DiagnosticPlan(alphas)
+            config = build_config(params, self.control, self.constants, datum.to_config(), diagnostics)
+            cells.append((datum, params, diagnostics, config))
+        return cells
 
 
-def _run_cell(args: tuple[SweepPlan, InitialDatum, ModelParams]) -> RunRecord:
-    plan, datum, params = args
-    return run(
-        make_datum(datum, TorusGrid(params.n)),
-        params,
-        plan.control,
-        plan=DiagnosticPlan(plan.holder_alphas),
-        constants=plan.constants,
-        datum=datum.to_config(),
-    )
+Cell = tuple[SweepPlan, InitialDatum, ModelParams, DiagnosticPlan]
+
+
+def _run_cell(cell: Cell) -> RunRecord:
+    plan, datum, params, diagnostics = cell
+    theta0 = make_datum(datum, TorusGrid(params.n))
+    return run(theta0, params, plan.control, diagnostics, plan.constants, datum.to_config())
 
 
 def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
@@ -240,17 +251,12 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
         for record in load_records(out_path):
             existing[record.config_hash] = record
 
-    diagnostics = DiagnosticPlan(plan.holder_alphas)
     results: list[RunRecord | None] = []
-    jobs: dict[int, tuple[SweepPlan, InitialDatum, ModelParams]] = {}  # by index in results
-    for datum, gamma, n in plan.cells():
-        params = ModelParams(
-            gamma=gamma, n=n, dissipation_on=plan.dissipation_on, dealias_on=plan.dealias_on
-        )
-        config = build_config(params, plan.control, plan.constants, datum.to_config(), diagnostics)
+    jobs: dict[int, Cell] = {}  # by index in results
+    for datum, params, diagnostics, config in plan.cells():
         results.append(existing.get(config_hash(config)))
         if results[-1] is None:
-            jobs[len(results) - 1] = (plan, datum, params)
+            jobs[len(results) - 1] = (plan, datum, params, diagnostics)
 
     if jobs:
         workers = min(plan.parallelism, len(jobs), os.cpu_count() or 1)

@@ -58,8 +58,8 @@ class RegularityConstants:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not value > 0.0:
-                raise ValueError(f"{f.name} must be strictly positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{f.name} must be strictly positive and finite, got {value}")
         if self.k2 < 1.0:
             raise ValueError(f"k2 must be >= 1, got {self.k2}")
 
@@ -79,6 +79,18 @@ def alpha_policy(gamma: float) -> float:
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     return min(2.0 * (1.0 - gamma), 0.5)
+
+
+def holder_alphas(gamma: float, alpha: float | None, dissipation_on: bool) -> tuple[float, ...]:
+    """Holder exponents one run tracks: an explicit alpha, validated against the
+    schedule; else the policy alpha when the run is dissipative with gamma in
+    (0, 1); else none."""
+    if alpha is not None:
+        validate_schedule_params(gamma, alpha)
+        return (alpha,)
+    if dissipation_on and 0.0 < gamma < 1.0:
+        return (alpha_policy(gamma),)
+    return ()
 
 
 def t_star(

@@ -29,6 +29,7 @@ inputs give bit-identical records.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -101,12 +102,12 @@ class StepControl:
     snapshot_every: float = 0.02
 
     def __post_init__(self) -> None:
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        if not self.dt_max > 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
+        if not 0.0 < self.dt_max < math.inf:
+            raise ValueError(f"dt_max must be positive and finite, got {self.dt_max}")
         if not 0.0 < self.snapshot_every <= self.t_end:
             raise ValueError(
                 f"snapshot_every must be in (0, t_end], got {self.snapshot_every}"

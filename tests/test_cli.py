@@ -12,7 +12,13 @@ import pytest
 
 import ccflab
 from ccflab.cli import main
-from ccflab.records import load_records
+from ccflab.records import load_records, record_to_dict
+
+
+def _module_env() -> dict:
+    """The environment of a python -m ccflab child that imports this checkout's package."""
+    src = str(Path(ccflab.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 class TestExitCodes:
@@ -434,6 +440,99 @@ class TestSweepAndReportCommands:
         assert "k9" in capsys.readouterr().err
 
 
+class TestOneCellPipeline:
+    """run is a one-cell sweep: both commands read one table of model and control
+    keys and build their cells through SweepPlan.cells."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--cfl", "0.8", "--dt-max", "0.02", "--alpha", "0.3", "--snapshot-every", "0.01"]],
+        ids=["defaults", "every_shared_flag"],
+    )
+    def test_run_record_equals_the_one_cell_sweep_record(self, tmp_path, capsys, flags):
+        common = ["--gamma", "0.9", "--n", "64", "--t-end", "0.1", *flags, "--out-dir", str(tmp_path)]
+        assert main(["run", *common]) == 0
+        assert main(["sweep", *common]) == 0
+        (ran,) = load_records(tmp_path / "runs.jsonl")
+        (swept,) = load_records(tmp_path / "sweep.jsonl")
+        if not flags:
+            assert ran.config_hash == swept.config_hash == "9ebcafa580f9"
+        else:
+            assert ran.config["control"] == {"cfl": 0.8, "dt_max": 0.02, "snapshot_every": 0.01, "t_end": 0.1}
+            assert ran.config["holder_alphas"] == [0.3]
+        ran, swept = record_to_dict(ran), record_to_dict(swept)
+        ran.pop("wall_time")
+        swept.pop("wall_time")
+        assert ran == swept
+
+    def test_each_sweep_cell_tracks_its_own_policy_alpha(self, tmp_path, capsys):
+        assert main(["sweep", "--gamma", "0.6,1.2", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
+        low, high = load_records(tmp_path / "sweep.jsonl")
+        assert low.config["holder_alphas"] == [0.5]
+        assert high.config["holder_alphas"] == []
+        assert all(sample.holder == {} for sample in high.samples)
+
+    def test_sweep_alpha_off_one_cells_schedule_exits_1(self, tmp_path, capsys):
+        flags = ["--gamma", "0.6,0.9", "--n", "64", "--alpha", "0.3", "--t-end", "0.1", "--out-dir", str(tmp_path)]
+        assert main(["sweep", *flags]) == 1
+        assert "error: alpha must be in [1-gamma, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.jsonl").exists()
+
+    def test_sweep_config_block_sets_every_shared_key(self, tmp_path, capsys):
+        block = {"gamma_values": 0.9, "resolutions": 64, "t_end": 0.1, "cfl": 0.8, "dt_max": 0.025,
+                 "snapshot_every": 0.05, "alpha": 0.3, "inviscid": True, "dealias": False}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": block}))
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        (record,) = load_records(tmp_path / "sweep.jsonl")
+        assert record.config["control"] == {"cfl": 0.8, "dt_max": 0.025, "snapshot_every": 0.05, "t_end": 0.1}
+        assert record.config["holder_alphas"] == [0.3]
+        assert record.config["model"]["dissipation_on"] is False
+        assert record.config["model"]["dealias_on"] is False
+
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("run", {"cfl": "x", "n": 64}, "cfl"),
+            ("run", {"alpha": "x", "n": 64}, "alpha"),
+            ("sweep", {"sweep": {"dt_max": "x", "resolutions": 64}}, "sweep.dt_max"),
+            ("sweep", {"sweep": {"alpha": [0.3], "resolutions": 64}}, "sweep.alpha"),
+        ],
+        ids=["run.cfl", "run.alpha", "sweep.dt_max", "sweep.alpha"],
+    )
+    def test_shared_key_error_names_the_key_with_its_prefix(self, tmp_path, capsys, command, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "t_end": 0.1}))
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert list(tmp_path.glob("*.jsonl")) == []
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_infinite_dt_max_is_rejected(self, tmp_path, capsys, command):
+        """An infinite dt_max would reach runs.jsonl as Infinity, which strict JSON parsers reject."""
+        flags = ["--gamma", "0.9", "--n", "64", "--t-end", "0.1", "--dt-max", "inf", "--out-dir", str(tmp_path)]
+        assert main([command, *flags]) == 1
+        assert "error: dt_max must be positive and finite, got inf" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.jsonl")) == []
+
+    def test_infinite_t_end_is_rejected_before_stepping(self, tmp_path):
+        """At t_end = inf the first snapshot time 0 * inf is NaN and stepping heads for
+        t = inf; the child process and its timeout keep such a hang out of the suite."""
+        command = [sys.executable, "-m", "ccflab", "run", "--gamma", "0.9", "--n", "64", "--t-end", "inf",
+                   "--out-dir", str(tmp_path)]
+        proc = subprocess.run(command, capture_output=True, text=True, env=_module_env(), timeout=60)
+        assert proc.returncode == 1
+        assert "error: t_end must be positive and finite, got inf" in proc.stderr
+        assert list(tmp_path.glob("*.jsonl")) == []
+
+    def test_infinite_constant_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64, "t_end": 0.1, "constants": {"C1": float("inf")}}))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert "error: C1 must be strictly positive and finite, got inf" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.jsonl")) == []
+
+
 class TestConsoleScript:
     def test_entry_point_is_installed(self):
         exe = shutil.which("ccflab")
@@ -444,10 +543,8 @@ class TestConsoleScript:
 
     def test_package_runs_as_a_module(self):
         """python -m ccflab reaches cli.main without the installed script."""
-        src = str(Path(ccflab.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
-            [sys.executable, "-m", "ccflab", "verify", "--n", "64"], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "ccflab", "verify", "--n", "64"], capture_output=True, text=True, env=_module_env()
         )
         assert proc.returncode == 0, proc.stderr
         assert "product_rule_identity_gamma_0.9" in proc.stdout

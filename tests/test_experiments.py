@@ -195,11 +195,33 @@ class TestSweepPlan:
             data=(cosine_positive(1, 1), von_mises_bump(2.0)),
             resolutions=(32, 64),
         )
-        cells = plan.cells()
+        cells = [(datum, params.gamma, params.n) for datum, params, _, _ in plan.cells()]
         assert len(cells) == 8
         assert cells[0] == (cosine_positive(1, 1), 0.6, 32)
         assert cells[1] == (cosine_positive(1, 1), 0.6, 64)
         assert cells[4][0] == von_mises_bump(2.0)
+
+    @pytest.mark.parametrize(
+        "holder_alphas, dissipation_on, tracked",
+        [
+            ((), True, [(), (), ()]),
+            ((0.3,), True, [(0.3,), (0.3,), (0.3,)]),
+            (None, True, [(0.5,), (0.19999999999999996,), ()]),
+            (None, False, [(), (), ()]),
+        ],
+        ids=["none", "explicit", "per_cell_policy", "per_cell_inviscid"],
+    )
+    def test_each_cell_tracks_its_own_alphas_when_none_are_given(self, holder_alphas, dissipation_on, tracked):
+        plan = SweepPlan(
+            gamma_values=(0.6, 0.9, 1.2),
+            data=(cosine_positive(1, 1),),
+            resolutions=(32,),
+            dissipation_on=dissipation_on,
+            holder_alphas=holder_alphas,
+        )
+        cells = plan.cells()
+        assert [diagnostics.holder_alphas for _, _, diagnostics, _ in cells] == tracked
+        assert [config["holder_alphas"] for *_, config in cells] == [list(t) for t in tracked]
 
 
 @pytest.fixture()

@@ -10,6 +10,7 @@ from ccflab.regularity import (
     energy_inequality_probe,
     gamma_one,
     gamma_one_condition,
+    holder_alphas,
     holder_seminorm,
     make_schedule,
     sobolev_norm,
@@ -44,6 +45,11 @@ class TestConstants:
         with pytest.raises(ValueError, match="C3"):
             RegularityConstants(C3=-1.0)
 
+    @pytest.mark.parametrize("key", ["k1", "k2", "c0", "C_star", "C1", "C3"])
+    def test_non_finite_constant_is_named(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be strictly positive and finite, got inf"):
+            RegularityConstants(**{key: float("inf")})
+
     def test_k2_lower_bound(self):
         with pytest.raises(ValueError, match="k2"):
             RegularityConstants(k2=0.5)
@@ -58,6 +64,23 @@ class TestAlphaPolicy:
     def test_outside_supercritical_range_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             alpha_policy(1.0)
+
+
+class TestHolderAlphas:
+    def test_explicit_alpha_is_checked_against_the_schedule(self):
+        assert holder_alphas(0.9, 0.3, True) == (0.3,)
+        assert holder_alphas(0.9, 0.3, False) == (0.3,)
+        with pytest.raises(ValueError, match="alpha must be in"):
+            holder_alphas(0.6, 0.3, True)
+        with pytest.raises(ValueError, match="gamma must be in"):
+            holder_alphas(1.2, 0.3, True)
+
+    @pytest.mark.parametrize(
+        "gamma, dissipation_on, tracked",
+        [(0.6, True, (0.5,)), (0.9, True, (alpha_policy(0.9),)), (0.9, False, ()), (1.0, True, ()), (1.2, True, ())],
+    )
+    def test_policy_alpha_only_where_the_schedule_applies(self, gamma, dissipation_on, tracked):
+        assert holder_alphas(gamma, None, dissipation_on) == tracked
 
 
 class TestTStar:

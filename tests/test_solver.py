@@ -41,6 +41,14 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="snapshot_every"):
             StepControl(t_end=1.0, snapshot_every=2.0)
 
+    @pytest.mark.parametrize("key", ["t_end", "dt_max"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_step_control_rejects_a_non_finite_time(self, key, value):
+        """An infinite t_end would step forever, and an infinite dt_max would be
+        written to the record as the non-JSON token Infinity."""
+        with pytest.raises(ValueError, match=f"{key} must be positive and finite, got {value}"):
+            StepControl(**{"t_end": 1.0, key: value})
+
     def test_diagnostic_plan_alpha_range(self):
         with pytest.raises(ValueError, match="alpha"):
             DiagnosticPlan(holder_alphas=(1.5,))
