@@ -153,8 +153,8 @@ def _cmd_run(args) -> int:
         resolutions=(_number(_pick(args.n, cfg.get("n"), 256), "n", whole=True),),
         data=(_datum(_pick(args.datum, cfg.get("datum"), "cosine:1,1"), "datum"),),
     )
-    ((datum, params, diagnostics, _),) = plan.cells()
-    record = _run_cell((plan, datum, params, diagnostics))
+    (cell,) = plan.cells()
+    record = _run_cell((plan, *cell))
     path = _out_dir(args) / "runs.jsonl"
     append_record(path, record)
     print(f"{record.outcome.value}: {record.outcome_detail}")

@@ -209,19 +209,17 @@ class SweepPlan:
             try:
                 make_datum(datum, TorusGrid(n))
             except ValueError as exc:
-                raise ValueError(f"sweep datum {datum_label(datum.to_config())} at n={n}: {exc}") from None
+                raise ValueError(f"datum {datum_label(datum.to_config())} at n={n}: {exc}") from None
 
-    def cells(self) -> list[tuple[InitialDatum, ModelParams, DiagnosticPlan, dict]]:
-        """Each cell's datum, model, tracked exponents and run config, in sweep order."""
+    def cells(self) -> list[tuple[InitialDatum, ModelParams, DiagnosticPlan]]:
+        """Each cell's datum, model and tracked exponents, in sweep order."""
         cells = []
         for datum, gamma, n in product(self.data, self.gamma_values, self.resolutions):
             params = ModelParams(gamma=gamma, n=n, dissipation_on=self.dissipation_on, dealias_on=self.dealias_on)
             alphas = self.holder_alphas
             if alphas is None:
                 alphas = regularity.holder_alphas(gamma, None, self.dissipation_on)
-            diagnostics = DiagnosticPlan(alphas)
-            config = build_config(params, self.control, self.constants, datum.to_config(), diagnostics)
-            cells.append((datum, params, diagnostics, config))
+            cells.append((datum, params, DiagnosticPlan(alphas)))
         return cells
 
 
@@ -241,7 +239,7 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
     torn by a kill mid-append is dropped with a warning, and that cell reruns.
 
     Numerical failures inside a cell land in that cell's outcome; they never
-    abort the sweep. Cells run in min(parallelism, pending cells, CPUs)
+    abort the sweep. Cells run in min(parallelism, pending cells, usable CPUs)
     processes, and with one of them no pool is built.
     """
     out_path = Path(out_path)
@@ -253,13 +251,15 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
 
     results: list[RunRecord | None] = []
     jobs: dict[int, Cell] = {}  # by index in results
-    for datum, params, diagnostics, config in plan.cells():
+    for datum, params, diagnostics in plan.cells():
+        config = build_config(params, plan.control, plan.constants, datum.to_config(), diagnostics)
         results.append(existing.get(config_hash(config)))
         if results[-1] is None:
             jobs[len(results) - 1] = (plan, datum, params, diagnostics)
 
     if jobs:
-        workers = min(plan.parallelism, len(jobs), os.cpu_count() or 1)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(plan.parallelism, len(jobs), cpus)
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             for i, record in zip(jobs, (pool.map if pool else map)(_run_cell, jobs.values())):
                 results[i] = record

@@ -6,7 +6,8 @@ The fractional Laplacian is implemented twice on purpose:
 * spectrally, as the multiplier |m|^gamma (`frac_laplacian_spectral`), and
 * as a periodized singular integral evaluated by quadrature
   (`frac_laplacian_quadrature`), with its normalization constant c_gamma
-  obtained by calibration against the spectral route on mode 1.
+  obtained by calibration against the spectral route on mode 1. Every
+  quadrature call takes that calibration and reads gamma from it.
 
 The two routes stay arithmetically independent so identities that couple them
 (notably the pointwise identity 2*phi*L^g(phi) = L^g(phi^2) + D_gamma(phi))
@@ -187,11 +188,7 @@ def calibrate_cgamma(gamma: float, grid: TorusGrid) -> CgammaCalibration:
     return CgammaCalibration(gamma=float(gamma), c_gamma=c, residual=residual)
 
 
-def _check_quadrature_input(f: RealField, gamma: float, cal: CgammaCalibration) -> None:
-    if abs(cal.gamma - gamma) > 1e-12:
-        raise ValueError(
-            f"calibration was fitted at gamma={cal.gamma}, requested gamma={gamma}"
-        )
+def _check_quadrature_input(f: RealField) -> None:
     tf = tail_fraction(forward(f))
     if tf >= QUADRATURE_TAIL_LIMIT:
         raise UnderResolvedFieldError(
@@ -200,32 +197,32 @@ def _check_quadrature_input(f: RealField, gamma: float, cal: CgammaCalibration) 
         )
 
 
-def frac_laplacian_quadrature(f: RealField, gamma: float, cal: CgammaCalibration) -> RealField:
-    """Fractional Laplacian via the periodized singular integral."""
-    _check_quadrature_input(f, gamma, cal)
-    return RealField(f.grid, _apply_quadrature(f, gamma, cal.c_gamma, squared=False))
+def frac_laplacian_quadrature(f: RealField, cal: CgammaCalibration) -> RealField:
+    """Fractional Laplacian of order cal.gamma via the periodized singular integral."""
+    _check_quadrature_input(f)
+    return RealField(f.grid, _apply_quadrature(f, cal.gamma, cal.c_gamma, squared=False))
 
 
-def dgamma(f: RealField, gamma: float, cal: CgammaCalibration) -> RealField:
-    """Pointwise dissipation functional D_gamma of f.
+def dgamma(f: RealField, cal: CgammaCalibration) -> RealField:
+    """Pointwise dissipation functional D_gamma of f, at gamma = cal.gamma.
 
     The integrand is a square, so the output is nonnegative up to roundoff.
     """
-    _check_quadrature_input(f, gamma, cal)
-    return RealField(f.grid, _apply_quadrature(f, gamma, cal.c_gamma, squared=True))
+    _check_quadrature_input(f)
+    return RealField(f.grid, _apply_quadrature(f, cal.gamma, cal.c_gamma, squared=True))
 
 
-def cordoba_identity_residual(f: RealField, gamma: float, cal: CgammaCalibration) -> float:
-    """Max-norm residual of 2*f*L^g(f) - L^g(f^2) - D_gamma(f).
+def cordoba_identity_residual(f: RealField, cal: CgammaCalibration) -> float:
+    """Max-norm residual of 2*f*L^g(f) - L^g(f^2) - D_gamma(f), at g = cal.gamma.
 
     L^g terms use the spectral route, D_gamma the quadrature route, so this is
     the cross-implementation consistency check between the two.
     """
     F = forward(f)
-    lhs = 2.0 * f.values * inverse(frac_laplacian_spectral(F, gamma)).values
+    lhs = 2.0 * f.values * inverse(frac_laplacian_spectral(F, cal.gamma)).values
     square = RealField(f.grid, f.values * f.values)
-    rhs = inverse(frac_laplacian_spectral(forward(square), gamma)).values
-    rhs = rhs + dgamma(f, gamma, cal).values
+    rhs = inverse(frac_laplacian_spectral(forward(square), cal.gamma)).values
+    rhs = rhs + dgamma(f, cal).values
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -303,13 +303,13 @@ class ProbeReport:
     t1_fitted: float | None
 
 
-def energy_inequality_probe(record: RunRecord, gamma: float) -> ProbeReport:
+def energy_inequality_probe(record: RunRecord) -> ProbeReport:
     """Fit the smallest C with (X^2)'/2 + D^2/2 <= C*X^{2+e2}*l2_0^{e1} at snapshots.
 
-    X is the homogeneous H^{3/2} norm series, D the H^{(3+gamma)/2} series;
-    d(X^2)/dt uses second-order differences (centered inside, one-sided at the
-    ends). Under-resolved records are refused: their high-mode content makes
-    the norm series meaningless.
+    X is the homogeneous H^{3/2} norm series, D the H^{(3+gamma)/2} series at
+    the record's config gamma; d(X^2)/dt uses second-order differences
+    (centered inside, one-sided at the ends). Under-resolved records are
+    refused: their high-mode content makes the norm series meaningless.
     """
     if record.outcome is not Outcome.COMPLETED:
         raise ValueError(f"probe refused: record outcome is {record.outcome.value}")
@@ -321,6 +321,9 @@ def energy_inequality_probe(record: RunRecord, gamma: float) -> ProbeReport:
         raise ValueError(
             f"probe refused: record tail fraction {worst_tail:.3e} exceeds {PROBE_TAIL_LIMIT}"
         )
+    gamma = record.config.get("model", {}).get("gamma")
+    if gamma is None:
+        raise ValueError("probe refused: record config has no model gamma")
     e1, e2 = t_local_exponents(gamma)
     t = np.array([s.t for s in samples])
     x = np.array([s.hdot_three_half for s in samples])

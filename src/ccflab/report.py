@@ -79,7 +79,7 @@ def build_summary(records: list[RunRecord]) -> list[dict]:
             if tail:
                 max_holder = max(tail)
         try:
-            fitted_c = regularity.energy_inequality_probe(record, gamma).fitted_c
+            fitted_c = regularity.energy_inequality_probe(record).fitted_c
         except ValueError:
             fitted_c = None
         rows.append(

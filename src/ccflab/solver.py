@@ -144,6 +144,8 @@ class _Kernel:
     """
 
     def __init__(self, grid: TorusGrid, p: ModelParams):
+        if grid.n != p.n:
+            raise ValueError(f"n mismatch: field has n={grid.n}, params n={p.n}")
         self.n = grid.n
         self.dx = grid.dx
         self.linear_only = p.linear_only
@@ -165,8 +167,8 @@ class _Kernel:
         return last[1], last[2]
 
 
-# run(), step() and nonlinear_term() build the kernel of a (grid, params) pair
-# once; a sweep worker cycles through a few (n, gamma) pairs.
+# run(), step() and nonlinear_term() build and check the kernel of a (grid,
+# params) pair once; a sweep worker cycles through a few (n, gamma) pairs.
 _kernel = lru_cache(maxsize=8)(_Kernel)
 
 
@@ -327,12 +329,13 @@ def run(
 
     Snapshots are taken at t = 0, every snapshot_every units, and at t_end.
     Early stops are always recorded in outcome/outcome_detail, never swallowed.
+    Without a datum block, the config names theta0 by its samples.
     """
-    if theta0.grid.n != p.n:
-        raise ValueError(f"n mismatch: field has n={theta0.grid.n}, params n={p.n}")
     grid = theta0.grid
     kernel = _kernel(grid, p)
     started = time.perf_counter()
+    if datum is None:
+        datum = {"kind": "custom", "samples": theta0.values.tolist()}
     config = build_config(p, c, constants, datum, plan)
 
     h, t = forward(theta0).coeffs, 0.0

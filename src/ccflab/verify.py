@@ -61,63 +61,51 @@ def _rel(err: float, scale: float) -> float:
     return err / max(scale, 1e-300)
 
 
-def _hilbert_involution(fields: list[RealField]) -> float:
-    worst = 0.0
-    for f in fields:
-        F = forward(f)
-        twice = inverse(hilbert(hilbert(F)))
-        err = float(np.max(np.abs(twice.values + f.values)))
-        worst = max(worst, _rel(err, float(np.max(np.abs(f.values)))))
-    return worst
+def _worst(check, *columns) -> float:
+    """Largest err/scale of check(f) (or check(f, g)) over the fields in columns."""
+    return max(_rel(*check(*case)) for case in zip(*columns))
 
 
-def _hilbert_skewness(fields: list[RealField]) -> float:
-    worst = 0.0
-    for f, g in zip(fields, fields[1:]):
-        hf = inverse(hilbert(forward(f))).values
-        hg = inverse(hilbert(forward(g))).values
-        pairing = float(np.mean(hf * g.values) + np.mean(f.values * hg))
-        scale = float(np.mean(np.abs(f.values * g.values)))
-        worst = max(worst, _rel(abs(pairing), scale))
-    return worst
+def _hilbert_involution(f: RealField) -> tuple[float, float]:
+    twice = inverse(hilbert(hilbert(forward(f))))
+    return float(np.max(np.abs(twice.values + f.values))), float(np.max(np.abs(f.values)))
 
 
-def _lambda_is_h_dx(fields: list[RealField]) -> float:
-    worst = 0.0
-    for f in fields:
-        F = forward(f)
-        lam = inverse(frac_laplacian_spectral(F, 1.0)).values
-        hdx = inverse(hilbert(derivative(F))).values
-        err = float(np.max(np.abs(lam - hdx)))
-        worst = max(worst, _rel(err, float(np.max(np.abs(lam)))))
-    return worst
+def _hilbert_skewness(f: RealField, g: RealField) -> tuple[float, float]:
+    hf = inverse(hilbert(forward(f))).values
+    hg = inverse(hilbert(forward(g))).values
+    pairing = float(np.mean(hf * g.values) + np.mean(f.values * hg))
+    return abs(pairing), float(np.mean(np.abs(f.values * g.values)))
 
 
-def _semigroup(fields: list[RealField], a: float = 0.3, b: float = 0.7) -> float:
-    worst = 0.0
-    for f in fields:
-        F = forward(f)
-        once = frac_laplacian_spectral(frac_laplacian_spectral(F, a), b)
-        direct = frac_laplacian_spectral(F, a + b)
-        err = float(np.max(np.abs(once.coeffs - direct.coeffs)))
-        worst = max(worst, _rel(err, float(np.max(np.abs(direct.coeffs)))))
-    return worst
+def _lambda_is_h_dx(f: RealField) -> tuple[float, float]:
+    F = forward(f)
+    lam = inverse(frac_laplacian_spectral(F, 1.0)).values
+    hdx = inverse(hilbert(derivative(F))).values
+    return float(np.max(np.abs(lam - hdx))), float(np.max(np.abs(lam)))
 
 
-def _calibration_cross_mode(grid: TorusGrid, gamma: float, cal: CgammaCalibration) -> float:
+def _semigroup(f: RealField) -> tuple[float, float]:
+    F = forward(f)
+    once = frac_laplacian_spectral(frac_laplacian_spectral(F, 0.3), 0.7)
+    direct = frac_laplacian_spectral(F, 0.3 + 0.7)
+    return float(np.max(np.abs(once.coeffs - direct.coeffs))), float(np.max(np.abs(direct.coeffs)))
+
+
+def _calibration_cross_mode(grid: TorusGrid, cal: CgammaCalibration) -> float:
     """A mode-1 calibration tested on mode 2 against the exact multiplier 2^gamma."""
     f2 = RealField(grid, np.cos(2.0 * grid.points))
-    quad = frac_laplacian_quadrature(f2, gamma, cal).values
-    exact = 2.0**gamma * np.cos(2.0 * grid.points)
+    quad = frac_laplacian_quadrature(f2, cal).values
+    exact = 2.0**cal.gamma * np.cos(2.0 * grid.points)
     err = float(np.sqrt(np.mean((quad - exact) ** 2)))
     return _rel(err, float(np.sqrt(np.mean(exact**2))))
 
 
-def _dgamma_closed_form(grid: TorusGrid, gamma: float, cal: CgammaCalibration) -> float:
+def _dgamma_closed_form(grid: TorusGrid, cal: CgammaCalibration) -> float:
     """D_gamma(cos) against 1 + (1 - 2^(gamma-1)) cos(2x), exact for all gamma."""
     f = RealField(grid, np.cos(grid.points))
-    got = dgamma(f, gamma, cal).values
-    expected = 1.0 + (1.0 - 2.0 ** (gamma - 1.0)) * np.cos(2.0 * grid.points)
+    got = dgamma(f, cal).values
+    expected = 1.0 + (1.0 - 2.0 ** (cal.gamma - 1.0)) * np.cos(2.0 * grid.points)
     return float(np.max(np.abs(got - expected)))
 
 
@@ -128,15 +116,15 @@ def verify_suite(n: int = 256, seed: int = 0) -> list[VerifyRow]:
     fields = [random_band_limited(grid, rng) for _ in range(6)]
 
     rows = [
-        VerifyRow("hilbert_involution_H2_eq_minus_I", _hilbert_involution(fields), EXACT_TOL),
-        VerifyRow("hilbert_skew_symmetry", _hilbert_skewness(fields), EXACT_TOL),
-        VerifyRow("lambda_equals_H_dx", _lambda_is_h_dx(fields), EXACT_TOL),
-        VerifyRow("multiplier_semigroup_0.3_0.7", _semigroup(fields), EXACT_TOL),
+        VerifyRow("hilbert_involution_H2_eq_minus_I", _worst(_hilbert_involution, fields), EXACT_TOL),
+        VerifyRow("hilbert_skew_symmetry", _worst(_hilbert_skewness, fields, fields[1:]), EXACT_TOL),
+        VerifyRow("lambda_equals_H_dx", _worst(_lambda_is_h_dx, fields), EXACT_TOL),
+        VerifyRow("multiplier_semigroup_0.3_0.7", _worst(_semigroup, fields), EXACT_TOL),
     ]
     cals = {gamma: calibrate_cgamma(gamma, grid) for gamma in (0.5, 0.9, 1.0)}
     for gamma in (0.5, 0.9):
         cal = cals[gamma]
-        cross = _calibration_cross_mode(grid, gamma, cal)
+        cross = _calibration_cross_mode(grid, cal)
         rows.append(
             VerifyRow(f"calibration_residual_gamma_{gamma:g}", cal.residual, CALIBRATION_TOL)
         )
@@ -145,7 +133,7 @@ def verify_suite(n: int = 256, seed: int = 0) -> list[VerifyRow]:
         rows.append(
             VerifyRow(
                 f"product_rule_identity_gamma_{gamma:g}",
-                cordoba_identity_residual(f, gamma, cal),
+                cordoba_identity_residual(f, cal),
                 QUADRATURE_TOL,
             )
         )
@@ -153,7 +141,7 @@ def verify_suite(n: int = 256, seed: int = 0) -> list[VerifyRow]:
         rows.append(
             VerifyRow(
                 f"dissipation_closed_form_gamma_{gamma:g}",
-                _dgamma_closed_form(grid, gamma, cals[gamma]),
+                _dgamma_closed_form(grid, cals[gamma]),
                 QUADRATURE_TOL,
             )
         )

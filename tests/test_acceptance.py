@@ -75,12 +75,12 @@ def test_criterion_02_cordoba_identity():
     for gamma in (0.5, 0.7, 0.9):
         cal = calibrate_cgamma(gamma, grid)
         worst_cal = max(worst_cal, cal.residual)
-        got = frac_laplacian_quadrature(RealField(grid, np.cos(2 * x)), gamma, cal).values
+        got = frac_laplacian_quadrature(RealField(grid, np.cos(2 * x)), cal).values
         want = 2.0**gamma * np.cos(2 * x)
         cross = float(np.sqrt(np.mean((got - want) ** 2) / np.mean(want**2)))
         worst_cross = max(worst_cross, cross)
         for values in fields:
-            res = cordoba_identity_residual(RealField(grid, values), gamma, cal)
+            res = cordoba_identity_residual(RealField(grid, values), cal)
             worst_res = max(worst_res, res)
     elapsed = time.perf_counter() - t0
     _criterion(
@@ -98,7 +98,7 @@ def test_criterion_03_dgamma_closed_form():
     worst = 0.0
     for gamma in (0.5, 1.0):
         cal = calibrate_cgamma(gamma, grid)
-        got = dgamma(RealField(grid, np.cos(x)), gamma, cal).values
+        got = dgamma(RealField(grid, np.cos(x)), cal).values
         want = 1.0 + (1.0 - 2.0 ** (gamma - 1.0)) * np.cos(2 * x)
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - t0
@@ -262,7 +262,7 @@ def test_criterion_08_holder_estimator():
 def test_criterion_09_empirical_smoothness(smooth_runs):
     t0 = time.perf_counter()
     rec, base_wall = smooth_runs[0.9]
-    probe = energy_inequality_probe(rec, 0.9)
+    probe = energy_inequality_probe(rec)
     t_end = max(2.0 * probe.t1_fitted if probe.t1_fitted is not None else 0.0, 1.0)
     if t_end != 1.0:
         grid = TorusGrid(256)

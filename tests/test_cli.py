@@ -246,8 +246,8 @@ class TestSweepAndReportCommands:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--datum", "custom:{samples}", "--n", "64,128"], "sweep datum custom(n=64) at n=128: "),
-            (["--datum", "cosine:1,1", "--datum", "von_mises:800", "--n", "64"], "sweep datum von_mises_bump(800) at n=64: "),
+            (["--datum", "custom:{samples}", "--n", "64,128"], "datum custom(n=64) at n=128: "),
+            (["--datum", "cosine:1,1", "--datum", "von_mises:800", "--n", "64"], "datum von_mises_bump(800) at n=64: "),
         ],
         ids=["custom_length", "von_mises_underflow"],
     )

@@ -180,8 +180,8 @@ class TestSweepPlan:
     @pytest.mark.parametrize(
         "datum, message",
         [
-            (custom_datum(np.ones(64)), "sweep datum custom(n=64) at n=128: custom samples have length 64"),
-            (von_mises_bump(800.0), "sweep datum von_mises_bump(800) at n=64: von_mises_bump underflowed"),
+            (custom_datum(np.ones(64)), "datum custom(n=64) at n=128: custom samples have length 64"),
+            (von_mises_bump(800.0), "datum von_mises_bump(800) at n=64: von_mises_bump underflowed"),
         ],
         ids=["custom_length", "von_mises_underflow"],
     )
@@ -195,7 +195,7 @@ class TestSweepPlan:
             data=(cosine_positive(1, 1), von_mises_bump(2.0)),
             resolutions=(32, 64),
         )
-        cells = [(datum, params.gamma, params.n) for datum, params, _, _ in plan.cells()]
+        cells = [(datum, params.gamma, params.n) for datum, params, _ in plan.cells()]
         assert len(cells) == 8
         assert cells[0] == (cosine_positive(1, 1), 0.6, 32)
         assert cells[1] == (cosine_positive(1, 1), 0.6, 64)
@@ -211,7 +211,7 @@ class TestSweepPlan:
         ],
         ids=["none", "explicit", "per_cell_policy", "per_cell_inviscid"],
     )
-    def test_each_cell_tracks_its_own_alphas_when_none_are_given(self, holder_alphas, dissipation_on, tracked):
+    def test_each_cell_tracks_its_own_alphas_when_none_are_given(self, holder_alphas, dissipation_on, tracked, tmp_path):
         plan = SweepPlan(
             gamma_values=(0.6, 0.9, 1.2),
             data=(cosine_positive(1, 1),),
@@ -219,9 +219,10 @@ class TestSweepPlan:
             dissipation_on=dissipation_on,
             holder_alphas=holder_alphas,
         )
-        cells = plan.cells()
-        assert [diagnostics.holder_alphas for _, _, diagnostics, _ in cells] == tracked
-        assert [config["holder_alphas"] for *_, config in cells] == [list(t) for t in tracked]
+        assert [diagnostics.holder_alphas for _, _, diagnostics in plan.cells()] == tracked
+        sweep(plan, tmp_path / "sweep.jsonl")
+        records = load_records(tmp_path / "sweep.jsonl")
+        assert [r.config["holder_alphas"] for r in records] == [list(t) for t in tracked]
 
 
 @pytest.fixture()
@@ -305,10 +306,11 @@ class _RecordingPool:
 
 @pytest.fixture()
 def pools(monkeypatch):
-    """Pool sizes sweep() asks for, on a machine reporting 3 CPUs."""
+    """Pool sizes sweep() asks for, in a process that may run on 3 of the host's 8 CPUs."""
     built = []
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(max_workers, built))
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
     return built
 
 
@@ -337,6 +339,12 @@ class TestWorkerClamp:
         assert pools == []
 
     def test_one_cpu_builds_no_pool(self, small_plan, tmp_path, pools, monkeypatch):
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0})
+        assert len(sweep(replace(small_plan, parallelism=4), tmp_path / "sweep.jsonl")) == 2
+        assert pools == []
+
+    def test_without_an_affinity_set_an_unknown_cpu_count_builds_no_pool(self, small_plan, tmp_path, pools, monkeypatch):
+        monkeypatch.delattr(experiments.os, "sched_getaffinity")
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
         assert len(sweep(replace(small_plan, parallelism=4), tmp_path / "sweep.jsonl")) == 2
         assert pools == []

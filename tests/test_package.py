@@ -66,3 +66,12 @@ def test_no_full_spectrum_transform_is_reached(monkeypatch):
         DiagnosticPlan(holder_alphas=(0.2,)),
     )
     assert rec.outcome is Outcome.COMPLETED
+
+
+def test_readme_python_quick_start_runs(capsys):
+    """README's Python quick start runs as written, so a public signature that
+    changes under it fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("Completed ")

@@ -46,16 +46,10 @@ class TestCalibration:
         for gamma in (0.5, 0.7, 0.9):
             cal = calibrate_cgamma(gamma, grid)
             f2 = RealField(grid, np.cos(2 * x))
-            got = frac_laplacian_quadrature(f2, gamma, cal).values
+            got = frac_laplacian_quadrature(f2, cal).values
             want = 2.0**gamma * np.cos(2 * x)
             rel = np.sqrt(np.mean((got - want) ** 2) / np.mean(want**2))
             assert rel < 1e-2
-
-    def test_gamma_mismatch_rejected(self, grid):
-        cal = calibrate_cgamma(0.5, grid)
-        f = RealField(grid, np.cos(grid.points))
-        with pytest.raises(ValueError, match="fitted at gamma"):
-            frac_laplacian_quadrature(f, 0.7, cal)
 
 
 class TestDgamma:
@@ -65,7 +59,7 @@ class TestDgamma:
         f = RealField(grid, np.cos(x))
         for gamma in (0.5, 1.0):
             cal = calibrate_cgamma(gamma, grid)
-            got = dgamma(f, gamma, cal).values
+            got = dgamma(f, cal).values
             want = 1.0 + (1.0 - 2.0 ** (gamma - 1.0)) * np.cos(2 * x)
             assert np.max(np.abs(got - want)) < 1e-2
 
@@ -75,7 +69,7 @@ class TestDgamma:
         x = grid.points
         values = sum(c * np.cos((k + 1) * x) for k, c in enumerate(coeffs))
         cal = calibrate_cgamma(0.8, grid)
-        out = dgamma(RealField(grid, values), 0.8, cal).values
+        out = dgamma(RealField(grid, values), cal).values
         assert np.min(out) > -1e-10 * max(1.0, np.max(np.abs(out)))
 
     def test_shifted_difference_variant(self, grid):
@@ -84,15 +78,15 @@ class TestDgamma:
         x = grid.points
         f = RealField(grid, np.cos(x))
         cal = calibrate_cgamma(0.5, grid)
-        base = dgamma(f, 0.5, cal).values
+        base = dgamma(f, cal).values
         difference = RealField(grid, np.roll(f.values, -(grid.n // 2)) - f.values)
-        shifted = dgamma(difference, 0.5, cal).values
+        shifted = dgamma(difference, cal).values
         # delta_h cos = -2 cos, and D_gamma is quadratic in its argument
         assert np.max(np.abs(shifted - 4.0 * base)) < 5e-2
 
     def test_constant_field_maps_to_zero(self, grid):
         cal = calibrate_cgamma(0.5, grid)
-        out = dgamma(RealField(grid, np.full(grid.n, 2.5)), 0.5, cal).values
+        out = dgamma(RealField(grid, np.full(grid.n, 2.5)), cal).values
         assert np.max(np.abs(out)) < 1e-12
 
 
@@ -103,7 +97,7 @@ class TestCordobaIdentity:
         for gamma in (0.5, 0.7, 0.9):
             cal = calibrate_cgamma(gamma, grid)
             for values in fields:
-                res = cordoba_identity_residual(RealField(grid, values), gamma, cal)
+                res = cordoba_identity_residual(RealField(grid, values), cal)
                 assert res < 5e-2
 
     def test_rough_field_is_refused(self, grid):
@@ -112,7 +106,7 @@ class TestCordobaIdentity:
         cal = calibrate_cgamma(0.5, grid)
         rough = RealField(grid, np.cos((grid.n // 2 - 1) * grid.points))
         with pytest.raises(ValueError, match="tail"):
-            dgamma(rough, 0.5, cal)
+            dgamma(rough, cal)
 
 
 class TestCalibrationFailure:

@@ -1,6 +1,8 @@
 """Tests for the regularity calculators: norms, Holder machinery, the xi
 schedule, T*, T1, gamma_1, and the energy-inequality probe."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -337,13 +339,13 @@ def smooth_run():
 
 class TestEnergyProbe:
     def test_fitted_constant_stable_across_resolutions(self, smooth_run):
-        rep256 = energy_inequality_probe(smooth_run, 0.9)
+        rep256 = energy_inequality_probe(smooth_run)
         grid = TorusGrid(128)
         theta0 = RealField(grid, 1.0 + np.cos(grid.points))
         rec128 = run(
             theta0, ModelParams(gamma=0.9, n=128), StepControl(t_end=1.0, snapshot_every=0.02)
         )
-        rep128 = energy_inequality_probe(rec128, 0.9)
+        rep128 = energy_inequality_probe(rec128)
         assert rep256.fitted_c != 0.0
         ratio = rep128.fitted_c / rep256.fitted_c
         assert 0.5 < ratio < 2.0
@@ -358,11 +360,11 @@ class TestEnergyProbe:
             ModelParams(gamma=0.9, n=128, linear_only=True),
             StepControl(t_end=1.0, snapshot_every=0.02),
         )
-        rep = energy_inequality_probe(rec, 0.9)
+        rep = energy_inequality_probe(rec)
         assert rep.fitted_c < 1e-3
 
     def test_h32_series_stays_below_barrier(self, smooth_run):
-        rep = energy_inequality_probe(smooth_run, 0.9)
+        rep = energy_inequality_probe(smooth_run)
         x0 = smooth_run.samples[0].hdot_three_half
         l2_0 = smooth_run.samples[0].l2
         horizon = rep.t1_fitted if rep.t1_fitted is not None else np.inf
@@ -371,6 +373,11 @@ class TestEnergyProbe:
                 assert s.hdot_three_half <= _h32_barrier(s.t, x0, l2_0, 0.9, rep.fitted_c) * (
                     1 + 1e-9
                 )
+
+    def test_probe_refuses_a_record_without_gamma(self, smooth_run):
+        config = {key: value for key, value in smooth_run.config.items() if key != "model"}
+        with pytest.raises(ValueError, match="probe refused: record config has no model gamma"):
+            energy_inequality_probe(dataclasses.replace(smooth_run, config=config))
 
     def test_probe_refuses_underresolved_record(self):
         """An inviscid blow-up record must not be fed to the probe."""
@@ -383,4 +390,4 @@ class TestEnergyProbe:
         )
         assert rec.outcome.value != "Completed"
         with pytest.raises(ValueError, match="probe refused"):
-            energy_inequality_probe(rec, 1.0)
+            energy_inequality_probe(rec)

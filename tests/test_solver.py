@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ccflab import solver
+from ccflab.experiments import custom_datum
 from ccflab.records import Outcome, record_to_dict
 from ccflab.solver import (
     DiagnosticPlan,
@@ -261,6 +262,30 @@ class TestRun:
         assert times == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2], abs=1e-12)
         with pytest.raises(ValueError, match="n mismatch"):
             run(theta0, ModelParams(gamma=0.9, n=128), StepControl(t_end=0.2))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda F, p: step(SolverState(t=0.0, theta_hat=F), p, StepControl(t_end=0.1)),
+            lambda F, p: nonlinear_term(F, p),
+        ],
+        ids=["step", "nonlinear_term"],
+    )
+    def test_step_and_nonlinear_term_reject_a_grid_mismatch(self, call):
+        """The check run() makes guards every entry that builds a kernel."""
+        F = forward(RealField(TorusGrid(64), np.ones(64)))
+        with pytest.raises(ValueError, match="n mismatch: field has n=64, params n=128"):
+            call(F, ModelParams(gamma=0.9, n=128))
+
+    def test_a_run_without_a_datum_records_its_field(self):
+        """Without a datum block the config holds the samples, so two fields
+        never share a config hash."""
+        grid = TorusGrid(64)
+        values = [1.0 + b * np.cos(grid.points) for b in (0.5, 0.9)]
+        p, c = ModelParams(gamma=0.9, n=64), StepControl(t_end=0.05)
+        first, second = (run(RealField(grid, v), p, c) for v in values)
+        assert first.config["datum"] == custom_datum(values[0]).to_config()
+        assert first.config_hash != second.config_hash
 
     def test_predictions_present_for_supercritical_dissipative_runs(self):
         grid = TorusGrid(64)
