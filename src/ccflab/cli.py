@@ -27,7 +27,7 @@ from .regularity import RegularityConstants
 from .report import report
 from .solver import StepControl
 from .torus import TorusGrid
-from .verify import format_table, verify_suite
+from .verify import format_json, format_table, verify_suite
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -204,7 +204,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     rows = verify_suite(n=_number(_pick(args.n, 256), "n", whole=True), seed=int(args.seed or 0))
-    print(format_table(rows))
+    print(format_json(rows) if args.json else format_table(rows))
     if all(row.passed for row in rows):
         return 0
     print("verification failed: residual above tolerance", file=sys.stderr)
@@ -270,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="operator residual table")
     p_verify.add_argument("--n", type=int, help="grid size (default 256)")
     p_verify.add_argument("--seed", type=int, help="seed for random test fields (default 0)")
+    p_verify.add_argument("--json", action="store_true", help="print the rows as a JSON array")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_cal = subs.add_parser("calibrate", help="fit the quadrature normalization c_gamma")

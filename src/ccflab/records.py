@@ -9,6 +9,11 @@ Serialization rules that keep sweeps byte-reproducible:
   via repr, which round-trips exactly in both directions.
 * wall_time is stored on the record but excluded from the config hash, so a
   re-run of the same cell is recognized regardless of how long it took.
+
+Schema 2, the one written, stores a record's samples as columns: one JSON
+array per DiagnosticsSample field, and under "holder" one array per tracked
+exponent. Schema 1 stored one object per sample; it is still read, so a file
+may hold lines of both versions.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class Outcome(str, Enum):
@@ -57,7 +62,12 @@ class DiagnosticsSample:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One run: full configuration, diagnostics series, and classification."""
+    """One run: full configuration, diagnostics series, and classification.
+
+    step_count, dt_min and dt_max say what the run did: how many time steps it
+    took and the range of their sizes. They are not config, so the hash skips
+    them; a schema 1 record, or a run that took no step, has None there.
+    """
 
     config: dict
     samples: list[DiagnosticsSample]
@@ -66,6 +76,9 @@ class RunRecord:
     t_star_predicted: float | None = None
     t_local_predicted: float | None = None
     wall_time: float = 0.0
+    step_count: int | None = None
+    dt_min: float | None = None
+    dt_max: float | None = None
 
     def __post_init__(self) -> None:
         times = [s.t for s in self.samples]
@@ -88,14 +101,20 @@ def config_hash(config: dict) -> str:
 _SAMPLE_FIELDS = tuple(f.name for f in fields(DiagnosticsSample))
 _sample_values = itemgetter(*_SAMPLE_FIELDS)
 _HOLDER = _SAMPLE_FIELDS.index("holder")
+# The RunRecord keys schema 2 added: what a run did, not what it measured.
+_TELEMETRY = ("step_count", "dt_min", "dt_max")
 
 
-def _sample_to_dict(s: DiagnosticsSample) -> dict:
-    d = {name: getattr(s, name) for name in _SAMPLE_FIELDS}
+def _sample_columns(samples: list[DiagnosticsSample]) -> dict:
+    """Schema 2 samples: one array per field, and one per tracked exponent."""
+    alphas = samples[0].holder.keys() if samples else {}.keys()
+    if any(s.holder.keys() != alphas for s in samples):
+        raise ValueError("every sample of a record must track the same Holder exponents")
+    columns = {name: [getattr(s, name) for s in samples] for name in _SAMPLE_FIELDS if name != "holder"}
     # Explicit repr keys: json's own float-to-key conversion would sort some
     # alphas differently.
-    d["holder"] = {repr(a): v for a, v in s.holder.items()}
-    return d
+    columns["holder"] = {repr(a): [s.holder[a] for s in samples] for a in alphas}
+    return columns
 
 
 def _expect(value, kind: type, what: str):
@@ -136,6 +155,7 @@ def _check_datum(datum: dict) -> None:
 
 
 def _sample_from_dict(d: dict) -> DiagnosticsSample:
+    """One schema 1 sample object."""
     try:
         values = list(_sample_values(_expect(d, dict, "sample")))
     except KeyError as exc:
@@ -149,25 +169,77 @@ def _sample_from_dict(d: dict) -> DiagnosticsSample:
     return DiagnosticsSample(*values)
 
 
+def _samples_from_rows(rows) -> list[DiagnosticsSample]:
+    return [_sample_from_dict(s) for s in _expect(rows, list, "record 'samples'")]
+
+
+def _column(values, size: int, what: str) -> list:
+    """values if it is an array of size JSON numbers, else a ValueError naming what."""
+    if len(_expect(values, list, what)) != size:
+        raise ValueError(f"{what} holds {len(values)} values, sample 't' holds {size}")
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise ValueError(f"{what} must hold only JSON numbers")
+    return values
+
+
+def _sample_by_position(values) -> DiagnosticsSample:
+    """DiagnosticsSample(*values) for values the loader has checked. Filling
+    the frozen instance's __dict__ skips the frozen __init__'s per-field
+    object.__setattr__, most of the cost of building a sample; the class has
+    no __post_init__ that this would skip too."""
+    sample = object.__new__(DiagnosticsSample)
+    sample.__dict__.update(zip(_SAMPLE_FIELDS, values))
+    return sample
+
+
+def _samples_from_columns(d: dict) -> list[DiagnosticsSample]:
+    """Schema 2 samples: each column checked once, each sample built by position."""
+    try:
+        columns = list(_sample_values(_expect(d, dict, "record 'samples'")))
+    except KeyError as exc:
+        raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
+    size = len(_expect(columns[0], list, "sample 't'"))
+    for i, name in enumerate(_SAMPLE_FIELDS):
+        if i != _HOLDER:
+            _column(columns[i], size, f"sample {name!r}")
+    holder = _expect(columns[_HOLDER], dict, "sample 'holder'")
+    series = {float(a): _column(v, size, f"sample 'holder' {a!r}") for a, v in holder.items()}
+    if series:
+        columns[_HOLDER] = [dict(zip(series, values)) for values in zip(*series.values())]
+    else:
+        columns[_HOLDER] = [{} for _ in range(size)]
+    return list(map(_sample_by_position, zip(*columns)))
+
+
 def record_to_dict(record: RunRecord) -> dict:
+    """The schema 2 form of a record; a ValueError if its samples track
+    different Holder exponents, which one column per exponent cannot hold."""
     return {
         "schema_version": SCHEMA_VERSION,
         "config": record.config,
-        "samples": [_sample_to_dict(s) for s in record.samples],
+        "samples": _sample_columns(record.samples),
         "outcome": record.outcome.value,
         "outcome_detail": record.outcome_detail,
         "t_star_predicted": record.t_star_predicted,
         "t_local_predicted": record.t_local_predicted,
         "wall_time": record.wall_time,
+        "step_count": record.step_count,
+        "dt_min": record.dt_min,
+        "dt_max": record.dt_max,
     }
+
+
+# Each schema version's reader of the samples block and its telemetry keys.
+_READERS = {1: (_samples_from_rows, ()), 2: (_samples_from_columns, _TELEMETRY)}
 
 
 def record_from_dict(d: dict) -> RunRecord:
     version = _expect(d, dict, "record").get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version not in _READERS:
         raise ValueError(
-            f"unknown record schema_version {version!r}; this build reads version {SCHEMA_VERSION}"
+            f"unknown record schema_version {version!r}; this build reads versions {sorted(_READERS)}"
         )
+    read_samples, telemetry = _READERS[version]
     try:
         config = _expect(d["config"], dict, "record 'config'")
         model = _expect(config.get("model", {}), dict, "record 'config.model'")
@@ -177,12 +249,13 @@ def record_from_dict(d: dict) -> RunRecord:
                 _expect_number(model[key], f"record 'config.model.{key}'")
         return RunRecord(
             config=config,
-            samples=[_sample_from_dict(s) for s in _expect(d["samples"], list, "record 'samples'")],
+            samples=read_samples(d["samples"]),
             outcome=Outcome(d["outcome"]),
             outcome_detail=d.get("outcome_detail", ""),
             t_star_predicted=_expect_number(d["t_star_predicted"], "record 't_star_predicted'", True),
             t_local_predicted=_expect_number(d["t_local_predicted"], "record 't_local_predicted'", True),
             wall_time=_expect_number(d["wall_time"], "record 'wall_time'"),
+            **{key: _expect_number(d[key], f"record {key!r}", True) for key in telemetry},
         )
     except KeyError as exc:
         raise ValueError(f"record is missing key {exc.args[0]!r}") from None

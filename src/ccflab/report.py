@@ -165,7 +165,7 @@ def norm_chart_svg(record: RunRecord) -> str:
     xs = _scale(times, t_lo, t_hi, margin, width - margin)
     for i, name in enumerate(CHART_SERIES):
         ys = _scale(series[name], v_lo, v_hi, height - margin, margin)
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        points = " ".join(["%.2f,%.2f" % pair for pair in zip(xs, ys)])
         color = CHART_COLORS[i]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'

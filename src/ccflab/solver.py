@@ -200,7 +200,7 @@ def _choose_dt(h, c: StepControl, kernel: _Kernel, t: float, t_limit: float) -> 
 
 
 def _step_raw(h, t, c, kernel: _Kernel, t_limit):
-    """One integrating-factor RK4 step."""
+    """One integrating-factor RK4 step: the new state, its time and the dt taken."""
     dt = _choose_dt(h, c, kernel, t, t_limit)
     half, full = kernel.factors(dt)
 
@@ -215,7 +215,7 @@ def _step_raw(h, t, c, kernel: _Kernel, t_limit):
     t_new = t + dt
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError(t_new)
-    return out, t_new
+    return out, t_new, dt
 
 
 def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None = None) -> SolverState:
@@ -223,7 +223,7 @@ def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None =
     overshoots a snapshot boundary."""
     grid = s.theta_hat.grid
     limit = c.t_end if t_limit is None else t_limit
-    h, t_new = _step_raw(s.theta_hat.coeffs, s.t, c, _kernel(grid, p), limit)
+    h, t_new, _ = _step_raw(s.theta_hat.coeffs, s.t, c, _kernel(grid, p), limit)
     return SolverState(t=t_new, theta_hat=SpectralField(grid, h))
 
 
@@ -250,7 +250,7 @@ def build_config(
     p: ModelParams,
     c: StepControl,
     constants: RegularityConstants,
-    datum: dict | None,
+    datum: dict,
     plan: DiagnosticPlan,
 ) -> dict:
     """Full run configuration, the unit of sweep resumption hashing.
@@ -262,7 +262,7 @@ def build_config(
         "model": _field_values(p),
         "control": _field_values(c),
         "constants": _field_values(constants),
-        "datum": datum if datum is not None else {"kind": "custom"},
+        "datum": datum,
         "holder_alphas": list(plan.holder_alphas),
     }
 
@@ -329,7 +329,8 @@ def run(
 
     Snapshots are taken at t = 0, every snapshot_every units, and at t_end.
     Early stops are always recorded in outcome/outcome_detail, never swallowed.
-    Without a datum block, the config names theta0 by its samples.
+    Without a datum block, the config names theta0 by its samples. The record
+    counts the steps taken and their smallest and largest size.
     """
     grid = theta0.grid
     kernel = _kernel(grid, p)
@@ -340,11 +341,14 @@ def run(
 
     h, t = forward(theta0).coeffs, 0.0
     samples: list[DiagnosticsSample] = []
+    steps, dt_lo, dt_hi = 0, math.inf, 0.0
     try:
         for snapshot_index in itertools.count():
             target = min(snapshot_index * c.snapshot_every, c.t_end)
             while t < target - 1e-12:
-                h, t = _step_raw(h, t, c, kernel, target)
+                h, t, dt = _step_raw(h, t, c, kernel, target)
+                steps += 1
+                dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
             samples.append(_take_sample(SpectralField(grid, h), t, p.gamma, plan))
             flagged = _detect(samples)
             if flagged is not None or t >= c.t_end - 1e-12:
@@ -366,4 +370,7 @@ def run(
         t_star_predicted=t_star_pred,
         t_local_predicted=t_local_pred,
         wall_time=time.perf_counter() - started,
+        step_count=steps,
+        dt_min=dt_lo if steps else None,
+        dt_max=dt_hi if steps else None,
     )

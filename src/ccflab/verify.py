@@ -13,7 +13,9 @@ the regime where the Hilbert involution is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,8 +64,10 @@ def _rel(err: float, scale: float) -> float:
 
 
 def _worst(check, *columns) -> float:
-    """Largest err/scale of check(f) (or check(f, g)) over the fields in columns."""
-    return max(_rel(*check(*case)) for case in zip(*columns))
+    """Largest err/scale of check(f) (or check(f, g)) over the fields in columns.
+    A NaN is read as inf: max would keep its running value past it."""
+    residuals = [_rel(*check(*case)) for case in zip(*columns)]
+    return max(math.inf if math.isnan(r) else r for r in residuals)
 
 
 def _hilbert_involution(f: RealField) -> tuple[float, float]:
@@ -155,3 +159,8 @@ def format_table(rows: list[VerifyRow]) -> str:
         status = "ok" if r.passed else "FAIL"
         lines.append(f"{r.name.ljust(width)}  {r.residual:12.3e}  {r.tolerance:8.0e}  {status}")
     return "\n".join(lines)
+
+
+def format_json(rows: list[VerifyRow]) -> str:
+    """The rows as a JSON array of {name, residual, tolerance, passed}."""
+    return json.dumps([{**asdict(r), "passed": r.passed} for r in rows])

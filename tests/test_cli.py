@@ -14,6 +14,17 @@ import ccflab
 from ccflab.cli import main
 from ccflab.records import load_records, record_to_dict
 
+# Two records written in schema 1 by an earlier build with the sweep flags below.
+SCHEMA_1_FILE = Path(__file__).with_name("data") / "sweep_v1.jsonl"
+SCHEMA_1_SWEEP = ["sweep", "--gamma", "0.6,1.2", "--n", "64", "--t-end", "0.1"]
+
+
+def _schema_1_line(tmp_path) -> Path:
+    """tmp_path/sweep.jsonl holding the first schema 1 record."""
+    path = tmp_path / "sweep.jsonl"
+    path.write_text(SCHEMA_1_FILE.read_text().splitlines(keepends=True)[0])
+    return path
+
 
 def _module_env() -> dict:
     """The environment of a python -m ccflab child that imports this checkout's package."""
@@ -104,6 +115,12 @@ class TestVerifyCommand:
         assert main(["verify", "--n", "0"]) == 1
         assert "n must be even" in capsys.readouterr().err
 
+    def test_json_flag_prints_the_rows_as_a_json_array(self, capsys):
+        assert main(["verify", "--n", "64", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows[0]["name"] == "hilbert_involution_H2_eq_minus_I"
+        assert all(set(row) == {"name", "residual", "tolerance", "passed"} and row["passed"] for row in rows)
+
 
 class TestCalibrateCommand:
     def test_prints_constant(self, capsys):
@@ -146,8 +163,7 @@ class TestSweepAndReportCommands:
 
     @pytest.mark.parametrize("missing", ["outcome", "tail_fraction"])
     def test_report_on_a_record_missing_a_key_names_line_and_key(self, tmp_path, capsys, missing):
-        assert main(["sweep", "--gamma", "0.9", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
-        path = tmp_path / "sweep.jsonl"
+        path = _schema_1_line(tmp_path)
         payload = json.loads(path.read_text())
         del (payload if missing == "outcome" else payload["samples"][1])[missing]
         path.write_text(path.read_text() + json.dumps(payload) + "\n")
@@ -181,8 +197,7 @@ class TestSweepAndReportCommands:
         ],
     )
     def test_report_on_a_wrong_shape_line_names_the_line(self, tmp_path, capsys, shape):
-        assert main(["sweep", "--gamma", "0.9", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
-        path = tmp_path / "sweep.jsonl"
+        path = _schema_1_line(tmp_path)
         payload = json.loads(path.read_text())
         if shape == "array":
             payload = [payload]
@@ -227,6 +242,53 @@ class TestSweepAndReportCommands:
         err = capsys.readouterr().err
         assert "sweep.jsonl:2" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "shape, key",
+        [
+            ("string_in_column", "'t'"),
+            ("bool_in_column", "'l2'"),
+            ("length_mismatch", "'hdot_mid'"),
+            ("missing_column", "'tail_fraction'"),
+            ("null_holder", "'holder'"),
+            ("bool_holder_value", "'0.5'"),
+        ],
+    )
+    def test_report_on_a_wrong_schema_2_column_names_line_and_key(self, tmp_path, capsys, shape, key):
+        assert main(["sweep", "--gamma", "0.6", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
+        path = tmp_path / "sweep.jsonl"
+        payload = json.loads(path.read_text())
+        samples = payload["samples"]
+        if shape == "string_in_column":
+            samples["t"][1] = "0.02"
+        elif shape == "bool_in_column":
+            samples["l2"][1] = True
+        elif shape == "length_mismatch":
+            samples["hdot_mid"].pop()
+        elif shape == "missing_column":
+            del samples["tail_fraction"]
+        elif shape == "null_holder":
+            samples["holder"] = None
+        else:
+            samples["holder"]["0.5"][1] = True
+        path.write_text(path.read_text() + json.dumps(payload) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep.jsonl:2: " in err and key in err
+        assert "Traceback" not in err
+
+    def test_schema_1_sweep_resumes_with_no_rerun_then_gains_schema_2_lines(self, tmp_path, capsys):
+        path = tmp_path / "sweep.jsonl"
+        shutil.copyfile(SCHEMA_1_FILE, path)
+        assert main([*SCHEMA_1_SWEEP, "--out-dir", str(tmp_path)]) == 0
+        assert path.read_bytes() == SCHEMA_1_FILE.read_bytes()
+        assert main(["sweep", "--gamma", "0.6,0.9,1.2", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
+        assert path.read_bytes().startswith(SCHEMA_1_FILE.read_bytes())
+        assert [json.loads(line)["schema_version"] for line in path.read_text().splitlines()] == [1, 1, 2]
+        old, new = load_records(SCHEMA_1_FILE), load_records(path)
+        assert new[:2] == old
+        assert new[2].config["model"]["gamma"] == 0.9 and new[2].step_count > 0
 
     @pytest.mark.parametrize(
         "flags, axis",

@@ -11,16 +11,18 @@ this test states how far they may drift:
   1e-17 absolute below that, where it is roundoff of a resolved field.
 
 The config of each record must match exactly, so config hashes (and sweep
-resumption) are unchanged.
+resumption) are unchanged. The golden records are schema 1 dicts, read
+through record_from_dict.
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from ccflab.experiments import cosine_positive, make_datum, von_mises_bump
-from ccflab.records import record_to_dict
+from ccflab.records import DiagnosticsSample, record_from_dict
 from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, run
 from ccflab.torus import TorusGrid
 
@@ -54,13 +56,14 @@ CASES = {
 }
 
 
-def _float_fields(sample: dict):
-    for key, value in sample.items():
-        if key == "holder":
-            for alpha, seminorm in value.items():
-                yield f"holder[{alpha}]", seminorm
+def _float_fields(sample: DiagnosticsSample):
+    for f in fields(sample):
+        value = getattr(sample, f.name)
+        if f.name == "holder":
+            for alpha, seminorm in sorted(value.items()):
+                yield f"holder[{alpha!r}]", seminorm
         else:
-            yield key, value
+            yield f.name, value
 
 
 def _within(key: str, got: float, want: float, scale: float) -> bool:
@@ -74,23 +77,23 @@ def _within(key: str, got: float, want: float, scale: float) -> bool:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_matches_its_golden_record(name):
     datum, p, c, plan = CASES[name]
-    want = GOLDEN[name]
-    got = record_to_dict(run(make_datum(datum, TorusGrid(p.n)), p, c, plan=plan, datum=datum.to_config()))
+    want = record_from_dict({**GOLDEN[name], "wall_time": 0.0})  # stored without one
+    got = run(make_datum(datum, TorusGrid(p.n)), p, c, plan=plan, datum=datum.to_config())
 
-    assert got["config"] == want["config"]
-    assert got["outcome"] == want["outcome"]
-    assert len(got["samples"]) == len(want["samples"])
-    scale = want["samples"][0]["linf"]
-    assert _within("t", got["samples"][-1]["t"], want["samples"][-1]["t"], scale)
+    assert got.config == want.config
+    assert got.outcome == want.outcome
+    assert len(got.samples) == len(want.samples)
+    scale = want.samples[0].linf
+    assert _within("t", got.samples[-1].t, want.samples[-1].t, scale)
 
     off = []
-    for i, (s_got, s_want) in enumerate(zip(got["samples"], want["samples"])):
-        assert s_got["holder"].keys() == s_want["holder"].keys()
+    for i, (s_got, s_want) in enumerate(zip(got.samples, want.samples)):
+        assert s_got.holder.keys() == s_want.holder.keys()
         for (key, g), (_, w) in zip(_float_fields(s_got), _float_fields(s_want)):
             if not _within(key, g, w, scale):
                 off.append(f"samples[{i}].{key}: {g!r} vs {w!r}")
     for key in ("t_star_predicted", "t_local_predicted"):
-        g, w = got[key], want[key]
+        g, w = getattr(got, key), getattr(want, key)
         if (g is None) != (w is None) or (w is not None and not _within(key, g, w, scale)):
             off.append(f"{key}: {g!r} vs {w!r}")
     assert not off, "\n".join(off)

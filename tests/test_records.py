@@ -1,6 +1,9 @@
 """Tests for record serialization: JSONL schema, hashing, and the loader."""
 
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,11 @@ from ccflab.records import (
 from ccflab.experiments import cosine_positive
 from ccflab.regularity import RegularityConstants
 from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, build_config
+
+# Two records written in schema 1 by an earlier build (ccflab sweep --gamma
+# 0.6,1.2 --n 64 --t-end 0.1), checked in unchanged.
+SCHEMA_1_FILE = Path(__file__).with_name("data") / "sweep_v1.jsonl"
+TELEMETRY = ("step_count", "dt_min", "dt_max")
 
 
 def _sample(t, l2=1.0):
@@ -46,7 +54,22 @@ def _record(wall_time=0.25, gamma=0.9):
         t_star_predicted=5.8254222222222e-05,
         t_local_predicted=None,
         wall_time=wall_time,
+        step_count=41,
+        dt_min=0.004999999999999893,
+        dt_max=0.025,
     )
+
+
+def _schema_1(d: dict) -> dict:
+    """A schema 2 record dict in the schema 1 form: one object per sample and
+    no telemetry keys."""
+    columns = dict(d["samples"])
+    holder = columns.pop("holder")
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    for i, row in enumerate(rows):
+        row["holder"] = {alpha: series[i] for alpha, series in holder.items()}
+    out = {key: value for key, value in d.items() if key not in TELEMETRY}
+    return {**out, "schema_version": 1, "samples": rows}
 
 
 class TestOutcome:
@@ -97,7 +120,7 @@ class TestRunRecord:
                     ModelParams(gamma=1.5, n=64, dissipation_on=False, dealias_on=False),
                     StepControl(t_end=0.5, dt_max=0.02, cfl=0.3, snapshot_every=0.05),
                     RegularityConstants(C_star=2.0, k2=3.0),
-                    None,
+                    {"kind": "custom"},
                     DiagnosticPlan(),
                 ),
                 "bb56de2b972b",
@@ -115,6 +138,7 @@ class TestSerialization:
     def test_round_trip_preserves_floats_exactly(self):
         rec = _record()
         back = record_from_dict(record_to_dict(rec))
+        assert back == rec
         assert back.config == rec.config
         assert back.outcome is Outcome.COMPLETED
         assert back.t_star_predicted == rec.t_star_predicted
@@ -128,8 +152,29 @@ class TestSerialization:
         assert record_to_json(_record()) == record_to_json(_record())
         assert "\n" not in record_to_json(_record())
 
-    def test_unknown_keys_are_ignored_and_outcome_detail_defaults_blank(self):
+    def test_samples_are_stored_as_columns(self):
         d = record_to_dict(_record())
+        assert d["schema_version"] == SCHEMA_VERSION == 2
+        assert d["samples"]["t"] == [0.0, 0.5, 1.0]
+        assert d["samples"]["holder"] == {"0.2": [1.6048121798571024] * 3}
+        assert {key: d[key] for key in TELEMETRY} == {"step_count": 41, "dt_min": 0.004999999999999893, "dt_max": 0.025}
+
+    def test_a_record_without_samples_round_trips(self):
+        rec = replace(_record(), samples=[])
+        assert record_from_dict(record_to_dict(rec)) == rec
+
+    def test_samples_tracking_different_exponents_cannot_be_written(self):
+        odd = replace(_sample(0.5), holder={0.3: 1.0})
+        rec = replace(_record(), samples=[_sample(0.0), odd])
+        with pytest.raises(ValueError, match="same Holder exponents"):
+            record_to_dict(rec)
+
+    def test_schema_1_dict_loads_equal_with_no_telemetry(self):
+        back = record_from_dict(_schema_1(record_to_dict(_record())))
+        assert back == replace(_record(), step_count=None, dt_min=None, dt_max=None)
+
+    def test_unknown_keys_are_ignored_and_outcome_detail_defaults_blank(self):
+        d = _schema_1(record_to_dict(_record()))
         d["future_field"] = 1
         d["samples"][0]["future_metric"] = 2.0
         del d["outcome_detail"]
@@ -137,15 +182,28 @@ class TestSerialization:
         assert back.outcome_detail == ""
         assert back.samples == _record().samples
 
-    @pytest.mark.parametrize("level", ["record", "sample"])
+    def test_unknown_columns_are_ignored(self):
+        d = record_to_dict(_record())
+        d["future_field"] = 1
+        d["samples"]["future_metric"] = [2.0, 2.0, 2.0]
+        assert record_from_dict(d) == _record()
+
+    @pytest.mark.parametrize("level", ["record", "sample", "telemetry", "column"])
     def test_missing_key_is_a_value_error_naming_it(self, level):
         d = record_to_dict(_record())
         if level == "record":
             del d["t_star_predicted"]
             key = "t_star_predicted"
-        else:
+        elif level == "sample":
+            d = _schema_1(d)
             del d["samples"][2]["holder"]
             key = "holder"
+        elif level == "telemetry":
+            del d["dt_min"]
+            level, key = "record", "dt_min"
+        else:
+            del d["samples"]["tail_fraction"]
+            level, key = "sample", "tail_fraction"
         with pytest.raises(ValueError, match=f"{level} is missing key '{key}'"):
             record_from_dict(d)
 
@@ -172,6 +230,29 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=r"runs\.jsonl:2"):
             load_records(path)
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda s: s["t"].__setitem__(1, "0.5"), "sample 't' must hold only JSON numbers"),
+            (lambda s: s["l2"].__setitem__(1, True), "sample 'l2' must hold only JSON numbers"),
+            (lambda s: s["linf"].pop(), "sample 'linf' holds 2 values, sample 't' holds 3"),
+            (lambda s: s.__delitem__("grad_linf"), "sample is missing key 'grad_linf'"),
+            (lambda s: s.__setitem__("holder", None), "sample 'holder' must be a JSON object, got NoneType"),
+            (lambda s: s.__setitem__("mean", 0.1), "sample 'mean' must be a JSON array, got float"),
+            (lambda s: s["holder"]["0.2"].__setitem__(2, False), "sample 'holder' '0.2' must hold only JSON numbers"),
+            (lambda s: s["holder"]["0.2"].append(1.0), "sample 'holder' '0.2' holds 4 values, sample 't' holds 3"),
+        ],
+        ids=["string", "bool", "length", "missing_column", "null_holder", "not_an_array",
+             "bool_holder_value", "holder_length"],
+    )
+    def test_loader_names_the_line_and_the_bad_column(self, tmp_path, mutate, message):
+        path = tmp_path / "runs.jsonl"
+        d = record_to_dict(_record())
+        mutate(d["samples"])
+        path.write_text(record_to_json(_record()) + "\n" + json.dumps(d) + "\n")
+        with pytest.raises(ValueError, match=f"runs\\.jsonl:2: {re.escape(message)}"):
+            load_records(path)
+
     def test_loader_rejects_foreign_schema_loudly(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         d = record_to_dict(_record())
@@ -179,3 +260,28 @@ class TestFileFormat:
         path.write_text(json.dumps(d) + "\n")
         with pytest.raises(ValueError, match="schema"):
             load_records(path)
+
+
+class TestSchema1Files:
+    def test_a_schema_1_file_loads_with_no_telemetry(self):
+        records = load_records(SCHEMA_1_FILE)
+        assert [r.config["model"]["gamma"] for r in records] == [0.6, 1.2]
+        assert [r.config_hash for r in records] == ["766337153669", "4ae00d24a92d"]
+        assert all(r.step_count is r.dt_min is r.dt_max is None for r in records)
+        assert list(records[0].samples[0].holder) == [0.5]
+
+    def test_schema_1_records_rewritten_in_schema_2_load_equal(self, tmp_path):
+        records = load_records(SCHEMA_1_FILE)
+        path = tmp_path / "runs.jsonl"
+        for record in records:
+            append_record(path, record)
+        assert [json.loads(line)["schema_version"] for line in path.read_text().splitlines()] == [2, 2]
+        assert load_records(path) == records
+
+    def test_a_file_may_mix_schema_versions(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(SCHEMA_1_FILE.read_text())
+        append_record(path, _record())
+        *old, new = load_records(path)
+        assert old == load_records(SCHEMA_1_FILE)
+        assert new == _record()

@@ -3,11 +3,13 @@
 import dataclasses
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ccflab.experiments import SweepPlan, cosine_positive, sweep
+from ccflab.records import load_records
 from ccflab.regularity import alpha_policy
 from ccflab.report import (
     CSV_HEADER,
@@ -18,6 +20,8 @@ from ccflab.report import (
     report,
 )
 from ccflab.solver import StepControl
+
+DATA = Path(__file__).with_name("data")
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +100,14 @@ class TestSvgChart:
     def test_points_are_finite(self, records):
         svg = norm_chart_svg(records[0])
         assert "nan" not in svg.lower().replace("xmlns", "")
+
+    def test_chart_bytes_match_an_earlier_builds_chart(self, tmp_path):
+        """The chart of a checked-in schema 1 record, byte for byte as the
+        build that wrote the record drew it."""
+        record = load_records(DATA / "sweep_v1.jsonl")[0]
+        want = (DATA / f"sweep_v1_norms_{record.config_hash}.svg").read_bytes()
+        assert norm_chart_svg(record).encode("utf-8") == want
+        assert report([record], tmp_path).chart_paths[0].read_bytes() == want
 
 
 class TestReportBundle:

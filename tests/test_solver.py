@@ -243,6 +243,22 @@ class TestRun:
         assert rec.samples[-1].t < 10.0  # stopped early
         assert rec.outcome_detail != ""
 
+    def test_record_counts_its_steps_and_their_range(self):
+        """step_count, dt_min and dt_max are those of the chained steps that
+        reproduce the run: six steps at dt_max, then one clipped to t_end."""
+        grid = TorusGrid(64)
+        theta0 = RealField(grid, 1.0 + np.cos(grid.points))
+        p = ModelParams(gamma=0.7, n=64)
+        c = StepControl(t_end=0.2, dt_max=0.03, snapshot_every=0.2)
+        rec = run(theta0, p, c)
+        s, times = SolverState(t=0.0, theta_hat=forward(theta0)), [0.0]
+        while s.t < c.t_end - 1e-12:
+            s = step(s, p, c)
+            times.append(s.t)
+        assert rec.step_count == len(times) - 1 == 7
+        assert rec.dt_max == c.dt_max
+        assert rec.dt_min == c.t_end - times[-2] < c.dt_max
+
     def test_runs_are_bit_deterministic(self):
         grid = TorusGrid(128)
         theta0 = RealField(grid, 1.0 + np.cos(grid.points))

@@ -1,4 +1,6 @@
-"""Tests for the verify suite's random test fields."""
+"""Tests for the verify suite: its random test fields, its rows and their JSON form."""
+
+import json
 
 import numpy as np
 import pytest
@@ -43,3 +45,27 @@ def test_suite_calibrates_each_gamma_once(monkeypatch):
     monkeypatch.setattr(verify, "calibrate_cgamma", lambda gamma, grid: calibrated.append(gamma) or calibrate(gamma, grid))
     assert all(row.passed for row in verify_suite(n=64))
     assert sorted(calibrated) == [0.5, 0.9, 1.0]
+
+
+def test_a_nan_residual_after_the_first_field_fails_the_row(monkeypatch):
+    involution = verify._hilbert_involution
+    calls = []
+
+    def third_is_nan(f):
+        calls.append(f)
+        err, scale = involution(f)
+        return (float("nan"), scale) if len(calls) == 3 else (err, scale)
+
+    monkeypatch.setattr(verify, "_hilbert_involution", third_is_nan)
+    row = verify_suite(n=64)[0]
+    assert row.name == "hilbert_involution_H2_eq_minus_I"
+    assert len(calls) == 6
+    assert row.residual == float("inf")
+    assert not row.passed
+
+
+def test_json_rows_match_the_table_rows():
+    rows = verify_suite(n=64)
+    assert json.loads(verify.format_json(rows)) == [
+        {"name": r.name, "residual": r.residual, "tolerance": r.tolerance, "passed": r.passed} for r in rows
+    ]
