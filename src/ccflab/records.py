@@ -12,8 +12,9 @@ Serialization rules that keep sweeps byte-reproducible:
 
 Schema 2, the one written, stores a record's samples as columns: one JSON
 array per DiagnosticsSample field, and under "holder" one array per tracked
-exponent. Schema 1 stored one object per sample; it is still read, so a file
-may hold lines of both versions.
+exponent. Schema 1 stored one object per sample; it is still read, converted
+to the column layout first, so a file may hold lines of both versions. Every
+sample of a record must track the same Holder exponents.
 """
 
 from __future__ import annotations
@@ -103,26 +104,15 @@ _sample_values = itemgetter(*_SAMPLE_FIELDS)
 _HOLDER = _SAMPLE_FIELDS.index("holder")
 # The RunRecord keys schema 2 added: what a run did, not what it measured.
 _TELEMETRY = ("step_count", "dt_min", "dt_max")
-
-
-def _sample_columns(samples: list[DiagnosticsSample]) -> dict:
-    """Schema 2 samples: one array per field, and one per tracked exponent."""
-    alphas = samples[0].holder.keys() if samples else {}.keys()
-    if any(s.holder.keys() != alphas for s in samples):
-        raise ValueError("every sample of a record must track the same Holder exponents")
-    columns = {name: [getattr(s, name) for s in samples] for name in _SAMPLE_FIELDS if name != "holder"}
-    # Explicit repr keys: json's own float-to-key conversion would sort some
-    # alphas differently.
-    columns["holder"] = {repr(a): [s.holder[a] for s in samples] for a in alphas}
-    return columns
+# The JSON name of each shape _expect checks.
+_SHAPES = {dict: "object", list: "array", str: "string"}
 
 
 def _expect(value, kind: type, what: str):
-    """Return value if it has the JSON shape kind (dict or list), else raise
-    a ValueError naming what."""
+    """Return value if it has the JSON shape kind (dict, list or str), else
+    raise a ValueError naming what."""
     if not isinstance(value, kind):
-        shape = "object" if kind is dict else "array"
-        raise ValueError(f"{what} must be a JSON {shape}, got {type(value).__name__}")
+        raise ValueError(f"{what} must be a JSON {_SHAPES[kind]}, got {type(value).__name__}")
     return value
 
 
@@ -145,8 +135,7 @@ def _check_datum(datum: dict) -> None:
     for key, value in datum.items():
         what = f"record 'config.datum.{key}'"
         if key == "kind":
-            if not isinstance(value, str):
-                raise ValueError(f"{what} must be a JSON string, got {type(value).__name__}")
+            _expect(value, str, what)
         elif key == "samples":
             if any(type(v) not in _NUMBER_TYPES for v in _expect(value, list, what)):
                 raise ValueError(f"{what} must hold only JSON numbers")
@@ -154,23 +143,30 @@ def _check_datum(datum: dict) -> None:
             _expect_number(value, what)
 
 
-def _sample_from_dict(d: dict) -> DiagnosticsSample:
-    """One schema 1 sample object."""
+def _sample_columns(rows) -> dict:
+    """Schema 2 samples from rows of DiagnosticsSample field values: one array
+    per field, and under "holder" one per tracked exponent. The one place rows
+    become columns, so the one check that every row tracks the same exponents."""
+    rows = list(rows)
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(_SAMPLE_FIELDS)}
+    holders = [_expect(h, dict, "sample 'holder'") for h in columns["holder"]]
+    alphas = holders[0].keys() if holders else {}.keys()
+    if any(h.keys() != alphas for h in holders):
+        raise ValueError("every sample of a record must track the same Holder exponents")
+    # String keys: json's own float-to-key conversion would sort some alphas
+    # differently. str is repr for a float alpha and the key itself for a
+    # schema 1 one.
+    columns["holder"] = {str(a): [h[a] for h in holders] for a in alphas}
+    return columns
+
+
+def _columns_from_rows(rows) -> dict:
+    """Schema 1 samples, one object each, in the schema 2 column layout."""
+    rows = _expect(rows, list, "record 'samples'")
     try:
-        values = list(_sample_values(_expect(d, dict, "sample")))
+        return _sample_columns(_sample_values(_expect(s, dict, "sample")) for s in rows)
     except KeyError as exc:
         raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
-    for name, value in zip(_SAMPLE_FIELDS, values):
-        # Tested inline so the message is built only for a bad value.
-        if type(value) not in _NUMBER_TYPES and name != "holder":
-            _expect_number(value, f"sample {name!r}")
-    holder = _expect(values[_HOLDER], dict, "sample 'holder'")
-    values[_HOLDER] = {float(a): _expect_number(v, "sample 'holder' value") for a, v in holder.items()}
-    return DiagnosticsSample(*values)
-
-
-def _samples_from_rows(rows) -> list[DiagnosticsSample]:
-    return [_sample_from_dict(s) for s in _expect(rows, list, "record 'samples'")]
 
 
 def _column(values, size: int, what: str) -> list:
@@ -212,35 +208,30 @@ def _samples_from_columns(d: dict) -> list[DiagnosticsSample]:
 
 
 def record_to_dict(record: RunRecord) -> dict:
-    """The schema 2 form of a record; a ValueError if its samples track
-    different Holder exponents, which one column per exponent cannot hold."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": record.config,
-        "samples": _sample_columns(record.samples),
-        "outcome": record.outcome.value,
-        "outcome_detail": record.outcome_detail,
-        "t_star_predicted": record.t_star_predicted,
-        "t_local_predicted": record.t_local_predicted,
-        "wall_time": record.wall_time,
-        "step_count": record.step_count,
-        "dt_min": record.dt_min,
-        "dt_max": record.dt_max,
-    }
-
-
-# Each schema version's reader of the samples block and its telemetry keys.
-_READERS = {1: (_samples_from_rows, ()), 2: (_samples_from_columns, _TELEMETRY)}
+    """The schema 2 form of a record, one key per RunRecord field; a
+    ValueError if its samples track different Holder exponents, which one
+    column per exponent cannot hold."""
+    d = {f.name: getattr(record, f.name) for f in fields(RunRecord)}
+    d.update(
+        schema_version=SCHEMA_VERSION,
+        samples=_sample_columns(map(_sample_values, map(vars, record.samples))),
+        outcome=record.outcome.value,
+    )
+    return d
 
 
 def record_from_dict(d: dict) -> RunRecord:
+    """A record from its schema 1 or schema 2 form. A schema 1 dict is first
+    converted to the schema 2 layout, with no telemetry, so both versions are
+    checked and built by the one column reader."""
     version = _expect(d, dict, "record").get("schema_version")
-    if type(version) is not int or version not in _READERS:
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
         raise ValueError(
-            f"unknown record schema_version {version!r}; this build reads versions {sorted(_READERS)}"
+            f"unknown record schema_version {version!r}; this build reads versions [1, {SCHEMA_VERSION}]"
         )
-    read_samples, telemetry = _READERS[version]
     try:
+        if version == 1:
+            d = {**d, "samples": _columns_from_rows(d["samples"]), **dict.fromkeys(_TELEMETRY)}
         config = _expect(d["config"], dict, "record 'config'")
         model = _expect(config.get("model", {}), dict, "record 'config.model'")
         _check_datum(_expect(config.get("datum", {}), dict, "record 'config.datum'"))
@@ -249,13 +240,13 @@ def record_from_dict(d: dict) -> RunRecord:
                 _expect_number(model[key], f"record 'config.model.{key}'")
         return RunRecord(
             config=config,
-            samples=read_samples(d["samples"]),
+            samples=_samples_from_columns(d["samples"]),
             outcome=Outcome(d["outcome"]),
-            outcome_detail=d.get("outcome_detail", ""),
+            outcome_detail=_expect(d.get("outcome_detail", ""), str, "record 'outcome_detail'"),
             t_star_predicted=_expect_number(d["t_star_predicted"], "record 't_star_predicted'", True),
             t_local_predicted=_expect_number(d["t_local_predicted"], "record 't_local_predicted'", True),
             wall_time=_expect_number(d["wall_time"], "record 'wall_time'"),
-            **{key: _expect_number(d[key], f"record {key!r}", True) for key in telemetry},
+            **{key: _expect_number(d[key], f"record {key!r}", True) for key in _TELEMETRY},
         )
     except KeyError as exc:
         raise ValueError(f"record is missing key {exc.args[0]!r}") from None

@@ -90,6 +90,8 @@ class ModelParams:
             raise ValueError(f"gamma must be in (0, 2], got {self.gamma}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 32 or self.n % 2 != 0:
             raise ValueError(f"n must be an even integer >= 32, got {self.n!r}")
+        # A numpy integer n would reach the config and its JSON hash.
+        object.__setattr__(self, "n", int(self.n))
 
 
 @dataclass(frozen=True)

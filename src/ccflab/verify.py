@@ -162,5 +162,11 @@ def format_table(rows: list[VerifyRow]) -> str:
 
 
 def format_json(rows: list[VerifyRow]) -> str:
-    """The rows as a JSON array of {name, residual, tolerance, passed}."""
-    return json.dumps([{**asdict(r), "passed": r.passed} for r in rows])
+    """The rows as a strict JSON array of {name, residual, tolerance, passed}.
+    A non-finite residual is null, since JSON has no token for it; such a row
+    never passes."""
+    return json.dumps(
+        [{**asdict(r), "residual": r.residual if math.isfinite(r.residual) else None, "passed": r.passed}
+         for r in rows],
+        allow_nan=False,
+    )

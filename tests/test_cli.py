@@ -194,6 +194,8 @@ class TestSweepAndReportCommands:
             "bool_datum_param",
             "number_datum_kind",
             "string_datum_sample",
+            "number_outcome_detail",
+            "other_holder_exponents",
         ],
     )
     def test_report_on_a_wrong_shape_line_names_the_line(self, tmp_path, capsys, shape):
@@ -234,6 +236,12 @@ class TestSweepAndReportCommands:
             payload["config"]["datum"]["kind"] = 5
         elif shape == "string_datum_sample":
             payload["config"]["datum"]["samples"] = [1.0, "x"]
+        elif shape == "number_outcome_detail":
+            payload["outcome_detail"] = 5
+        elif shape == "other_holder_exponents":
+            # A sample after T* that lacks the tracked exponent.
+            payload["samples"][10]["holder"] = {"0.3": 1.0}
+            payload["t_star_predicted"] = 0.01
         else:
             payload["config"]["datum"] = [payload["config"]["datum"]]
         path.write_text(path.read_text() + json.dumps(payload) + "\n")

@@ -261,6 +261,12 @@ class TestSweep:
         assert len(records) == 2
         assert len(load_records(out)) == 2
 
+    def test_a_numpy_integer_resolution_sweeps_with_the_int_hash(self, small_plan, tmp_path):
+        numpy_n = replace(small_plan, resolutions=(np.int64(64),))
+        records = sweep(numpy_n, tmp_path / "numpy.jsonl")
+        assert [type(r.config["model"]["n"]) for r in records] == [int, int]
+        assert [r.config_hash for r in records] == [r.config_hash for r in sweep(small_plan, tmp_path / "int.jsonl")]
+
     def test_parallel_matches_serial_modulo_wall_time(self, small_plan, tmp_path):
         from dataclasses import replace
 

@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -159,6 +159,9 @@ class TestSerialization:
         assert d["samples"]["holder"] == {"0.2": [1.6048121798571024] * 3}
         assert {key: d[key] for key in TELEMETRY} == {"step_count": 41, "dt_min": 0.004999999999999893, "dt_max": 0.025}
 
+    def test_keys_are_the_run_record_fields_and_the_schema_version(self):
+        assert set(record_to_dict(_record())) == {f.name for f in fields(RunRecord)} | {"schema_version"}
+
     def test_a_record_without_samples_round_trips(self):
         rec = replace(_record(), samples=[])
         assert record_from_dict(record_to_dict(rec)) == rec
@@ -181,6 +184,14 @@ class TestSerialization:
         back = record_from_dict(d)
         assert back.outcome_detail == ""
         assert back.samples == _record().samples
+
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_outcome_detail_must_be_a_string(self, schema):
+        d = record_to_dict(_record())
+        d = _schema_1(d) if schema == 1 else d
+        d["outcome_detail"] = 5
+        with pytest.raises(ValueError, match="record 'outcome_detail' must be a JSON string, got int"):
+            record_from_dict(d)
 
     def test_unknown_columns_are_ignored(self):
         d = record_to_dict(_record())
@@ -277,6 +288,16 @@ class TestSchema1Files:
             append_record(path, record)
         assert [json.loads(line)["schema_version"] for line in path.read_text().splitlines()] == [2, 2]
         assert load_records(path) == records
+
+    def test_a_sample_tracking_other_exponents_fails_naming_the_line(self, tmp_path):
+        first, second = SCHEMA_1_FILE.read_text().splitlines()
+        payload = json.loads(first)
+        payload["samples"][10]["holder"] = {"0.3": 1.0}
+        path = tmp_path / "runs.jsonl"
+        path.write_text(second + "\n" + json.dumps(payload) + "\n")
+        message = "runs.jsonl:2: every sample of a record must track the same Holder exponents"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_records(path)
 
     def test_a_file_may_mix_schema_versions(self, tmp_path):
         path = tmp_path / "runs.jsonl"

@@ -34,6 +34,9 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="n must be"):
             ModelParams(gamma=1.0, n=16)
 
+    def test_a_numpy_integer_n_is_stored_as_int(self):
+        assert type(ModelParams(gamma=1.0, n=np.int64(64)).n) is int
+
     def test_step_control_ranges(self):
         with pytest.raises(ValueError, match="cfl"):
             StepControl(t_end=1.0, cfl=0.0)

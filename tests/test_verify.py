@@ -69,3 +69,16 @@ def test_json_rows_match_the_table_rows():
     assert json.loads(verify.format_json(rows)) == [
         {"name": r.name, "residual": r.residual, "tolerance": r.tolerance, "passed": r.passed} for r in rows
     ]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("residual", [float("inf"), float("nan")])
+def test_a_non_finite_residual_is_strict_json_null(residual):
+    rows = [verify.VerifyRow("finite", 1e-12, 1e-10), verify.VerifyRow("broken", residual, 1e-10)]
+    assert json.loads(verify.format_json(rows), parse_constant=_reject_constant) == [
+        {"name": "finite", "residual": 1e-12, "tolerance": 1e-10, "passed": True},
+        {"name": "broken", "residual": None, "tolerance": 1e-10, "passed": False},
+    ]
