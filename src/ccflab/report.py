@@ -3,13 +3,24 @@
 The CSV round-trips exactly: floats are emitted with repr and parsed with
 float, empty cells mean "not applicable". Charts are self-contained SVG with
 one polyline per tracked norm history.
+
+A chart index, charts.json in the output directory, maps each chart's file
+name to [digest of the chart's inputs, file size, st_mtime_ns] as they were
+after the chart was last written. report() draws a chart again only when its
+entry no longer matches; deleting the index costs one full redraw.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
+import os
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from . import regularity
@@ -37,6 +48,12 @@ CSV_HEADER = tuple(_CSV_COLUMNS)
 
 CHART_SERIES = ("l2", "linf", "hdot_half", "hdot_three_half", "hdot_mid")
 CHART_COLORS = ("#1f6f8b", "#c0392b", "#27ae60", "#8e44ad", "#d4880c")
+CHART_INDEX = "charts.json"
+# Every value a chart reads from one sample: its time, then each series.
+_chart_values = attrgetter("t", *CHART_SERIES)
+# Part of every chart digest. Bump it whenever norm_chart_svg would draw
+# different bytes from the same samples, so each indexed chart is redrawn.
+_CHART_LAYOUT = 1
 
 
 @dataclass(frozen=True)
@@ -131,23 +148,21 @@ def parse_csv(text: str) -> list[dict]:
     return rows
 
 
-def _scale(values: list[float], lo: float, hi: float, out_lo: float, out_hi: float) -> list[float]:
+def _scale(
+    values: tuple[float, ...], lo: float, hi: float, out_lo: float, out_hi: float
+) -> tuple[float, ...]:
     span = hi - lo if hi > lo else 1.0
-    return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
+    out_span = out_hi - out_lo
+    return tuple([out_lo + (v - lo) / span * out_span for v in values])
 
 
 def norm_chart_svg(record: RunRecord) -> str:
-    """Line chart of the five tracked norm histories, one polyline each.
+    """Line chart of the five tracked norm histories, one polyline each; a
+    record with no samples gets the axes alone.
 
     Self-contained SVG: no scripts, no external references.
     """
     width, height, margin = 640, 400, 50.0
-    times = [s.t for s in record.samples]
-    series = {name: [getattr(s, name) for s in record.samples] for name in CHART_SERIES}
-    all_values = [v for vs in series.values() for v in vs]
-    t_lo, t_hi = min(times), max(times)
-    v_lo, v_hi = min(all_values), max(all_values)
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -156,16 +171,25 @@ def norm_chart_svg(record: RunRecord) -> str:
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
         f'stroke="black"/>',
+    ]
+    if not record.samples:
+        return "\n".join([*parts, "</svg>"])
+    times, *series = zip(*map(_chart_values, record.samples))
+    all_values = list(chain.from_iterable(series))
+    t_lo, t_hi = min(times), max(times)
+    v_lo, v_hi = min(all_values), max(all_values)
+    parts += [
         f'<text x="{margin}" y="{height - margin + 20}" font-size="11">t={t_lo:.4g}</text>',
         f'<text x="{width - margin - 40}" y="{height - margin + 20}" font-size="11">'
         f"t={t_hi:.4g}</text>",
         f'<text x="4" y="{height - margin}" font-size="11">{v_lo:.4g}</text>',
         f'<text x="4" y="{margin}" font-size="11">{v_hi:.4g}</text>',
     ]
+    # Each x is formatted once, into a template that every series fills with its ys.
     xs = _scale(times, t_lo, t_hi, margin, width - margin)
-    for i, name in enumerate(CHART_SERIES):
-        ys = _scale(series[name], v_lo, v_hi, height - margin, margin)
-        points = " ".join(["%.2f,%.2f" % pair for pair in zip(xs, ys)])
+    template = " ".join(["%.2f,%%.2f" % x for x in xs])
+    for i, (name, values) in enumerate(zip(CHART_SERIES, series)):
+        points = template % _scale(values, v_lo, v_hi, height - margin, margin)
         color = CHART_COLORS[i]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
@@ -176,6 +200,32 @@ def norm_chart_svg(record: RunRecord) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def _chart_digest(record: RunRecord) -> str:
+    """blake2b of _CHART_LAYOUT and every value norm_chart_svg reads, as float64."""
+    digest = hashlib.blake2b(b"%d" % _CHART_LAYOUT, digest_size=16)
+    digest.update(array("d", chain.from_iterable(map(_chart_values, record.samples))))
+    return digest.hexdigest()
+
+
+def _stamp(path: Path) -> tuple[int, ...]:
+    """(size, st_mtime_ns) of path, or () when there is no such file."""
+    try:
+        stat = path.stat()
+    except FileNotFoundError:
+        return ()
+    return stat.st_size, stat.st_mtime_ns
+
+
+def _read_chart_index(path: Path) -> dict:
+    """The chart index at path; an unreadable file, or one that does not hold
+    a JSON object, reads as empty."""
+    try:
+        index = json.loads(path.read_bytes())
+    except (OSError, ValueError, RecursionError):
+        return {}
+    return index if isinstance(index, dict) else {}
 
 
 def _write_if_changed(path: Path, text: str) -> None:
@@ -194,6 +244,9 @@ def report(records: list[RunRecord], out_dir: Path | str) -> ReportBundle:
 
     A file whose bytes would not change is left untouched, so rerunning a
     report over a resumed sweep rewrites only what the new records changed.
+    A chart whose digest, size and st_mtime_ns still match its entry in the
+    chart index is not drawn at all; any other is drawn and written as above,
+    so a deleted, edited or stale chart is repaired.
     """
     if not records:
         raise ValueError("report needs at least one record")
@@ -201,9 +254,19 @@ def report(records: list[RunRecord], out_dir: Path | str) -> ReportBundle:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "summary.csv"
     _write_if_changed(csv_path, emit_csv(build_summary(records)))
+    index_path = out_dir / CHART_INDEX
+    old_index = _read_chart_index(index_path)
+    index = dict(old_index)
     chart_paths = []
     for record in records:
         path = out_dir / f"norms_{record.config_hash}.svg"
-        _write_if_changed(path, norm_chart_svg(record))
+        digest = _chart_digest(record)
+        if index.get(path.name) != [digest, *_stamp(path)]:
+            _write_if_changed(path, norm_chart_svg(record))
+            index[path.name] = [digest, *_stamp(path)]
         chart_paths.append(path)
+    if index != old_index:
+        tmp = index_path.with_name(index_path.name + ".tmp")
+        tmp.write_text(json.dumps(index, sort_keys=True, separators=(",", ":")), encoding="utf-8")
+        os.replace(tmp, index_path)
     return ReportBundle(csv_path=csv_path, chart_paths=tuple(chart_paths))

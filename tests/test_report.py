@@ -1,6 +1,7 @@
 """Tests for the CSV summary and SVG chart emission."""
 
 import dataclasses
+import json
 import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -8,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ccflab.report as report_module
+from ccflab.cli import main
 from ccflab.experiments import SweepPlan, cosine_positive, sweep
-from ccflab.records import load_records
+from ccflab.records import append_record, load_records
 from ccflab.regularity import alpha_policy
 from ccflab.report import (
+    CHART_INDEX,
     CSV_HEADER,
     build_summary,
     emit_csv,
@@ -141,3 +145,104 @@ class TestReportBundle:
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least one record"):
             report([], tmp_path)
+
+
+def _outputs(bundle) -> dict:
+    """File name -> bytes of the summary and every chart of a report."""
+    return {p.name: p.read_bytes() for p in (bundle.csv_path, *bundle.chart_paths)}
+
+
+def _refuse_to_draw(monkeypatch) -> None:
+    def refuse(record):
+        raise AssertionError(f"chart of {record.config_hash} drawn again")
+
+    monkeypatch.setattr(report_module, "norm_chart_svg", refuse)
+
+
+class TestChartIndex:
+    def test_second_report_draws_no_chart(self, records, tmp_path, monkeypatch):
+        fresh = _outputs(report(records, tmp_path / "fresh"))
+        report(records, tmp_path / "warm")
+        _refuse_to_draw(monkeypatch)
+        assert _outputs(report(records, tmp_path / "warm")) == fresh
+
+    def test_same_hash_with_changed_samples_is_redrawn(self, records, tmp_path):
+        first = report(records, tmp_path)
+        last = records[1].samples[-1]
+        changed = dataclasses.replace(
+            records[1], samples=[*records[1].samples[:-1], dataclasses.replace(last, l2=last.l2 * 0.5)]
+        )
+        assert changed.config_hash == records[1].config_hash
+        second = report([records[0], changed], tmp_path)
+        assert second.chart_paths == first.chart_paths
+        assert second.chart_paths[1].read_text() == norm_chart_svg(changed)
+
+    @pytest.mark.parametrize("damage", ["delete", "edit"])
+    def test_a_deleted_or_edited_chart_is_rewritten(self, records, tmp_path, damage):
+        bundle = report(records, tmp_path)
+        want = _outputs(bundle)
+        chart = bundle.chart_paths[0]
+        if damage == "delete":
+            chart.unlink()
+        else:
+            stamp = chart.stat().st_mtime_ns - 10**9  # a coarse clock could leave it unchanged
+            chart.write_bytes(want[chart.name].replace(b"white", b"black"))
+            os.utime(chart, ns=(stamp, stamp))
+        assert _outputs(report(records, tmp_path)) == want
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            b"\xff\xfe not json",
+            b'{"norms_',
+            b"[1, 2, 3]",
+            b"[" * 100_000,
+            b"null",
+            "wrong-typed entries",
+        ],
+    )
+    def test_a_bad_index_is_ignored_and_rewritten(self, records, tmp_path, monkeypatch, index):
+        bundle = report(records, tmp_path)
+        want = _outputs(bundle)
+        index_path = tmp_path / CHART_INDEX
+        if index == "wrong-typed entries":
+            names = [p.name for p in bundle.chart_paths]
+            index = json.dumps({names[0]: {"digest": "x"}, names[1]: [None, "1", 2.5]}).encode()
+        index_path.write_bytes(index)
+        assert _outputs(report(records, tmp_path)) == want
+        entries = json.loads(index_path.read_text())
+        assert sorted(entries) == sorted(want.keys() - {"summary.csv"})
+        _refuse_to_draw(monkeypatch)
+        assert _outputs(report(records, tmp_path)) == want
+
+    def test_an_unchanged_index_is_not_rewritten(self, records, tmp_path):
+        report(records, tmp_path)
+        index_path = tmp_path / CHART_INDEX
+        stamp = index_path.stat().st_mtime_ns - 10**9
+        os.utime(index_path, ns=(stamp, stamp))
+        report(records, tmp_path)
+        assert index_path.stat().st_mtime_ns == stamp
+
+    def test_a_record_without_samples_gets_its_chart(self, records, tmp_path, capsys):
+        empty = dataclasses.replace(records[0], samples=[])
+        root = ET.fromstring(report([empty], tmp_path / "api").chart_paths[0].read_text())
+        assert root.findall(".//{http://www.w3.org/2000/svg}polyline") == []
+        assert len(root.findall(".//{http://www.w3.org/2000/svg}line")) == 2
+        append_record(tmp_path / "empty.jsonl", empty)
+        assert main(["report", str(tmp_path / "empty.jsonl"), "--out-dir", str(tmp_path / "cli")]) == 0
+        assert (tmp_path / "cli" / f"norms_{empty.config_hash}.svg").read_text() == norm_chart_svg(empty)
+
+    def test_bumping_the_layout_redraws_every_chart(self, records, tmp_path, monkeypatch):
+        report(records, tmp_path)
+        drawn = []
+
+        def counting(record, draw=norm_chart_svg):
+            drawn.append(record.config_hash)
+            return draw(record)
+
+        monkeypatch.setattr(report_module, "norm_chart_svg", counting)
+        report(records, tmp_path)
+        assert drawn == []
+        monkeypatch.setattr(report_module, "_CHART_LAYOUT", report_module._CHART_LAYOUT + 1)
+        report(records, tmp_path)
+        assert drawn == [r.config_hash for r in records]
