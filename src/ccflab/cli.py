@@ -22,7 +22,7 @@ from pathlib import Path
 from . import regularity
 from .experiments import SweepPlan, _run_cell, parse_datum, sweep
 from .operators import calibrate_cgamma
-from .records import append_record, load_records
+from .records import append_record, drop_torn_tail, load_records
 from .regularity import RegularityConstants
 from .report import report
 from .solver import StepControl
@@ -156,6 +156,8 @@ def _cmd_run(args) -> int:
     (cell,) = plan.cells()
     record = _run_cell((plan, *cell))
     path = _out_dir(args) / "runs.jsonl"
+    if path.exists():
+        drop_torn_tail(path)
     append_record(path, record)
     print(f"{record.outcome.value}: {record.outcome_detail}")
     print(f"record {record.config_hash} appended to {path}")
@@ -228,10 +230,8 @@ def _cmd_report(args) -> int:
     records = load_records(records_path)
     if not records:
         raise ValueError(f"records file {records_path} holds no records")
-    bundle = report(records, _out_dir(args))
-    print(f"wrote {bundle.csv_path}")
-    for chart in bundle.chart_paths:
-        print(f"wrote {chart}")
+    for path in report(records, _out_dir(args)).written:
+        print(f"wrote {path}")
     return 0
 
 

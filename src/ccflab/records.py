@@ -10,11 +10,12 @@ Serialization rules that keep sweeps byte-reproducible:
 * wall_time is stored on the record but excluded from the config hash, so a
   re-run of the same cell is recognized regardless of how long it took.
 
-Schema 2, the one written, stores a record's samples as columns: one JSON
-array per DiagnosticsSample field, and under "holder" one array per tracked
-exponent. Schema 1 stored one object per sample; it is still read, converted
-to the column layout first, so a file may hold lines of both versions. Every
-sample of a record must track the same Holder exponents.
+Schema 2, the one written, stores a record's samples as columns, as a
+SampleTable holds them: one JSON array per DiagnosticsSample field, and under
+"holder" one array per tracked exponent. Schema 1 stored one object per sample;
+it is still read, converted to the column layout first, so a file may hold
+lines of both versions. Every sample of a record must track the same Holder
+exponents.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ import os
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
-from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
+
+import numpy as np
 
 SCHEMA_VERSION = 2
 
@@ -61,6 +64,61 @@ class DiagnosticsSample:
     grad_linf: float
 
 
+# A sample's fields in the order of its constructor's parameters, and those that are floats.
+_SAMPLE_FIELDS = tuple(f.name for f in fields(DiagnosticsSample))
+_SCALARS = tuple(name for name in _SAMPLE_FIELDS if name != "holder")
+
+
+class SampleTable:
+    """A record's samples as columns: one read-only float64 array per scalar
+    DiagnosticsSample field, read as an attribute (table.l2), and in holder
+    one per tracked exponent. table[i] is one sample, a DiagnosticsSample;
+    table[a:b] is a table. Equal tables hold equal columns, NaN equal to NaN.
+    """
+
+    __slots__ = _SAMPLE_FIELDS
+
+    def __init__(self, columns: dict):
+        """columns: each float field's values, and under "holder" each exponent's."""
+        holder = columns["holder"]
+        data = np.array([*(columns[name] for name in _SCALARS), *holder.values()], dtype=np.float64)
+        data.flags.writeable = False
+        for name, column in zip(_SCALARS, data):
+            object.__setattr__(self, name, column)
+        holder = dict(zip(map(float, holder), data[len(_SCALARS):]))
+        object.__setattr__(self, "holder", MappingProxyType(holder))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SampleTable is read-only; cannot set {name!r}")
+
+    def _map(self, fn) -> dict:  # the constructor's argument, fn applied to each column
+        columns = {name: fn(getattr(self, name)) for name in _SCALARS}
+        return {**columns, "holder": {a: fn(v) for a, v in self.holder.items()}}
+
+    def __reduce__(self):
+        # Through __init__, so unpickled columns are read-only again.
+        return SampleTable, (self._map(np.asarray),)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return SampleTable(self._map(lambda v: v[key]))
+        return DiagnosticsSample(**self._map(lambda v: float(v[key])))
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleTable):
+            return NotImplemented
+        pairs = [(getattr(self, name), getattr(other, name)) for name in _SCALARS]
+        pairs += [(v, other.holder.get(a)) for a, v in self.holder.items()]
+        same = self.holder.keys() == other.holder.keys()
+        return same and all(np.array_equal(a, b, equal_nan=True) for a, b in pairs)
+
+    def __repr__(self) -> str:
+        return f"SampleTable({self._map(np.ndarray.tolist)!r})"
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One run: full configuration, diagnostics series, and classification.
@@ -71,7 +129,7 @@ class RunRecord:
     """
 
     config: dict
-    samples: list[DiagnosticsSample]
+    samples: SampleTable  # or DiagnosticsSample rows, which __post_init__ turns into one
     outcome: Outcome
     outcome_detail: str = ""
     t_star_predicted: float | None = None
@@ -82,8 +140,9 @@ class RunRecord:
     dt_max: float | None = None
 
     def __post_init__(self) -> None:
-        times = [s.t for s in self.samples]
-        if any(b < a for a, b in zip(times, times[1:])):
+        if not isinstance(self.samples, SampleTable):
+            object.__setattr__(self, "samples", SampleTable(_sample_columns([*map(vars, self.samples)])))
+        if np.any(np.diff(self.samples.t) < 0):
             raise ValueError("samples must be time-sorted")
 
     @property
@@ -97,11 +156,6 @@ def config_hash(config: dict) -> str:
     return hashlib.sha1(canon.encode()).hexdigest()[:12]
 
 
-# The persisted sample keys are DiagnosticsSample's own field names, in the
-# order of its constructor's parameters.
-_SAMPLE_FIELDS = tuple(f.name for f in fields(DiagnosticsSample))
-_sample_values = itemgetter(*_SAMPLE_FIELDS)
-_HOLDER = _SAMPLE_FIELDS.index("holder")
 # The RunRecord keys schema 2 added: what a run did, not what it measured.
 _TELEMETRY = ("step_count", "dt_min", "dt_max")
 # The JSON name of each shape _expect checks.
@@ -143,30 +197,21 @@ def _check_datum(datum: dict) -> None:
             _expect_number(value, what)
 
 
-def _sample_columns(rows) -> dict:
-    """Schema 2 samples from rows of DiagnosticsSample field values: one array
-    per field, and under "holder" one per tracked exponent. The one place rows
-    become columns, so the one check that every row tracks the same exponents."""
-    rows = list(rows)
-    columns = {name: [row[i] for row in rows] for i, name in enumerate(_SAMPLE_FIELDS)}
+def _sample_columns(rows: list) -> dict:
+    """Rows, each a dict of DiagnosticsSample fields, in the schema 2 column
+    layout. The one place rows become columns, so the one check that every row
+    tracks the same exponents."""
+    rows = [_expect(row, dict, "sample") for row in _expect(rows, list, "record 'samples'")]
+    try:
+        columns = {name: [row[name] for row in rows] for name in _SAMPLE_FIELDS}
+    except KeyError as exc:
+        raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
     holders = [_expect(h, dict, "sample 'holder'") for h in columns["holder"]]
     alphas = holders[0].keys() if holders else {}.keys()
     if any(h.keys() != alphas for h in holders):
         raise ValueError("every sample of a record must track the same Holder exponents")
-    # String keys: json's own float-to-key conversion would sort some alphas
-    # differently. str is repr for a float alpha and the key itself for a
-    # schema 1 one.
-    columns["holder"] = {str(a): [h[a] for h in holders] for a in alphas}
+    columns["holder"] = {a: [h[a] for h in holders] for a in alphas}
     return columns
-
-
-def _columns_from_rows(rows) -> dict:
-    """Schema 1 samples, one object each, in the schema 2 column layout."""
-    rows = _expect(rows, list, "record 'samples'")
-    try:
-        return _sample_columns(_sample_values(_expect(s, dict, "sample")) for s in rows)
-    except KeyError as exc:
-        raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
 
 
 def _column(values, size: int, what: str) -> list:
@@ -178,45 +223,29 @@ def _column(values, size: int, what: str) -> list:
     return values
 
 
-def _sample_by_position(values) -> DiagnosticsSample:
-    """DiagnosticsSample(*values) for values the loader has checked. Filling
-    the frozen instance's __dict__ skips the frozen __init__'s per-field
-    object.__setattr__, most of the cost of building a sample; the class has
-    no __post_init__ that this would skip too."""
-    sample = object.__new__(DiagnosticsSample)
-    sample.__dict__.update(zip(_SAMPLE_FIELDS, values))
-    return sample
-
-
-def _samples_from_columns(d: dict) -> list[DiagnosticsSample]:
-    """Schema 2 samples: each column checked once, each sample built by position."""
+def _table_from_columns(d: dict) -> SampleTable:
+    """Schema 2 samples, each column checked once."""
+    d = _expect(d, dict, "record 'samples'")
     try:
-        columns = list(_sample_values(_expect(d, dict, "record 'samples'")))
+        columns = {name: d[name] for name in _SAMPLE_FIELDS}
     except KeyError as exc:
         raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
-    size = len(_expect(columns[0], list, "sample 't'"))
-    for i, name in enumerate(_SAMPLE_FIELDS):
-        if i != _HOLDER:
-            _column(columns[i], size, f"sample {name!r}")
-    holder = _expect(columns[_HOLDER], dict, "sample 'holder'")
-    series = {float(a): _column(v, size, f"sample 'holder' {a!r}") for a, v in holder.items()}
-    if series:
-        columns[_HOLDER] = [dict(zip(series, values)) for values in zip(*series.values())]
-    else:
-        columns[_HOLDER] = [{} for _ in range(size)]
-    return list(map(_sample_by_position, zip(*columns)))
+    size = len(_expect(columns["t"], list, "sample 't'"))
+    for name in _SCALARS:
+        _column(columns[name], size, f"sample {name!r}")
+    for a, values in _expect(columns["holder"], dict, "sample 'holder'").items():
+        _column(values, size, f"sample 'holder' {a!r}")
+    return SampleTable(columns)
 
 
 def record_to_dict(record: RunRecord) -> dict:
-    """The schema 2 form of a record, one key per RunRecord field; a
-    ValueError if its samples track different Holder exponents, which one
-    column per exponent cannot hold."""
+    """The schema 2 form of a record, one key per RunRecord field."""
     d = {f.name: getattr(record, f.name) for f in fields(RunRecord)}
-    d.update(
-        schema_version=SCHEMA_VERSION,
-        samples=_sample_columns(map(_sample_values, map(vars, record.samples))),
-        outcome=record.outcome.value,
-    )
+    samples = record.samples._map(np.ndarray.tolist)
+    # String keys: json's own float-to-key conversion would sort some alphas
+    # differently. str is repr for a float.
+    samples["holder"] = {str(a): values for a, values in samples["holder"].items()}
+    d.update(schema_version=SCHEMA_VERSION, samples=samples, outcome=record.outcome.value)
     return d
 
 
@@ -231,7 +260,7 @@ def record_from_dict(d: dict) -> RunRecord:
         )
     try:
         if version == 1:
-            d = {**d, "samples": _columns_from_rows(d["samples"]), **dict.fromkeys(_TELEMETRY)}
+            d = {**d, "samples": _sample_columns(d["samples"]), **dict.fromkeys(_TELEMETRY)}
         config = _expect(d["config"], dict, "record 'config'")
         model = _expect(config.get("model", {}), dict, "record 'config.model'")
         _check_datum(_expect(config.get("datum", {}), dict, "record 'config.datum'"))
@@ -240,7 +269,7 @@ def record_from_dict(d: dict) -> RunRecord:
                 _expect_number(model[key], f"record 'config.model.{key}'")
         return RunRecord(
             config=config,
-            samples=_samples_from_columns(d["samples"]),
+            samples=_table_from_columns(d["samples"]),
             outcome=Outcome(d["outcome"]),
             outcome_detail=_expect(d.get("outcome_detail", ""), str, "record 'outcome_detail'"),
             t_star_predicted=_expect_number(d["t_star_predicted"], "record 't_star_predicted'", True),

@@ -316,7 +316,7 @@ def energy_inequality_probe(record: RunRecord) -> ProbeReport:
     samples = record.samples
     if len(samples) < 3:
         raise ValueError("probe needs at least 3 snapshots")
-    worst_tail = max(s.tail_fraction for s in samples)
+    worst_tail = samples.tail_fraction.max()
     if worst_tail > PROBE_TAIL_LIMIT:
         raise ValueError(
             f"probe refused: record tail fraction {worst_tail:.3e} exceeds {PROBE_TAIL_LIMIT}"
@@ -325,10 +325,7 @@ def energy_inequality_probe(record: RunRecord) -> ProbeReport:
     if gamma is None:
         raise ValueError("probe refused: record config has no model gamma")
     e1, e2 = t_local_exponents(gamma)
-    t = np.array([s.t for s in samples])
-    x = np.array([s.hdot_three_half for s in samples])
-    d = np.array([s.hdot_mid for s in samples])
-    l2_0 = samples[0].l2
+    t, x, d, l2_0 = samples.t, samples.hdot_three_half, samples.hdot_mid, float(samples.l2[0])
     dx2 = np.gradient(x * x, t, edge_order=2)
     numerator = 0.5 * dx2 + 0.5 * d * d
     denominator = x ** (2.0 + e2) * l2_0**e1

@@ -17,11 +17,11 @@ import hashlib
 import io
 import json
 import os
-from array import array
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from . import regularity
 from .experiments import datum_label
@@ -49,8 +49,6 @@ CSV_HEADER = tuple(_CSV_COLUMNS)
 CHART_SERIES = ("l2", "linf", "hdot_half", "hdot_three_half", "hdot_mid")
 CHART_COLORS = ("#1f6f8b", "#c0392b", "#27ae60", "#8e44ad", "#d4880c")
 CHART_INDEX = "charts.json"
-# Every value a chart reads from one sample: its time, then each series.
-_chart_values = attrgetter("t", *CHART_SERIES)
 # Part of every chart digest. Bump it whenever norm_chart_svg would draw
 # different bytes from the same samples, so each indexed chart is redrawn.
 _CHART_LAYOUT = 1
@@ -60,12 +58,13 @@ _CHART_LAYOUT = 1
 class ReportBundle:
     csv_path: Path
     chart_paths: tuple[Path, ...]
+    written: tuple[Path, ...]  # the files this report wrote; any other was already up to date
 
 
 def _pick_holder_alpha(record: RunRecord, gamma: float) -> float | None:
     """The alpha reported in the summary row: the schedule policy value when
     tracked, otherwise the first tracked exponent."""
-    tracked = sorted(record.samples[0].holder) if record.samples else []
+    tracked = sorted(record.samples.holder) if record.samples else []
     if not tracked:
         return None
     if 0.0 < gamma < 1.0:
@@ -92,7 +91,7 @@ def build_summary(records: list[RunRecord]) -> list[dict]:
         max_holder = None
         if alpha is not None:
             cutoff = record.t_star_predicted if record.t_star_predicted is not None else 0.0
-            tail = [s.holder[alpha] for s in record.samples if s.t > cutoff]
+            tail = record.samples.holder[alpha][record.samples.t > cutoff].tolist()
             if tail:
                 max_holder = max(tail)
         try:
@@ -174,7 +173,7 @@ def norm_chart_svg(record: RunRecord) -> str:
     ]
     if not record.samples:
         return "\n".join([*parts, "</svg>"])
-    times, *series = zip(*map(_chart_values, record.samples))
+    times, *series = (getattr(record.samples, name).tolist() for name in ("t", *CHART_SERIES))
     all_values = list(chain.from_iterable(series))
     t_lo, t_hi = min(times), max(times)
     v_lo, v_hi = min(all_values), max(all_values)
@@ -203,9 +202,9 @@ def norm_chart_svg(record: RunRecord) -> str:
 
 
 def _chart_digest(record: RunRecord) -> str:
-    """blake2b of _CHART_LAYOUT and every value norm_chart_svg reads, as float64."""
+    """blake2b of _CHART_LAYOUT and every value norm_chart_svg reads, as float64, row by row."""
     digest = hashlib.blake2b(b"%d" % _CHART_LAYOUT, digest_size=16)
-    digest.update(array("d", chain.from_iterable(map(_chart_values, record.samples))))
+    digest.update(np.stack([getattr(record.samples, name) for name in ("t", *CHART_SERIES)], axis=1))
     return digest.hexdigest()
 
 
@@ -228,15 +227,16 @@ def _read_chart_index(path: Path) -> dict:
     return index if isinstance(index, dict) else {}
 
 
-def _write_if_changed(path: Path, text: str) -> None:
-    """Write text to path unless the file already holds exactly these bytes."""
+def _write_if_changed(path: Path, text: str) -> bool:
+    """Write text to path unless the file already holds exactly these bytes; True if it wrote."""
     data = text.encode("utf-8")
     try:
         if path.read_bytes() == data:
-            return
+            return False
     except FileNotFoundError:
         pass
     path.write_bytes(data)
+    return True
 
 
 def report(records: list[RunRecord], out_dir: Path | str) -> ReportBundle:
@@ -253,7 +253,7 @@ def report(records: list[RunRecord], out_dir: Path | str) -> ReportBundle:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "summary.csv"
-    _write_if_changed(csv_path, emit_csv(build_summary(records)))
+    written = [csv_path] if _write_if_changed(csv_path, emit_csv(build_summary(records))) else []
     index_path = out_dir / CHART_INDEX
     old_index = _read_chart_index(index_path)
     index = dict(old_index)
@@ -262,11 +262,12 @@ def report(records: list[RunRecord], out_dir: Path | str) -> ReportBundle:
         path = out_dir / f"norms_{record.config_hash}.svg"
         digest = _chart_digest(record)
         if index.get(path.name) != [digest, *_stamp(path)]:
-            _write_if_changed(path, norm_chart_svg(record))
+            if _write_if_changed(path, norm_chart_svg(record)):
+                written.append(path)
             index[path.name] = [digest, *_stamp(path)]
         chart_paths.append(path)
     if index != old_index:
         tmp = index_path.with_name(index_path.name + ".tmp")
         tmp.write_text(json.dumps(index, sort_keys=True, separators=(",", ":")), encoding="utf-8")
         os.replace(tmp, index_path)
-    return ReportBundle(csv_path=csv_path, chart_paths=tuple(chart_paths))
+    return ReportBundle(csv_path=csv_path, chart_paths=tuple(chart_paths), written=tuple(written))

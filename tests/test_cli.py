@@ -103,6 +103,19 @@ class TestRunCommand:
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 1
         assert "config" in capsys.readouterr().err
 
+    def test_appends_after_a_torn_last_line(self, tmp_path, capsys):
+        flags = ["run", "--gamma", "0.9", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]
+        assert main(flags) == 0
+        path = tmp_path / "runs.jsonl"
+        whole = path.read_bytes()
+        path.write_bytes(whole + whole[: len(whole) // 2])
+        with pytest.warns(UserWarning, match="dropped a torn last line"):
+            assert main([*flags[:-2], "--n", "32", *flags[-2:]]) == 0
+        first, second = load_records(path)
+        assert path.read_bytes().startswith(whole)
+        assert (first.config["model"]["n"], second.config["model"]["n"]) == (64, 32)
+        assert main(["report", str(path), "--out-dir", str(tmp_path)]) == 0
+
 
 class TestVerifyCommand:
     def test_table_printed_and_exit_zero(self, capsys):
@@ -156,6 +169,19 @@ class TestSweepAndReportCommands:
         code = main(["report", str(tmp_path / "sweep.jsonl"), "--out-dir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "summary.csv").exists()
+
+    def test_a_second_report_prints_no_wrote_line(self, tmp_path, capsys):
+        shutil.copyfile(SCHEMA_1_FILE, tmp_path / "sweep.jsonl")
+        report = ["report", str(tmp_path / "sweep.jsonl"), "--out-dir", str(tmp_path)]
+        assert main(report) == 0
+        wrote = capsys.readouterr().out.splitlines()
+        assert sorted(wrote) == sorted(f"wrote {tmp_path / name}" for name in (
+            "summary.csv", "norms_766337153669.svg", "norms_4ae00d24a92d.svg"))
+        assert main(report) == 0
+        assert "wrote" not in capsys.readouterr().out
+        (tmp_path / "norms_4ae00d24a92d.svg").unlink()
+        assert main(report) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'norms_4ae00d24a92d.svg'}\n"
 
     def test_report_missing_file_names_it(self, capsys):
         assert main(["report", "/nonexistent/records.jsonl"]) == 1

@@ -1,17 +1,22 @@
 """Tests for record serialization: JSONL schema, hashing, and the loader."""
 
 import json
+import math
+import pickle
 import re
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ccflab import solver
 from ccflab.records import (
     SCHEMA_VERSION,
     DiagnosticsSample,
     Outcome,
     RunRecord,
+    SampleTable,
     append_record,
     config_hash,
     load_records,
@@ -19,9 +24,10 @@ from ccflab.records import (
     record_to_dict,
     record_to_json,
 )
-from ccflab.experiments import cosine_positive
+from ccflab.experiments import SweepPlan, cosine_positive, make_datum, sweep
 from ccflab.regularity import RegularityConstants
-from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, build_config
+from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, build_config, run
+from ccflab.torus import TorusGrid
 
 # Two records written in schema 1 by an earlier build (ccflab sweep --gamma
 # 0.6,1.2 --n 64 --t-end 0.1), checked in unchanged.
@@ -134,6 +140,82 @@ class TestRunRecord:
         assert config_hash(config) == expected
 
 
+class TestSampleTable:
+    def test_each_field_is_a_float64_column(self):
+        samples = _record().samples
+        assert isinstance(samples, SampleTable) and len(samples) == 3
+        assert samples.t.dtype == np.float64 and samples.t.tolist() == [0.0, 0.5, 1.0]
+        assert samples.l2.tolist() == [1.0] * 3
+        assert list(samples.holder) == [0.2]
+        assert samples.holder[0.2].tolist() == [1.6048121798571024] * 3
+
+    def test_a_row_is_the_sample_run_took(self, monkeypatch):
+        taken = []
+
+        def take(*args, take=solver._take_sample):
+            taken.append(take(*args))
+            return taken[-1]
+
+        monkeypatch.setattr(solver, "_take_sample", take)
+        grid = TorusGrid(64)
+        rec = run(make_datum(cosine_positive(1.0, 1.0), grid), ModelParams(gamma=0.9, n=64),
+                  StepControl(t_end=0.1, snapshot_every=0.05), DiagnosticPlan((0.2,)))
+        assert rec.samples[-1] == taken[-1]
+        assert isinstance(rec.samples[0], DiagnosticsSample)
+        assert list(rec.samples) == taken
+        row = vars(rec.samples[-1])
+        assert all(type(value) is float for value in [*row.pop("holder").values(), *row.values()])
+
+    def test_a_slice_is_a_table(self):
+        samples = _record().samples
+        head = samples[:2]
+        assert isinstance(head, SampleTable)
+        assert head.t.tolist() == [0.0, 0.5] and head.holder[0.2].tolist() == [1.6048121798571024] * 2
+        assert list(head) == [samples[0], samples[1]]
+        assert replace(_record(), samples=head).samples == head
+
+    def test_equality_treats_nan_as_equal_to_nan(self):
+        nan = replace(_record(), samples=[_sample(0.0, l2=math.nan), _sample(1.0)])
+        assert nan == replace(_record(), samples=[_sample(0.0, l2=float("nan")), _sample(1.0)])
+        assert nan.samples != replace(_record(), samples=[_sample(0.0), _sample(1.0)]).samples
+        assert record_from_dict(record_to_dict(nan)) == nan
+
+    def test_tables_differ_in_their_exponents(self):
+        other = replace(_record(), samples=[replace(s, holder={0.3: 1.0}) for s in _record().samples])
+        assert other.samples != _record().samples
+
+    def test_columns_are_read_only(self):
+        samples = _record().samples
+        with pytest.raises(ValueError, match="read-only"):
+            samples.l2[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            samples.holder[0.2][0] = 2.0
+        with pytest.raises(AttributeError):
+            samples.l2 = np.zeros(3)
+        with pytest.raises(TypeError):
+            samples.holder[0.3] = np.zeros(3)
+
+    def test_columns_stay_read_only_through_pickle(self):
+        back = pickle.loads(pickle.dumps(_record()))
+        assert back == _record()
+        assert not back.samples.l2.flags.writeable
+        assert not back.samples.holder[0.2].flags.writeable
+
+    def test_records_from_a_parallel_sweep_hold_read_only_columns(self, tmp_path):
+        plan = SweepPlan(
+            gamma_values=(0.6, 0.9),
+            data=(cosine_positive(1.0, 1.0),),
+            resolutions=(32,),
+            control=StepControl(t_end=0.05, snapshot_every=0.025),
+            parallelism=2,
+        )
+        records = sweep(plan, tmp_path / "sweep.jsonl")
+        assert records == load_records(tmp_path / "sweep.jsonl")
+        for record in records:
+            assert not any(getattr(record.samples, name).flags.writeable for name in ("t", "l2", "grad_linf"))
+            assert not any(column.flags.writeable for column in record.samples.holder.values())
+
+
 class TestSerialization:
     def test_round_trip_preserves_floats_exactly(self):
         rec = _record()
@@ -167,10 +249,11 @@ class TestSerialization:
         assert record_from_dict(record_to_dict(rec)) == rec
 
     def test_samples_tracking_different_exponents_cannot_be_written(self):
+        """One column per exponent cannot hold them, so the record is refused
+        when it is built, before anything could write it."""
         odd = replace(_sample(0.5), holder={0.3: 1.0})
-        rec = replace(_record(), samples=[_sample(0.0), odd])
         with pytest.raises(ValueError, match="same Holder exponents"):
-            record_to_dict(rec)
+            replace(_record(), samples=[_sample(0.0), odd])
 
     def test_schema_1_dict_loads_equal_with_no_telemetry(self):
         back = record_from_dict(_schema_1(record_to_dict(_record())))
@@ -271,6 +354,16 @@ class TestFileFormat:
         path.write_text(json.dumps(d) + "\n")
         with pytest.raises(ValueError, match="schema"):
             load_records(path)
+
+
+    def test_a_written_schema_2_line_reserializes_byte_equal(self, tmp_path):
+        grid = TorusGrid(64)
+        rec = run(make_datum(cosine_positive(1.0, 1.0), grid), ModelParams(gamma=0.9, n=64),
+                  StepControl(t_end=0.1, snapshot_every=0.02), DiagnosticPlan((0.2, 0.5)))
+        path = tmp_path / "runs.jsonl"
+        append_record(path, rec)
+        line = path.read_text().rstrip("\n")
+        assert record_to_json(record_from_dict(json.loads(line))) == line
 
 
 class TestSchema1Files:

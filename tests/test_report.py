@@ -89,6 +89,23 @@ class TestCsvRoundTrip:
             parse_csv(f"{header}\n{row.rsplit(',', 1)[0]}\n")
 
 
+class TestPinnedBytes:
+    """What a report makes of the checked-in schema 1 file, pinned from an
+    earlier build: how samples are held in memory must not change it."""
+
+    def test_summary_matches_an_earlier_builds_summary(self):
+        records = load_records(DATA / "sweep_v1.jsonl")
+        assert emit_csv(build_summary(records)) == (DATA / "sweep_v1_summary.csv").read_text()
+
+    def test_chart_digests_match_an_earlier_builds_digests(self):
+        """A chart index written by an earlier build still matches, so no chart is redrawn."""
+        records = load_records(DATA / "sweep_v1.jsonl")
+        assert [report_module._chart_digest(r) for r in records] == [
+            "2859559ee6e1a3832d342527de761b78",
+            "e4ddfed0b6728391c810e70212deeec9",
+        ]
+
+
 class TestSvgChart:
     def test_parses_as_xml_with_five_polylines(self, records):
         svg = norm_chart_svg(records[0])
