@@ -5,33 +5,37 @@ ccflab module, so every layer can read records.
 
 Serialization rules that keep sweeps byte-reproducible:
 
-* JSON is emitted with sorted keys and compact separators; floats serialize
-  via repr, which round-trips exactly in both directions.
+* JSON is emitted with sorted keys and compact separators. Scalar floats
+  serialize via repr, and sample columns as the bytes of their float64 values;
+  both round-trip exactly in both directions.
 * wall_time is stored on the record but excluded from the config hash, so a
   re-run of the same cell is recognized regardless of how long it took.
 
-Schema 2, the one written, stores a record's samples as columns, as a
-SampleTable holds them: one JSON array per DiagnosticsSample field, and under
-"holder" one array per tracked exponent. Schema 1 stored one object per sample;
-it is still read, converted to the column layout first, so a file may hold
-lines of both versions. Every sample of a record must track the same Holder
-exponents.
+Schema 3, the one written, stores a record's samples as columns, as a
+SampleTable holds them: one string per DiagnosticsSample field, and under
+"holder" one per tracked exponent, each the base64 of the column's
+little-endian float64 bytes. Schema 2 had the same layout with a JSON array of
+numbers per column; schema 1 stored one object per sample, and is converted to
+the column layout first. All three are read, so a file may hold lines of every
+version. Every sample of a record must track the same Holder exponents.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class Outcome(str, Enum):
@@ -145,8 +149,9 @@ class RunRecord:
         if np.any(np.diff(self.samples.t) < 0):
             raise ValueError("samples must be time-sorted")
 
-    @property
+    @cached_property
     def config_hash(self) -> str:
+        """Computed once per record: nothing mutates a record's config."""
         return config_hash(self.config)
 
 
@@ -214,34 +219,63 @@ def _sample_columns(rows: list) -> dict:
     return columns
 
 
-def _column(values, size: int, what: str) -> list:
-    """values if it is an array of size JSON numbers, else a ValueError naming what."""
-    if len(_expect(values, list, what)) != size:
+def _number_column(values, size: int | None, what: str) -> np.ndarray:
+    """A schema 1 or 2 column, an array of size JSON numbers (any number when
+    size is None), as float64; else a ValueError naming what."""
+    _expect(values, list, what)
+    if size is not None and len(values) != size:
         raise ValueError(f"{what} holds {len(values)} values, sample 't' holds {size}")
     if not _NUMBER_TYPES.issuperset(map(type, values)):
         raise ValueError(f"{what} must hold only JSON numbers")
-    return values
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer too large for a float64") from None
 
 
-def _table_from_columns(d: dict) -> SampleTable:
-    """Schema 2 samples, each column checked once."""
+def _base64_column(value, size: int | None, what: str) -> np.ndarray:
+    """A schema 3 column, a base64 string of size little-endian float64 values
+    (any number when size is None), as float64; else a ValueError naming what."""
+    _expect(value, str, what)
+    try:
+        data = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"{what} is not valid base64: {exc}") from None
+    if size is None and len(data) % 8:
+        raise ValueError(f"{what} holds {len(data)} bytes, not a whole number of float64 values")
+    if size is not None and len(data) != 8 * size:
+        raise ValueError(f"{what} holds {len(data)} bytes, not {8 * size} (8 per value of sample 't')")
+    return np.frombuffer(data, "<f8")
+
+
+# How each schema version stores one sample column.
+_COLUMN_READERS = {1: _number_column, 2: _number_column, 3: _base64_column}
+
+
+def _table_from_columns(d: dict, read_column) -> SampleTable:
+    """Samples in the column layout, each column read and checked once by
+    read_column: _number_column for schema 1 and 2, _base64_column for 3."""
     d = _expect(d, dict, "record 'samples'")
     try:
         columns = {name: d[name] for name in _SAMPLE_FIELDS}
     except KeyError as exc:
         raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
-    size = len(_expect(columns["t"], list, "sample 't'"))
-    for name in _SCALARS:
-        _column(columns[name], size, f"sample {name!r}")
-    for a, values in _expect(columns["holder"], dict, "sample 'holder'").items():
-        _column(values, size, f"sample 'holder' {a!r}")
-    return SampleTable(columns)
+    t = read_column(columns["t"], None, "sample 't'")
+    read = {name: read_column(columns[name], len(t), f"sample {name!r}") for name in _SCALARS if name != "t"}
+    holder = _expect(columns["holder"], dict, "sample 'holder'")
+    read["holder"] = {a: read_column(values, len(t), f"sample 'holder' {a!r}") for a, values in holder.items()}
+    return SampleTable({"t": t, **read})
+
+
+def _base64(column: np.ndarray) -> str:
+    """A float64 column as schema 3 stores it."""
+    return base64.b64encode(column.astype("<f8", copy=False).tobytes()).decode("ascii")
 
 
 def record_to_dict(record: RunRecord) -> dict:
-    """The schema 2 form of a record, one key per RunRecord field."""
+    """The schema 3 form of a record, one key per RunRecord field."""
     d = {f.name: getattr(record, f.name) for f in fields(RunRecord)}
-    samples = record.samples._map(np.ndarray.tolist)
+    samples = record.samples._map(_base64)
     # String keys: json's own float-to-key conversion would sort some alphas
     # differently. str is repr for a float.
     samples["holder"] = {str(a): values for a, values in samples["holder"].items()}
@@ -250,13 +284,13 @@ def record_to_dict(record: RunRecord) -> dict:
 
 
 def record_from_dict(d: dict) -> RunRecord:
-    """A record from its schema 1 or schema 2 form. A schema 1 dict is first
-    converted to the schema 2 layout, with no telemetry, so both versions are
-    checked and built by the one column reader."""
+    """A record from its schema 1, 2 or 3 form. A schema 1 dict is first
+    converted to the column layout of schema 2, with no telemetry, so every
+    version is checked and built by the one table reader."""
     version = _expect(d, dict, "record").get("schema_version")
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+    if type(version) is not int or version not in _COLUMN_READERS:
         raise ValueError(
-            f"unknown record schema_version {version!r}; this build reads versions [1, {SCHEMA_VERSION}]"
+            f"unknown record schema_version {version!r}; this build reads versions {list(_COLUMN_READERS)}"
         )
     try:
         if version == 1:
@@ -269,7 +303,7 @@ def record_from_dict(d: dict) -> RunRecord:
                 _expect_number(model[key], f"record 'config.model.{key}'")
         return RunRecord(
             config=config,
-            samples=_table_from_columns(d["samples"]),
+            samples=_table_from_columns(d["samples"], _COLUMN_READERS[version]),
             outcome=Outcome(d["outcome"]),
             outcome_detail=_expect(d.get("outcome_detail", ""), str, "record 'outcome_detail'"),
             t_star_predicted=_expect_number(d["t_star_predicted"], "record 't_star_predicted'", True),

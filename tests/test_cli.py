@@ -14,8 +14,10 @@ import ccflab
 from ccflab.cli import main
 from ccflab.records import load_records, record_to_dict
 
-# Two records written in schema 1 by an earlier build with the sweep flags below.
+# Two records written in schema 1 by an earlier build with the sweep flags below,
+# and the same sweep as the last schema 2 build wrote it.
 SCHEMA_1_FILE = Path(__file__).with_name("data") / "sweep_v1.jsonl"
+SCHEMA_2_FILE = Path(__file__).with_name("data") / "sweep_v2.jsonl"
 SCHEMA_1_SWEEP = ["sweep", "--gamma", "0.6,1.2", "--n", "64", "--t-end", "0.1"]
 
 
@@ -222,6 +224,7 @@ class TestSweepAndReportCommands:
             "string_datum_sample",
             "number_outcome_detail",
             "other_holder_exponents",
+            "huge_int_sample",
         ],
     )
     def test_report_on_a_wrong_shape_line_names_the_line(self, tmp_path, capsys, shape):
@@ -268,6 +271,8 @@ class TestSweepAndReportCommands:
             # A sample after T* that lacks the tracked exponent.
             payload["samples"][10]["holder"] = {"0.3": 1.0}
             payload["t_star_predicted"] = 0.01
+        elif shape == "huge_int_sample":
+            payload["samples"][1]["l2"] = 10**400
         else:
             payload["config"]["datum"] = [payload["config"]["datum"]]
         path.write_text(path.read_text() + json.dumps(payload) + "\n")
@@ -286,12 +291,13 @@ class TestSweepAndReportCommands:
             ("missing_column", "'tail_fraction'"),
             ("null_holder", "'holder'"),
             ("bool_holder_value", "'0.5'"),
+            ("huge_int_in_column", "'linf'"),
         ],
     )
     def test_report_on_a_wrong_schema_2_column_names_line_and_key(self, tmp_path, capsys, shape, key):
-        assert main(["sweep", "--gamma", "0.6", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
         path = tmp_path / "sweep.jsonl"
-        payload = json.loads(path.read_text())
+        first = SCHEMA_2_FILE.read_text().splitlines(keepends=True)[0]
+        payload = json.loads(first)
         samples = payload["samples"]
         if shape == "string_in_column":
             samples["t"][1] = "0.02"
@@ -303,8 +309,38 @@ class TestSweepAndReportCommands:
             del samples["tail_fraction"]
         elif shape == "null_holder":
             samples["holder"] = None
+        elif shape == "huge_int_in_column":
+            samples["linf"][1] = 10**400
         else:
             samples["holder"]["0.5"][1] = True
+        path.write_text(first + json.dumps(payload) + "\n")
+        assert main(["report", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep.jsonl:2: " in err and key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "shape, key",
+        [
+            ("array_column", "'t'"),
+            ("number_holder_column", "'0.5'"),
+            ("bad_base64", "'mean'"),
+            ("byte_length", "'hdot_mid'"),
+        ],
+    )
+    def test_report_on_a_wrong_schema_3_column_names_line_and_key(self, tmp_path, capsys, shape, key):
+        assert main(["sweep", "--gamma", "0.6", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
+        path = tmp_path / "sweep.jsonl"
+        payload = json.loads(path.read_text())
+        samples = payload["samples"]
+        if shape == "array_column":
+            samples["t"] = [0.0, 0.002]
+        elif shape == "number_holder_column":
+            samples["holder"]["0.5"] = 1.2
+        elif shape == "bad_base64":
+            samples["mean"] = "*" + samples["mean"][1:]
+        else:
+            samples["hdot_mid"] = samples["hdot_mid"][:-12]  # 9 bytes fewer
         path.write_text(path.read_text() + json.dumps(payload) + "\n")
         capsys.readouterr()
         assert main(["report", str(path), "--out-dir", str(tmp_path)]) == 1
@@ -312,16 +348,31 @@ class TestSweepAndReportCommands:
         assert "sweep.jsonl:2: " in err and key in err
         assert "Traceback" not in err
 
-    def test_schema_1_sweep_resumes_with_no_rerun_then_gains_schema_2_lines(self, tmp_path, capsys):
+    def test_schema_1_sweep_resumes_with_no_rerun_then_gains_schema_3_lines(self, tmp_path, capsys):
         path = tmp_path / "sweep.jsonl"
         shutil.copyfile(SCHEMA_1_FILE, path)
         assert main([*SCHEMA_1_SWEEP, "--out-dir", str(tmp_path)]) == 0
         assert path.read_bytes() == SCHEMA_1_FILE.read_bytes()
         assert main(["sweep", "--gamma", "0.6,0.9,1.2", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
         assert path.read_bytes().startswith(SCHEMA_1_FILE.read_bytes())
-        assert [json.loads(line)["schema_version"] for line in path.read_text().splitlines()] == [1, 1, 2]
+        assert [json.loads(line)["schema_version"] for line in path.read_text().splitlines()] == [1, 1, 3]
         old, new = load_records(SCHEMA_1_FILE), load_records(path)
         assert new[:2] == old
+        assert new[2].config["model"]["gamma"] == 0.9 and new[2].step_count > 0
+
+    def test_schema_2_sweep_resumes_with_no_rerun_then_gains_schema_3_lines(self, tmp_path, capsys):
+        path = tmp_path / "sweep.jsonl"
+        shutil.copyfile(SCHEMA_2_FILE, path)
+        assert main([*SCHEMA_1_SWEEP, "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith(f"2 records in {path}\n")
+        assert path.read_bytes() == SCHEMA_2_FILE.read_bytes()
+        assert main(["sweep", "--gamma", "0.6,0.9,1.2", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
+        assert path.read_bytes().startswith(SCHEMA_2_FILE.read_bytes())
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["schema_version"] for line in lines] == [2, 2, 3]
+        assert isinstance(json.loads(lines[2])["samples"]["t"], str)
+        new = load_records(path)
+        assert new[:2] == load_records(SCHEMA_2_FILE)
         assert new[2].config["model"]["gamma"] == 0.9 and new[2].step_count > 0
 
     @pytest.mark.parametrize(

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ccflab import experiments
+import ccflab.report as report_module
+from ccflab import experiments, records
 from ccflab.experiments import (
     InitialDatum,
     SweepPlan,
@@ -260,6 +261,25 @@ class TestSweep:
         records = sweep(small_plan, out)
         assert len(records) == 2
         assert len(load_records(out)) == 2
+
+    def test_a_resumed_sweep_and_its_report_hash_each_config_once(self, small_plan, tmp_path, monkeypatch):
+        plan = replace(small_plan, gamma_values=(0.6, 0.9, 1.2))
+        out = tmp_path / "sweep.jsonl"
+        sweep(plan, out)
+        out.write_text("".join(out.read_text().splitlines(keepends=True)[:-1]))  # drop the last cell
+        hashed = []
+
+        def spy(config, config_hash=records.config_hash):
+            hashed.append(config_hash(config))
+            return hashed[-1]
+
+        monkeypatch.setattr(records, "config_hash", spy)
+        monkeypatch.setattr(experiments, "config_hash", spy)
+        swept = sweep(plan, out)
+        report_module.report(swept, tmp_path)
+        # Each config twice: once when sweep plans its cell, and once as a
+        # record, when sweep loads it or, for the cell sweep ran, in report.
+        assert sorted(hashed) == sorted([r.config_hash for r in swept] * 2)
 
     def test_a_numpy_integer_resolution_sweeps_with_the_int_hash(self, small_plan, tmp_path):
         numpy_n = replace(small_plan, resolutions=(np.int64(64),))

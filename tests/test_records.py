@@ -1,5 +1,6 @@
 """Tests for record serialization: JSONL schema, hashing, and the loader."""
 
+import base64
 import json
 import math
 import pickle
@@ -30,9 +31,12 @@ from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, build_config
 from ccflab.torus import TorusGrid
 
 # Two records written in schema 1 by an earlier build (ccflab sweep --gamma
-# 0.6,1.2 --n 64 --t-end 0.1), checked in unchanged.
+# 0.6,1.2 --n 64 --t-end 0.1), checked in unchanged, and the same sweep as the
+# last schema 2 build wrote it: 51 samples a record, the first tracking 0.5.
 SCHEMA_1_FILE = Path(__file__).with_name("data") / "sweep_v1.jsonl"
+SCHEMA_2_FILE = Path(__file__).with_name("data") / "sweep_v2.jsonl"
 TELEMETRY = ("step_count", "dt_min", "dt_max")
+SCALARS = tuple(f.name for f in fields(DiagnosticsSample) if f.name != "holder")
 
 
 def _sample(t, l2=1.0):
@@ -66,10 +70,27 @@ def _record(wall_time=0.25, gamma=0.9):
     )
 
 
+def _encoded(values) -> str:
+    """Values as a schema 3 column: base64 of their little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decoded(column: str) -> list:
+    """A schema 3 column's values."""
+    return np.frombuffer(base64.b64decode(column), "<f8").tolist()
+
+
+def _schema_2(d: dict) -> dict:
+    """A schema 3 record dict in the schema 2 form: each column a JSON array."""
+    samples = {name: _decoded(column) for name, column in d["samples"].items() if name != "holder"}
+    samples["holder"] = {alpha: _decoded(column) for alpha, column in d["samples"]["holder"].items()}
+    return {**d, "schema_version": 2, "samples": samples}
+
+
 def _schema_1(d: dict) -> dict:
-    """A schema 2 record dict in the schema 1 form: one object per sample and
+    """A schema 3 record dict in the schema 1 form: one object per sample and
     no telemetry keys."""
-    columns = dict(d["samples"])
+    columns = dict(_schema_2(d)["samples"])
     holder = columns.pop("holder")
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     for i, row in enumerate(rows):
@@ -234,11 +255,12 @@ class TestSerialization:
         assert record_to_json(_record()) == record_to_json(_record())
         assert "\n" not in record_to_json(_record())
 
-    def test_samples_are_stored_as_columns(self):
+    def test_samples_are_stored_as_base64_float64_columns(self):
         d = record_to_dict(_record())
-        assert d["schema_version"] == SCHEMA_VERSION == 2
-        assert d["samples"]["t"] == [0.0, 0.5, 1.0]
-        assert d["samples"]["holder"] == {"0.2": [1.6048121798571024] * 3}
+        assert d["schema_version"] == SCHEMA_VERSION == 3
+        # 0.0, 0.5 and 1.0 as little-endian float64 bytes.
+        assert d["samples"]["t"] == "AAAAAAAAAAAAAAAAAADgPwAAAAAAAPA/" == _encoded([0.0, 0.5, 1.0])
+        assert d["samples"]["holder"] == {"0.2": _encoded([1.6048121798571024] * 3)}
         assert {key: d[key] for key in TELEMETRY} == {"step_count": 41, "dt_min": 0.004999999999999893, "dt_max": 0.025}
 
     def test_keys_are_the_run_record_fields_and_the_schema_version(self):
@@ -268,10 +290,10 @@ class TestSerialization:
         assert back.outcome_detail == ""
         assert back.samples == _record().samples
 
-    @pytest.mark.parametrize("schema", [1, 2])
+    @pytest.mark.parametrize("schema", [1, 2, 3])
     def test_outcome_detail_must_be_a_string(self, schema):
         d = record_to_dict(_record())
-        d = _schema_1(d) if schema == 1 else d
+        d = {1: _schema_1, 2: _schema_2, 3: dict}[schema](d)
         d["outcome_detail"] = 5
         with pytest.raises(ValueError, match="record 'outcome_detail' must be a JSON string, got int"):
             record_from_dict(d)
@@ -301,6 +323,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{level} is missing key '{key}'"):
             record_from_dict(d)
 
+    def test_columns_round_trip_bit_for_bit(self):
+        """Signed zero, NaN (with a payload), infinities and subnormals come
+        back with the bytes they went in with, and the line is strict JSON."""
+        odd_nan = np.frombuffer(bytes.fromhex("0100000000f8ff7f"), "<f8")[0]
+        values = [-0.0, math.nan, odd_nan, math.inf, -math.inf, 5e-324, -1e-310]
+        columns = {name: [*values[i:], *values[:i]] for i, name in enumerate(SCALARS)}
+        columns["t"] = [-0.0, 0.0, 5e-324, 1e-310, 1.0, 2.0, math.inf]
+        columns["holder"] = {0.2: values[::-1], 0.5: values}
+        rec = replace(_record(), samples=SampleTable(columns))
+        line = record_to_json(rec)
+        json.loads(line, parse_constant=lambda token: pytest.fail(f"non-standard JSON token {token}"))
+        back = record_from_dict(json.loads(line))
+        for name in SCALARS:
+            assert getattr(back.samples, name).tobytes() == np.asarray(columns[name], "<f8").tobytes(), name
+        for alpha, series in columns["holder"].items():
+            assert back.samples.holder[alpha].tobytes() == np.asarray(series, "<f8").tobytes(), alpha
+        assert record_to_json(back) == line
+
     def test_unknown_schema_version_rejected(self):
         d = record_to_dict(_record())
         d["schema_version"] = SCHEMA_VERSION + 1
@@ -329,17 +369,49 @@ class TestFileFormat:
         [
             (lambda s: s["t"].__setitem__(1, "0.5"), "sample 't' must hold only JSON numbers"),
             (lambda s: s["l2"].__setitem__(1, True), "sample 'l2' must hold only JSON numbers"),
-            (lambda s: s["linf"].pop(), "sample 'linf' holds 2 values, sample 't' holds 3"),
+            (lambda s: s["linf"].pop(), "sample 'linf' holds 50 values, sample 't' holds 51"),
             (lambda s: s.__delitem__("grad_linf"), "sample is missing key 'grad_linf'"),
             (lambda s: s.__setitem__("holder", None), "sample 'holder' must be a JSON object, got NoneType"),
             (lambda s: s.__setitem__("mean", 0.1), "sample 'mean' must be a JSON array, got float"),
-            (lambda s: s["holder"]["0.2"].__setitem__(2, False), "sample 'holder' '0.2' must hold only JSON numbers"),
-            (lambda s: s["holder"]["0.2"].append(1.0), "sample 'holder' '0.2' holds 4 values, sample 't' holds 3"),
+            (lambda s: s["holder"]["0.5"].__setitem__(2, False), "sample 'holder' '0.5' must hold only JSON numbers"),
+            (lambda s: s["holder"]["0.5"].append(1.0), "sample 'holder' '0.5' holds 52 values, sample 't' holds 51"),
+            (lambda s: s["l2"].__setitem__(1, 10**400), "sample 'l2' holds an integer too large for a float64"),
+            (lambda s: s["holder"]["0.5"].__setitem__(1, -(10**400)),
+             "sample 'holder' '0.5' holds an integer too large for a float64"),
         ],
         ids=["string", "bool", "length", "missing_column", "null_holder", "not_an_array",
-             "bool_holder_value", "holder_length"],
+             "bool_holder_value", "holder_length", "huge_int", "huge_int_holder"],
     )
     def test_loader_names_the_line_and_the_bad_column(self, tmp_path, mutate, message):
+        first = SCHEMA_2_FILE.read_text().splitlines()[0]
+        d = json.loads(first)
+        mutate(d["samples"])
+        path = tmp_path / "runs.jsonl"
+        path.write_text(first + "\n" + json.dumps(d) + "\n")
+        with pytest.raises(ValueError, match=f"runs\\.jsonl:2: {re.escape(message)}"):
+            load_records(path)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda s: s.__setitem__("t", [0.0, 0.5, 1.0]), "sample 't' must be a JSON string, got list"),
+            (lambda s: s.__setitem__("l2", None), "sample 'l2' must be a JSON string, got NoneType"),
+            (lambda s: s["holder"].__setitem__("0.2", 1.6), "sample 'holder' '0.2' must be a JSON string, got float"),
+            # A decoder that skips characters outside the alphabet would read the column unchanged.
+            (lambda s: s.__setitem__("mean", s["mean"][:4] + "!" + s["mean"][4:]), "sample 'mean' is not valid base64"),
+            (lambda s: s.__setitem__("mean", s["mean"][:-2]), "sample 'mean' is not valid base64"),
+            (lambda s: s.__setitem__("mean", "é" + s["mean"][1:]), "sample 'mean' is not valid base64"),
+            (lambda s: s.__setitem__("linf", _encoded([2.0, 2.0])),
+             "sample 'linf' holds 16 bytes, not 24 (8 per value of sample 't')"),
+            (lambda s: s["holder"].__setitem__("0.2", _encoded([1.0] * 4)),
+             "sample 'holder' '0.2' holds 32 bytes, not 24 (8 per value of sample 't')"),
+            (lambda s: s.__setitem__("t", base64.b64encode(bytes(12)).decode()),
+             "sample 't' holds 12 bytes, not a whole number of float64 values"),
+        ],
+        ids=["list", "null", "holder_number", "bad_character", "bad_padding", "not_ascii",
+             "byte_length", "holder_byte_length", "t_not_whole_values"],
+    )
+    def test_loader_names_the_line_and_the_bad_schema_3_column(self, tmp_path, mutate, message):
         path = tmp_path / "runs.jsonl"
         d = record_to_dict(_record())
         mutate(d["samples"])
@@ -352,35 +424,63 @@ class TestFileFormat:
         d = record_to_dict(_record())
         d["schema_version"] = 99
         path.write_text(json.dumps(d) + "\n")
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(ValueError, match=re.escape("schema_version 99; this build reads versions [1, 2, 3]")):
             load_records(path)
 
-
-    def test_a_written_schema_2_line_reserializes_byte_equal(self, tmp_path):
+    def test_a_written_schema_3_line_reserializes_byte_equal(self, tmp_path):
         grid = TorusGrid(64)
         rec = run(make_datum(cosine_positive(1.0, 1.0), grid), ModelParams(gamma=0.9, n=64),
                   StepControl(t_end=0.1, snapshot_every=0.02), DiagnosticPlan((0.2, 0.5)))
         path = tmp_path / "runs.jsonl"
         append_record(path, rec)
         line = path.read_text().rstrip("\n")
+        assert json.loads(line)["schema_version"] == 3
         assert record_to_json(record_from_dict(json.loads(line))) == line
 
 
-class TestSchema1Files:
+def _as_written(payload: dict) -> dict:
+    """A schema 1 or 2 line's sample columns as float64 arrays, read straight
+    from its JSON numbers, the way every build before schema 3 read them."""
+    samples = payload["samples"]
+    if payload["schema_version"] == 1:
+        samples = {name: [row[name] for row in samples] for name in samples[0]}
+        samples["holder"] = {a: [h[a] for h in samples["holder"]] for a in samples["holder"][0]}
+    columns = {name: np.array(v, dtype=np.float64) for name, v in samples.items() if name != "holder"}
+    return {**columns, "holder": {float(a): np.array(v, dtype=np.float64) for a, v in samples["holder"].items()}}
+
+
+class TestOlderSchemaFiles:
+    @pytest.mark.parametrize("path", [SCHEMA_1_FILE, SCHEMA_2_FILE], ids=["schema_1", "schema_2"])
+    def test_a_file_loads_the_values_it_holds_bit_for_bit(self, path):
+        payloads = [json.loads(line) for line in path.read_text().splitlines()]
+        records = load_records(path)
+        assert [r.config_hash for r in records] == ["766337153669", "4ae00d24a92d"]
+        for record, payload in zip(records, payloads):
+            columns = _as_written(payload)
+            for name in SCALARS:
+                assert getattr(record.samples, name).tobytes() == columns[name].tobytes(), name
+            assert record.samples.holder.keys() == columns["holder"].keys()
+            for alpha, series in columns["holder"].items():
+                assert record.samples.holder[alpha].tobytes() == series.tobytes()
+            assert record.config == payload["config"] and record.outcome.value == payload["outcome"]
+            for key in ("outcome_detail", "t_star_predicted", "t_local_predicted", "wall_time", *TELEMETRY):
+                assert getattr(record, key) == payload.get(key), key
+
+    @pytest.mark.parametrize("path", [SCHEMA_1_FILE, SCHEMA_2_FILE], ids=["schema_1", "schema_2"])
+    def test_records_rewritten_in_schema_3_load_equal(self, tmp_path, path):
+        records = load_records(path)
+        rewritten = tmp_path / "runs.jsonl"
+        for record in records:
+            append_record(rewritten, record)
+        assert [json.loads(line)["schema_version"] for line in rewritten.read_text().splitlines()] == [3, 3]
+        assert load_records(rewritten) == records
+
     def test_a_schema_1_file_loads_with_no_telemetry(self):
         records = load_records(SCHEMA_1_FILE)
         assert [r.config["model"]["gamma"] for r in records] == [0.6, 1.2]
         assert [r.config_hash for r in records] == ["766337153669", "4ae00d24a92d"]
         assert all(r.step_count is r.dt_min is r.dt_max is None for r in records)
         assert list(records[0].samples[0].holder) == [0.5]
-
-    def test_schema_1_records_rewritten_in_schema_2_load_equal(self, tmp_path):
-        records = load_records(SCHEMA_1_FILE)
-        path = tmp_path / "runs.jsonl"
-        for record in records:
-            append_record(path, record)
-        assert [json.loads(line)["schema_version"] for line in path.read_text().splitlines()] == [2, 2]
-        assert load_records(path) == records
 
     def test_a_sample_tracking_other_exponents_fails_naming_the_line(self, tmp_path):
         first, second = SCHEMA_1_FILE.read_text().splitlines()
@@ -392,10 +492,20 @@ class TestSchema1Files:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_records(path)
 
+    def test_a_huge_integer_in_a_sample_fails_naming_the_line_and_the_key(self, tmp_path):
+        first, second = SCHEMA_1_FILE.read_text().splitlines()
+        payload = json.loads(first)
+        payload["samples"][1]["l2"] = 10**400
+        path = tmp_path / "runs.jsonl"
+        path.write_text(second + "\n" + json.dumps(payload) + "\n")
+        message = "runs.jsonl:2: sample 'l2' holds an integer too large for a float64"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_records(path)
+
     def test_a_file_may_mix_schema_versions(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        path.write_text(SCHEMA_1_FILE.read_text())
+        path.write_text(SCHEMA_1_FILE.read_text() + SCHEMA_2_FILE.read_text())
         append_record(path, _record())
         *old, new = load_records(path)
-        assert old == load_records(SCHEMA_1_FILE)
+        assert old == load_records(SCHEMA_1_FILE) + load_records(SCHEMA_2_FILE)
         assert new == _record()
