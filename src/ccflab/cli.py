@@ -205,7 +205,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows = verify_suite(n=_number(_pick(args.n, 256), "n", whole=True), seed=int(args.seed or 0))
+    seed = _number(_pick(args.seed, 0), "seed", whole=True)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rows = verify_suite(n=_number(_pick(args.n, 256), "n", whole=True), seed=seed)
     print(format_json(rows) if args.json else format_table(rows))
     if all(row.passed for row in rows):
         return 0

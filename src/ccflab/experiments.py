@@ -40,8 +40,6 @@ DATUM_FAMILIES = {
 DATUM_KINDS = tuple(DATUM_FAMILIES)
 DATUM_ALIASES = {alias: kind for kind, (alias, _) in DATUM_FAMILIES.items()}
 
-SIGN_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class InitialDatum:
@@ -105,26 +103,19 @@ def custom_datum(samples) -> InitialDatum:
 
 
 def make_datum(d: InitialDatum, grid: TorusGrid) -> RealField:
-    """Sample the datum on the grid and verify its sign invariants numerically."""
+    """Sample the datum on the grid. InitialDatum's parameter checks give each
+    family its sign; what only sampling shows is checked here: a von Mises bump
+    that underflows to zero, and custom samples of the wrong length."""
     x = grid.points
     if d.kind == "cosine_positive":
-        a, b = d.params["a"], d.params["b"]
-        values = a + b * np.cos(x)
-        if float(np.min(values)) < -SIGN_TOL * (a + b):
-            raise ValueError("cosine_positive sampled negative; requires a >= b > 0")
+        values = d.params["a"] + d.params["b"] * np.cos(x)
     elif d.kind == "von_mises_bump":
         kappa = d.params["kappa"]
         values = np.exp(kappa * (np.cos(x) - 1.0))
         if float(np.min(values)) <= 0.0:
             raise ValueError(f"von_mises_bump underflowed to zero at kappa={kappa:g}")
-        mirrored = values[(-np.arange(grid.n)) % grid.n]
-        if float(np.max(np.abs(values - mirrored))) > SIGN_TOL:
-            raise ValueError("von_mises_bump sampled asymmetrically; evenness violated")
     elif d.kind == "li_rodrigo_type":
-        scale = d.params["scale"]
-        values = -scale * np.sin(x / 2.0) ** 2
-        if float(np.max(values)) > 0.0 or abs(float(values[0])) > SIGN_TOL:
-            raise ValueError("li_rodrigo_type must be non-positive and vanish at x=0")
+        values = -d.params["scale"] * np.sin(x / 2.0) ** 2
     else:
         samples = np.asarray(d.params["samples"], dtype=np.float64)
         if samples.shape != (grid.n,):

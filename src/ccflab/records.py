@@ -262,9 +262,26 @@ def _table_from_columns(d: dict, read_column) -> SampleTable:
         raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
     t = read_column(columns["t"], None, "sample 't'")
     read = {name: read_column(columns[name], len(t), f"sample {name!r}") for name in _SCALARS if name != "t"}
-    holder = _expect(columns["holder"], dict, "sample 'holder'")
-    read["holder"] = {a: read_column(values, len(t), f"sample 'holder' {a!r}") for a, values in holder.items()}
+    keys: dict[float, str] = {}  # each exponent read so far, and the key that named it
+    read["holder"] = {}
+    for key, values in _expect(columns["holder"], dict, "sample 'holder'").items():
+        alpha = _exponent(key)
+        if alpha in keys:
+            raise ValueError(f"sample 'holder' keys {keys[alpha]!r} and {key!r} name one exponent {alpha!r}")
+        keys[alpha] = key
+        read["holder"][alpha] = read_column(values, len(t), f"sample 'holder' {key!r}")
     return SampleTable({"t": t, **read})
+
+
+def _exponent(key: str) -> float:
+    """A holder key's exponent, in (0, 1] as DiagnosticPlan takes; else a ValueError naming the key."""
+    try:
+        alpha = float(key)
+    except ValueError:
+        alpha = None
+    if alpha is None or not 0.0 < alpha <= 1.0:  # NaN fails the range test too
+        raise ValueError(f"sample 'holder' key {key!r} is not a number in (0, 1]")
+    return alpha
 
 
 def _base64(column: np.ndarray) -> str:

@@ -28,10 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .records import Outcome, RunRecord
-from .torus import TWO_PI, RealField, SpectralField
-
-# Records feeding the energy probe must be spectrally resolved throughout.
-PROBE_TAIL_LIMIT = 1e-4
+from .torus import TAIL_LIMIT, TWO_PI, RealField, SpectralField
 
 # Relative pad on the Holder pruning bound. A computed increment and a computed
 # bound each lie within a few ulps (~1e-16) of their exact values, so this pad
@@ -79,6 +76,21 @@ def alpha_policy(gamma: float) -> float:
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     return min(2.0 * (1.0 - gamma), 0.5)
+
+
+# An exponent this close to the policy alpha is the policy alpha: --alpha 0.2
+# names gamma 0.9's policy value 0.19999999999999996.
+POLICY_ALPHA_TOL = 1e-12
+
+
+def schedule_alpha(gamma: float, tracked: tuple[float, ...]) -> float:
+    """The exponent of a run's T*: the one exponent the run tracks, when it
+    lies in [1-gamma, 1) and is not the policy alpha within POLICY_ALPHA_TOL;
+    else the policy alpha."""
+    policy = alpha_policy(gamma)
+    if len(tracked) == 1 and 1.0 - gamma <= tracked[0] < 1.0 and abs(tracked[0] - policy) > POLICY_ALPHA_TOL:
+        return tracked[0]
+    return policy
 
 
 def holder_alphas(gamma: float, alpha: float | None, dissipation_on: bool) -> tuple[float, ...]:
@@ -308,8 +320,9 @@ def energy_inequality_probe(record: RunRecord) -> ProbeReport:
 
     X is the homogeneous H^{3/2} norm series, D the H^{(3+gamma)/2} series at
     the record's config gamma; d(X^2)/dt uses second-order differences
-    (centered inside, one-sided at the ends). Under-resolved records are
-    refused: their high-mode content makes the norm series meaningless.
+    (centered inside, one-sided at the ends). Records whose tail fraction ever
+    passes torus.TAIL_LIMIT are refused: their high-mode content makes the norm
+    series meaningless.
     """
     if record.outcome is not Outcome.COMPLETED:
         raise ValueError(f"probe refused: record outcome is {record.outcome.value}")
@@ -317,10 +330,8 @@ def energy_inequality_probe(record: RunRecord) -> ProbeReport:
     if len(samples) < 3:
         raise ValueError("probe needs at least 3 snapshots")
     worst_tail = samples.tail_fraction.max()
-    if worst_tail > PROBE_TAIL_LIMIT:
-        raise ValueError(
-            f"probe refused: record tail fraction {worst_tail:.3e} exceeds {PROBE_TAIL_LIMIT}"
-        )
+    if worst_tail > TAIL_LIMIT:
+        raise ValueError(f"probe refused: record tail fraction {worst_tail:.3e} exceeds {TAIL_LIMIT}")
     gamma = record.config.get("model", {}).get("gamma")
     if gamma is None:
         raise ValueError("probe refused: record config has no model gamma")

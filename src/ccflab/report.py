@@ -70,7 +70,7 @@ def _pick_holder_alpha(record: RunRecord, gamma: float) -> float | None:
     if 0.0 < gamma < 1.0:
         policy = regularity.alpha_policy(gamma)
         for alpha in tracked:
-            if abs(alpha - policy) <= 1e-12:
+            if abs(alpha - policy) <= regularity.POLICY_ALPHA_TOL:
                 return alpha
     return tracked[0]
 

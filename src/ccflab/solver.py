@@ -13,15 +13,17 @@ makes 9 real transforms: one irfft of H theta for the CFL speed, then in each
 RK4 stage one batched irfft of the velocity and the gradient together and one
 rfft of their product.
 
-Detectors, evaluated on each recorded snapshot:
+Detectors judge each recorded snapshot, and guards each step:
 
 * BlowupSuspected: non-finite state, or ||theta_x||_inf beyond 1e3 times its
-  initial value, or the spectral tail fraction beyond 1e-4 while still
-  growing between snapshots.
-* UnderResolved: tail fraction beyond 1e-4 without growth.
+  initial value, or the spectral tail fraction beyond torus.TAIL_LIMIT (1e-4)
+  while still growing between snapshots.
+* UnderResolved: tail fraction beyond TAIL_LIMIT without growth.
 * StepCollapse: dt fell below 1e-12.
 
-The first detector to fire sets the outcome (exactly once) and stops the run.
+Every stop, detector or numerical failure, is one RunStopped exception that
+carries its outcome and detail, and run() records it; a run that nothing
+stops is Completed.
 Runs are deterministic: fixed evaluation order, no randomness, identical
 inputs give bit-identical records.
 """
@@ -40,6 +42,7 @@ from . import regularity
 from .records import DiagnosticsSample, Outcome, RunRecord
 from .regularity import RegularityConstants
 from .torus import (
+    TAIL_LIMIT,
     RealField,
     SpectralField,
     TorusGrid,
@@ -49,26 +52,22 @@ from .torus import (
     tail_fraction,
 )
 
-TAIL_FLAG = 1e-4
 GRADIENT_BLOWUP_FACTOR = 1e3
 DT_FLOOR = 1e-12
 
 
-class NonFiniteStateError(RuntimeError):
+class RunStopped(RuntimeError):
+    """A run ends before t_end, with this outcome and detail (the message)."""
+
+    def __init__(self, outcome: Outcome, detail: str):
+        super().__init__(detail)
+        self.outcome = outcome
+        self.detail = detail
+
+
+def _non_finite(t: float) -> RunStopped:
     """State left the reach of floating point; treated as suspected blow-up."""
-
-    def __init__(self, t: float):
-        super().__init__(f"non-finite state at t={t:.6g}")
-        self.t = t
-
-
-class StepCollapseError(RuntimeError):
-    """Step size underflowed the DT_FLOOR."""
-
-    def __init__(self, t: float, dt: float):
-        super().__init__(f"step size collapsed to {dt:.3e} at t={t:.6g}")
-        self.t = t
-        self.dt = dt
+    return RunStopped(Outcome.BLOWUP_SUSPECTED, f"non-finite state at t={t:.6g}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,7 @@ def nonlinear_term(theta_hat: SpectralField, p: ModelParams) -> SpectralField:
     grid = theta_hat.grid
     raw = _nonlinear_raw(theta_hat.coeffs, _kernel(grid, p))
     if not np.all(np.isfinite(raw)):
-        raise NonFiniteStateError(t=float("nan"))
+        raise _non_finite(math.nan)
     return SpectralField(grid, raw)
 
 
@@ -197,7 +196,7 @@ def _choose_dt(h, c: StepControl, kernel: _Kernel, t: float, t_limit: float) -> 
     speed = max(1.0, float(np.max(np.abs(velocity))))
     dt = min(c.dt_max, c.cfl * kernel.dx / speed, t_limit - t)
     if dt < DT_FLOOR:
-        raise StepCollapseError(t, dt)
+        raise RunStopped(Outcome.STEP_COLLAPSE, f"step size collapsed to {dt:.3e} at t={t:.6g}")
     return dt
 
 
@@ -216,13 +215,13 @@ def _step_raw(h, t, c, kernel: _Kernel, t_limit):
     out = full * h + dt / 6.0 * (full * k1 + 2.0 * half * (k2 + k3) + k4)
     t_new = t + dt
     if not np.all(np.isfinite(out)):
-        raise NonFiniteStateError(t_new)
+        raise _non_finite(t_new)
     return out, t_new, dt
 
 
 def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None = None) -> SolverState:
     """Advance one step; t_limit (default t_end) caps the step so it never
-    overshoots a snapshot boundary."""
+    overshoots a snapshot boundary. A collapsed or non-finite step raises RunStopped."""
     grid = s.theta_hat.grid
     limit = c.t_end if t_limit is None else t_limit
     h, t_new, _ = _step_raw(s.theta_hat.coeffs, s.t, c, _kernel(grid, p), limit)
@@ -276,47 +275,38 @@ def _field_values(obj) -> dict:
 
 
 def _predictions(
-    theta0: RealField, first: DiagnosticsSample, p: ModelParams, constants: RegularityConstants
+    theta0: RealField, first: DiagnosticsSample, p: ModelParams, plan: DiagnosticPlan, k: RegularityConstants
 ):
-    """T* and T1 predictions where the formulas apply, None elsewhere; T1 reads the
-    norms of theta0 from the run's first sample."""
+    """T* at regularity.schedule_alpha's exponent and T1 where the formulas apply,
+    None elsewhere; T1 reads the norms of theta0 from the run's first sample."""
     t_star_pred = None
     t_local_pred = None
     if p.dissipation_on and 0.0 < p.gamma < 1.0:
         linf0 = float(np.max(np.abs(theta0.values)))
         if linf0 > 0.0:
-            alpha = regularity.alpha_policy(p.gamma)
+            alpha = regularity.schedule_alpha(p.gamma, plan.holder_alphas)
             if alpha >= 1.0 - p.gamma:
-                t_star_pred = regularity.t_star(p.gamma, alpha, linf0, constants)
+                t_star_pred = regularity.t_star(p.gamma, alpha, linf0, k)
     if p.dissipation_on and 0.0 < p.gamma <= 1.0:
         if first.l2 > 0.0 and first.hdot_three_half > 0.0:
-            t_local_pred = regularity.t_local(p.gamma, first.l2, first.hdot_three_half, constants)
+            t_local_pred = regularity.t_local(p.gamma, first.l2, first.hdot_three_half, k)
     return t_star_pred, t_local_pred
 
 
-def _detect(samples: list[DiagnosticsSample]) -> tuple[Outcome, str] | None:
-    """Judge the newest snapshot: its gradient against the first snapshot's, its
-    tail growth against the snapshot before it (the first against itself)."""
+def _detect(samples: list[DiagnosticsSample]) -> None:
+    """Judge the newest snapshot, raising RunStopped when a detector fires: its
+    gradient against the first snapshot's, its tail growth against the
+    snapshot before it (the first against itself)."""
     sample, grad0 = samples[-1], samples[0].grad_linf
     prev = samples[-2] if len(samples) > 1 else sample
     if grad0 > 0.0 and sample.grad_linf > GRADIENT_BLOWUP_FACTOR * grad0:
-        return (
-            Outcome.BLOWUP_SUSPECTED,
-            f"gradient grew {sample.grad_linf / grad0:.3g}x (limit {GRADIENT_BLOWUP_FACTOR:g}x)"
-            f" at t={sample.t:.6g}",
-        )
-    if sample.tail_fraction > TAIL_FLAG:
+        growth = f"gradient grew {sample.grad_linf / grad0:.3g}x (limit {GRADIENT_BLOWUP_FACTOR:g}x)"
+        raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"{growth} at t={sample.t:.6g}")
+    if sample.tail_fraction > TAIL_LIMIT:
+        tail = f"tail fraction {sample.tail_fraction:.3e} exceeds {TAIL_LIMIT:g}"
         if sample.tail_fraction > prev.tail_fraction:
-            return (
-                Outcome.BLOWUP_SUSPECTED,
-                f"tail fraction {sample.tail_fraction:.3e} exceeds {TAIL_FLAG:g} and is "
-                f"growing at t={sample.t:.6g}",
-            )
-        return (
-            Outcome.UNDER_RESOLVED,
-            f"tail fraction {sample.tail_fraction:.3e} exceeds {TAIL_FLAG:g} at t={sample.t:.6g}",
-        )
-    return None
+            raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"{tail} and is growing at t={sample.t:.6g}")
+        raise RunStopped(Outcome.UNDER_RESOLVED, f"{tail} at t={sample.t:.6g}")
 
 
 def run(
@@ -327,10 +317,10 @@ def run(
     constants: RegularityConstants = RegularityConstants(),
     datum: dict | None = None,
 ) -> RunRecord:
-    """Integrate to t_end or to the first detector flag; return the record.
+    """Integrate to t_end or to the first RunStopped; return the record.
 
     Snapshots are taken at t = 0, every snapshot_every units, and at t_end.
-    Early stops are always recorded in outcome/outcome_detail, never swallowed.
+    An early stop is recorded in outcome/outcome_detail, never raised.
     Without a datum block, the config names theta0 by its samples. The record
     counts the steps taken and their smallest and largest size.
     """
@@ -344,6 +334,7 @@ def run(
     h, t = forward(theta0).coeffs, 0.0
     samples: list[DiagnosticsSample] = []
     steps, dt_lo, dt_hi = 0, math.inf, 0.0
+    outcome, detail = Outcome.COMPLETED, f"reached t_end={c.t_end:g}"
     try:
         for snapshot_index in itertools.count():
             target = min(snapshot_index * c.snapshot_every, c.t_end)
@@ -352,17 +343,12 @@ def run(
                 steps += 1
                 dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
             samples.append(_take_sample(SpectralField(grid, h), t, p.gamma, plan))
-            flagged = _detect(samples)
-            if flagged is not None or t >= c.t_end - 1e-12:
+            _detect(samples)
+            if t >= c.t_end - 1e-12:
                 break
-        outcome, detail = flagged or (Outcome.COMPLETED, f"reached t_end={c.t_end:g}")
-    except NonFiniteStateError as exc:
-        outcome = Outcome.BLOWUP_SUSPECTED
-        detail = f"non-finite state at t={exc.t:.6g}"
-    except StepCollapseError as exc:
-        outcome = Outcome.STEP_COLLAPSE
-        detail = str(exc)
-    t_star_pred, t_local_pred = _predictions(theta0, samples[0], p, constants)
+    except RunStopped as stop:
+        outcome, detail = stop.outcome, stop.detail
+    t_star_pred, t_local_pred = _predictions(theta0, samples[0], p, plan, constants)
 
     return RunRecord(
         config=config,

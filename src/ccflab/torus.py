@@ -172,6 +172,11 @@ def derivative(F: SpectralField) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * F.grid.derivative_mult)
 
 
+# A spectrum is resolved while its tail fraction stays at or below this. The
+# solver's detectors and the energy probe's refusal test that one fact.
+TAIL_LIMIT = 1e-4
+
+
 def tail_fraction(F: SpectralField) -> float:
     """Energy fraction carried by modes |m| > n/4, mean mode excluded.
 

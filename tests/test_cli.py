@@ -8,11 +8,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ccflab
 from ccflab.cli import main
 from ccflab.records import load_records, record_to_dict
+from ccflab.report import parse_csv
 
 # Two records written in schema 1 by an earlier build with the sweep flags below,
 # and the same sweep as the last schema 2 build wrote it.
@@ -118,6 +120,39 @@ class TestRunCommand:
         assert (first.config["model"]["n"], second.config["model"]["n"]) == (64, 32)
         assert main(["report", str(path), "--out-dir", str(tmp_path)]) == 0
 
+    def test_a_run_that_stops_early_exits_0_and_appends_its_record(self, tmp_path, capsys):
+        """A stop is an outcome, not an error: 1e12*cos x collapses the first step."""
+        datum = tmp_path / "big.txt"
+        np.savetxt(datum, 1e12 * np.cos(2 * np.pi * np.arange(64) / 64))
+        assert main(["run", "--datum", f"custom:{datum}", "--n", "64", "--out-dir", str(tmp_path)]) == 0
+        detail = "step size collapsed to 3.927e-14 at t=0"
+        assert capsys.readouterr().out.startswith(f"StepCollapse: {detail}\n")
+        (record,) = load_records(tmp_path / "runs.jsonl")
+        assert (record.outcome.value, record.outcome_detail) == ("StepCollapse", detail)
+        assert (len(record.samples), record.step_count) == (1, 0)
+
+    def test_t_star_is_that_of_the_one_tracked_exponent(self, tmp_path, capsys):
+        """--alpha 0.3 at gamma 0.9 tracks C^0.3, so T* is T*(0.3), not the policy
+        T*(0.2) = 5.83e-5, and the summary reads the C^0.3 series after it."""
+        flags = ["--gamma", "0.9", "--n", "64", "--t-end", "0.1", "--alpha", "0.3", "--out-dir", str(tmp_path)]
+        assert main(["run", *flags]) == 0
+        assert main(["report", str(tmp_path / "runs.jsonl"), "--out-dir", str(tmp_path)]) == 0
+        (record,) = load_records(tmp_path / "runs.jsonl")
+        assert record.t_star_predicted == pytest.approx(3.359232e-03, rel=1e-12)
+        series = record.samples.holder[0.3][record.samples.t > record.t_star_predicted]
+        (row,) = parse_csv((tmp_path / "summary.csv").read_text())
+        assert (row["holder_alpha"], row["max_holder_after_tstar"]) == (0.3, max(series))
+
+    def test_an_exponent_within_1e_12_of_the_policy_one_keeps_the_policy_t_star(self, tmp_path, capsys):
+        """--alpha 0.2 at gamma 0.9 is the policy exponent 0.19999999999999996, so
+        its T* is the policy run's bit for bit."""
+        flags = ["--gamma", "0.9", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]
+        assert main(["run", *flags]) == 0
+        assert main(["run", *flags, "--alpha", "0.2"]) == 0
+        policy, given = load_records(tmp_path / "runs.jsonl")
+        assert given.config["holder_alphas"] == [0.2] != policy.config["holder_alphas"]
+        assert given.t_star_predicted == policy.t_star_predicted == 5.8254222222222e-05
+
 
 class TestVerifyCommand:
     def test_table_printed_and_exit_zero(self, capsys):
@@ -129,6 +164,12 @@ class TestVerifyCommand:
     def test_grid_size_zero_is_rejected(self, capsys):
         assert main(["verify", "--n", "0"]) == 1
         assert "n must be even" in capsys.readouterr().err
+
+    def test_negative_seed_is_rejected_naming_seed(self, capsys):
+        assert main(["verify", "--n", "64", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert captured.out == ""
 
     def test_json_flag_prints_the_rows_as_a_json_array(self, capsys):
         assert main(["verify", "--n", "64", "--json"]) == 0

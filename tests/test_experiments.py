@@ -92,6 +92,21 @@ class TestMakeDatum:
         # matches -sin^2(x/2) = (cos x - 1)/2
         assert np.max(np.abs(f.values - (np.cos(grid.points) - 1.0) / 2.0)) < 1e-15
 
+    @pytest.mark.parametrize("n", [32, 598, 1024, 65536])
+    def test_parameter_checks_alone_give_each_family_its_sign(self, n):
+        """make_datum re-checks no sign or symmetry: InitialDatum's parameter
+        checks give them, even at extreme amplitudes and the largest kappa
+        that does not underflow."""
+        grid = TorusGrid(n)
+        for a, b in [(1.0, 1.0), (1.0 + 1e-12, 1.0), (1e300, 1e300), (1e-300, 1e-300)]:
+            assert np.min(make_datum(cosine_positive(a, b), grid).values) >= 0.0
+        for kappa in (1e-300, 5.0, 372.5):
+            values = make_datum(von_mises_bump(kappa), grid).values
+            assert np.max(np.abs(values - values[(-np.arange(n)) % n])) <= 1e-12
+        for scale in (1e-300, 1.0, 1e300):
+            values = make_datum(li_rodrigo_type(scale), grid).values
+            assert np.max(values) <= 0.0 and values[0] == 0.0
+
     def test_custom_length_must_match_grid(self):
         with pytest.raises(ValueError, match="length"):
             make_datum(custom_datum(np.zeros(64)), TorusGrid(128))

@@ -419,6 +419,29 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=f"runs\\.jsonl:2: {re.escape(message)}"):
             load_records(path)
 
+    @pytest.mark.parametrize("schema", [_schema_1, _schema_2, dict], ids=["schema_1", "schema_2", "schema_3"])
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("0.3", "0.30"), "sample 'holder' keys '0.3' and '0.30' name one exponent 0.3"),
+            (("nan",), "sample 'holder' key 'nan' is not a number in (0, 1]"),
+            (("abc",), "sample 'holder' key 'abc' is not a number in (0, 1]"),
+            (("1.5",), "sample 'holder' key '1.5' is not a number in (0, 1]"),
+            (("0",), "sample 'holder' key '0' is not a number in (0, 1]"),
+        ],
+        ids=["same_exponent_twice", "nan", "not_a_number", "above_one", "zero"],
+    )
+    def test_loader_names_the_line_and_a_bad_holder_key(self, tmp_path, schema, keys, message):
+        """A key that two spellings share would drop one column, and one that is
+        no exponent would load, or fail without its name."""
+        d = record_to_dict(_record())
+        column = d["samples"]["holder"]["0.2"]
+        d["samples"]["holder"] = dict.fromkeys(keys, column)
+        path = tmp_path / "runs.jsonl"
+        path.write_text(record_to_json(_record()) + "\n" + json.dumps(schema(d)) + "\n")
+        with pytest.raises(ValueError, match=f"runs\\.jsonl:2: {re.escape(message)}"):
+            load_records(path)
+
     def test_loader_rejects_foreign_schema_loudly(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         d = record_to_dict(_record())

@@ -15,6 +15,7 @@ from ccflab.regularity import (
     holder_alphas,
     holder_seminorm,
     make_schedule,
+    schedule_alpha,
     sobolev_norm,
     t_local,
     t_local_exponents,
@@ -83,6 +84,24 @@ class TestHolderAlphas:
     )
     def test_policy_alpha_only_where_the_schedule_applies(self, gamma, dissipation_on, tracked):
         assert holder_alphas(gamma, None, dissipation_on) == tracked
+
+
+class TestScheduleAlpha:
+    @pytest.mark.parametrize(
+        "gamma, tracked, alpha",
+        [
+            (0.9, (0.3,), 0.3),
+            (0.3, (0.8,), 0.8),  # the policy 0.5 is below 1 - gamma, the tracked exponent is not
+            (0.9, (), alpha_policy(0.9)),
+            (0.9, (0.3, 0.5), alpha_policy(0.9)),
+            (0.9, (0.05,), alpha_policy(0.9)),  # below 1 - gamma
+            (0.9, (0.2,), alpha_policy(0.9)),  # within 1e-12 of 0.19999999999999996
+            (0.9, (alpha_policy(0.9) + 2e-12,), alpha_policy(0.9) + 2e-12),
+        ],
+        ids=["own", "own_below_half", "none", "several", "off_schedule", "policy_within_1e-12", "beyond_1e-12"],
+    )
+    def test_the_one_tracked_exponent_on_the_schedule_else_the_policy(self, gamma, tracked, alpha):
+        assert schedule_alpha(gamma, tracked) == alpha
 
 
 class TestTStar:

@@ -1,6 +1,8 @@
 """Tests for the time integrator: parameter validation, the nonlinear term,
 linear exactness, detectors, monitors, and temporal convergence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,11 @@ class TestTemporalConvergence:
         assert 16.0 * 0.8 < ratio < 16.0 * 1.2
 
 
+def _stop(rec) -> tuple:
+    """What pins a stopped run: outcome, detail, sample count and step count."""
+    return rec.outcome, rec.outcome_detail, len(rec.samples), rec.step_count
+
+
 class TestRun:
     def test_smooth_run_completes_with_max_principle(self):
         grid = TorusGrid(256)
@@ -242,9 +249,8 @@ class TestRun:
         theta0 = RealField(grid, np.exp(5 * (np.cos(grid.points) - 1)))
         p = ModelParams(gamma=1.0, n=256, dissipation_on=False, dealias_on=False)
         rec = run(theta0, p, StepControl(t_end=10.0, snapshot_every=0.5))
-        assert rec.outcome in (Outcome.BLOWUP_SUSPECTED, Outcome.UNDER_RESOLVED)
-        assert rec.samples[-1].t < 10.0  # stopped early
-        assert rec.outcome_detail != ""
+        detail = "tail fraction 3.913e-01 exceeds 0.0001 and is growing at t=1"
+        assert _stop(rec) == (Outcome.BLOWUP_SUSPECTED, detail, 3, 102)
 
     def test_record_counts_its_steps_and_their_range(self):
         """step_count, dt_min and dt_max are those of the chained steps that
@@ -318,6 +324,54 @@ class TestRun:
             StepControl(t_end=0.1),
         )
         assert inviscid.t_star_predicted is None
+
+
+class TestStopPaths:
+    """Every way a run ends, each pinned to its outcome, its exact detail, its
+    sample count and its step count. The growing tail is
+    TestRun.test_inviscid_bump_triggers_a_detector."""
+
+    GRID = TorusGrid(64)
+    P = ModelParams(gamma=0.9, n=64)
+    C = StepControl(t_end=1.0, snapshot_every=0.02)
+    SMOOTH = RealField(GRID, 1.0 + np.cos(GRID.points))
+
+    def test_completed(self):
+        rec = run(self.SMOOTH, self.P, StepControl(t_end=0.1, snapshot_every=0.02))
+        assert _stop(rec) == (Outcome.COMPLETED, "reached t_end=0.1", 6, 10)
+
+    def test_step_collapse(self):
+        """The CFL step 0.4*dx/1e12 is below the 1e-12 floor before the first step."""
+        rec = run(RealField(self.GRID, 1e12 * np.cos(self.GRID.points)), self.P, self.C)
+        assert _stop(rec) == (Outcome.STEP_COLLAPSE, "step size collapsed to 3.927e-14 at t=0", 1, 0)
+
+    def test_under_resolved(self):
+        """White noise fills the tail at t = 0, where there is no growth to judge."""
+        noise = RealField(self.GRID, np.random.default_rng(0).standard_normal(64))
+        rec = run(noise, self.P, self.C)
+        assert _stop(rec) == (Outcome.UNDER_RESOLVED, "tail fraction 3.679e-01 exceeds 0.0001 at t=0", 1, 0)
+
+    def test_gradient_growth(self, monkeypatch):
+        """Snapshots whose grad_linf is scaled by 1 + 1e4*t pass the 1000x limit at t = 0.12."""
+        take = solver._take_sample
+
+        def scaled(F, t, gamma, plan):
+            sample = take(F, t, gamma, plan)
+            return dataclasses.replace(sample, grad_linf=sample.grad_linf * (1.0 + 1e4 * t))
+
+        monkeypatch.setattr(solver, "_take_sample", scaled)
+        rec = run(self.SMOOTH, self.P, self.C)
+        detail = "gradient grew 1.07e+03x (limit 1000x) at t=0.12"
+        assert _stop(rec) == (Outcome.BLOWUP_SUSPECTED, detail, 7, 12)
+
+    def test_non_finite_state(self, monkeypatch):
+        """The step that would leave floating point is not counted; its end time is named."""
+        monkeypatch.setattr(solver, "_nonlinear_raw", lambda h, kernel: np.full_like(h, np.inf))
+        with np.errstate(invalid="ignore"):
+            rec = run(self.SMOOTH, self.P, self.C)
+        assert _stop(rec) == (Outcome.BLOWUP_SUSPECTED, "non-finite state at t=0.01", 1, 0)
+        with pytest.raises(RuntimeError, match=r"^non-finite state at t=nan$"):
+            nonlinear_term(forward(self.SMOOTH), self.P)
 
 
 class TestMonitors:
