@@ -133,7 +133,7 @@ def _plan(args, cfg: dict, block: dict, prefix: str, **axes) -> SweepPlan:
     alpha, dissipation_on, dealias_on = values.pop("alpha"), not values.pop("inviscid"), values.pop("dealias")
     if alpha is not None:
         for gamma in axes["gamma_values"]:
-            regularity.holder_alphas(gamma, alpha, dissipation_on)  # rejects an alpha off a cell's schedule
+            regularity.validate_schedule_params(gamma, alpha)  # rejects an alpha off a cell's schedule
     values["snapshot_every"] = _pick(values["snapshot_every"], values["t_end"] / 50.0)
     return SweepPlan(
         **axes,

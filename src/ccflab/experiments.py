@@ -209,7 +209,7 @@ class SweepPlan:
             params = ModelParams(gamma=gamma, n=n, dissipation_on=self.dissipation_on, dealias_on=self.dealias_on)
             alphas = self.holder_alphas
             if alphas is None:
-                alphas = regularity.holder_alphas(gamma, None, self.dissipation_on)
+                alphas = regularity.holder_alphas(gamma, self.dissipation_on)
             cells.append((datum, params, DiagnosticPlan(alphas)))
         return cells
 

@@ -26,6 +26,7 @@ import base64
 import hashlib
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -180,8 +181,10 @@ _NUMBER_TYPES = frozenset((int, float))
 
 
 def _expect_number(value, what: str, nullable: bool = False):
-    """Return value if it is a JSON number (or null when nullable), else raise
-    a ValueError naming what."""
+    """Return value if it is a JSON number that a float64 holds (or null when
+    nullable), else raise a ValueError naming what."""
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise ValueError(f"{what} is an integer too large for a float64")
     if type(value) in _NUMBER_TYPES or (nullable and value is None):
         return value
     shape = "number or null" if nullable else "number"
@@ -318,6 +321,8 @@ def record_from_dict(d: dict) -> RunRecord:
         for key in ("gamma", "n"):
             if key in model:
                 _expect_number(model[key], f"record 'config.model.{key}'")
+        for alpha in _expect(config.get("holder_alphas", []), list, "record 'config.holder_alphas'"):
+            _expect_number(alpha, "record 'config.holder_alphas' entry")
         return RunRecord(
             config=config,
             samples=_table_from_columns(d["samples"], _COLUMN_READERS[version]),

@@ -93,16 +93,19 @@ def schedule_alpha(gamma: float, tracked: tuple[float, ...]) -> float:
     return policy
 
 
-def holder_alphas(gamma: float, alpha: float | None, dissipation_on: bool) -> tuple[float, ...]:
-    """Holder exponents one run tracks: an explicit alpha, validated against the
-    schedule; else the policy alpha when the run is dissipative with gamma in
-    (0, 1); else none."""
-    if alpha is not None:
-        validate_schedule_params(gamma, alpha)
-        return (alpha,)
-    if dissipation_on and 0.0 < gamma < 1.0:
-        return (alpha_policy(gamma),)
-    return ()
+def tracked_schedule_alpha(gamma: float, tracked: tuple[float, ...]) -> float | None:
+    """The tracked exponent (the smallest within POLICY_ALPHA_TOL) T* is computed
+    at; None when gamma is outside (0, 1) or the run does not track it."""
+    if not 0.0 < gamma < 1.0:
+        return None
+    alpha = schedule_alpha(gamma, tracked)
+    return min((a for a in tracked if abs(a - alpha) <= POLICY_ALPHA_TOL), default=None)
+
+
+def holder_alphas(gamma: float, dissipation_on: bool) -> tuple[float, ...]:
+    """Holder exponents a run tracks by default: the policy alpha when it is
+    dissipative with gamma in (0, 1); else none."""
+    return (alpha_policy(gamma),) if dissipation_on and 0.0 < gamma < 1.0 else ()
 
 
 def t_star(
@@ -111,13 +114,27 @@ def t_star(
     """Eventual-regularization time T* = C * alpha^{1/(1-gamma)} * linf0^{gamma/(1-gamma)}.
 
     C = C_star * k1 * k2^{gamma/(1-gamma)} / gamma. Defined only for gamma in
-    (0, 1); the formula degenerates at the critical exponent.
+    (0, 1); the formula degenerates at the critical exponent. Near gamma = 1 a
+    factor can overflow float64 while T* does not; the product is then taken
+    as the exp of its log, and math.inf is returned when T* exceeds float64.
     """
     validate_schedule_params(gamma, alpha)
     if not linf0 > 0.0:
         raise ValueError(f"linf0 must be positive, got {linf0}")
-    aggregate = k.C_star * k.k1 * k.k2 ** (gamma / (1.0 - gamma)) / gamma
-    return aggregate * alpha ** (1.0 / (1.0 - gamma)) * linf0 ** (gamma / (1.0 - gamma))
+    e = gamma / (1.0 - gamma)
+    try:
+        aggregate = k.C_star * k.k1 * k.k2**e / gamma
+        vanishing = aggregate * alpha ** (1.0 / (1.0 - gamma)) * linf0**e
+    except OverflowError:
+        vanishing = math.inf
+    if vanishing < math.inf:
+        return vanishing
+    log_t = math.log(k.C_star * k.k1 / gamma) + math.log(alpha) / (1.0 - gamma)
+    log_t += e * (math.log(k.k2) + math.log(linf0))
+    try:
+        return math.exp(log_t)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

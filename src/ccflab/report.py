@@ -61,37 +61,27 @@ class ReportBundle:
     written: tuple[Path, ...]  # the files this report wrote; any other was already up to date
 
 
-def _pick_holder_alpha(record: RunRecord, gamma: float) -> float | None:
-    """The alpha reported in the summary row: the schedule policy value when
-    tracked, otherwise the first tracked exponent."""
-    tracked = sorted(record.samples.holder) if record.samples else []
-    if not tracked:
-        return None
-    if 0.0 < gamma < 1.0:
-        policy = regularity.alpha_policy(gamma)
-        for alpha in tracked:
-            if abs(alpha - policy) <= regularity.POLICY_ALPHA_TOL:
-                return alpha
-    return tracked[0]
-
-
 def build_summary(records: list[RunRecord]) -> list[dict]:
     """One summary row per record.
 
-    max_holder_after_tstar is the maximum tracked Holder seminorm over
-    snapshots with t > T*; when no T* was predicted the maximum runs over the
-    whole series. fitted_c comes from the energy probe and is blank when the
-    probe refuses the record.
+    holder_alpha is the tracked exponent T* is computed at
+    (regularity.tracked_schedule_alpha), else the smallest tracked exponent.
+    max_holder_after_tstar is its maximum over snapshots with t > T* for the
+    former when T* is not None, else over those with t > 0. fitted_c comes from
+    the energy probe and is blank when the probe refuses the record.
     """
     rows = []
     for record in records:
         model = record.config.get("model", {})
         gamma = float(model.get("gamma", 0.0))
-        alpha = _pick_holder_alpha(record, gamma)
+        holder = record.samples.holder if record.samples else {}
+        alpha = regularity.tracked_schedule_alpha(gamma, tuple(record.config.get("holder_alphas", ())))
+        cutoff = record.t_star_predicted
+        if alpha not in holder:
+            alpha, cutoff = min(holder, default=None), None
         max_holder = None
         if alpha is not None:
-            cutoff = record.t_star_predicted if record.t_star_predicted is not None else 0.0
-            tail = record.samples.holder[alpha][record.samples.t > cutoff].tolist()
+            tail = holder[alpha][record.samples.t > (cutoff or 0.0)].tolist()
             if tail:
                 max_holder = max(tail)
         try:

@@ -278,7 +278,8 @@ def _predictions(
     theta0: RealField, first: DiagnosticsSample, p: ModelParams, plan: DiagnosticPlan, k: RegularityConstants
 ):
     """T* at regularity.schedule_alpha's exponent and T1 where the formulas apply,
-    None elsewhere; T1 reads the norms of theta0 from the run's first sample."""
+    None elsewhere and for a T* beyond float64; T1 reads the norms of theta0
+    from the run's first sample."""
     t_star_pred = None
     t_local_pred = None
     if p.dissipation_on and 0.0 < p.gamma < 1.0:
@@ -286,7 +287,8 @@ def _predictions(
         if linf0 > 0.0:
             alpha = regularity.schedule_alpha(p.gamma, plan.holder_alphas)
             if alpha >= 1.0 - p.gamma:
-                t_star_pred = regularity.t_star(p.gamma, alpha, linf0, k)
+                vanishing = regularity.t_star(p.gamma, alpha, linf0, k)
+                t_star_pred = vanishing if vanishing < math.inf else None  # strict JSON: no Infinity
     if p.dissipation_on and 0.0 < p.gamma <= 1.0:
         if first.l2 > 0.0 and first.hdot_three_half > 0.0:
             t_local_pred = regularity.t_local(p.gamma, first.l2, first.hdot_three_half, k)

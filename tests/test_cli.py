@@ -266,6 +266,11 @@ class TestSweepAndReportCommands:
             "number_outcome_detail",
             "other_holder_exponents",
             "huge_int_sample",
+            "null_holder_alphas",
+            "string_holder_alpha",
+            "huge_int_gamma",
+            "huge_int_t_star",
+            "huge_int_holder_alpha",
         ],
     )
     def test_report_on_a_wrong_shape_line_names_the_line(self, tmp_path, capsys, shape):
@@ -314,6 +319,16 @@ class TestSweepAndReportCommands:
             payload["t_star_predicted"] = 0.01
         elif shape == "huge_int_sample":
             payload["samples"][1]["l2"] = 10**400
+        elif shape == "null_holder_alphas":
+            payload["config"]["holder_alphas"] = None
+        elif shape == "string_holder_alpha":
+            payload["config"]["holder_alphas"] = ["0.2"]
+        elif shape == "huge_int_gamma":
+            payload["config"]["model"]["gamma"] = 10**400
+        elif shape == "huge_int_t_star":
+            payload["t_star_predicted"] = 10**400
+        elif shape == "huge_int_holder_alpha":
+            payload["config"]["holder_alphas"] = [10**400]
         else:
             payload["config"]["datum"] = [payload["config"]["datum"]]
         path.write_text(path.read_text() + json.dumps(payload) + "\n")

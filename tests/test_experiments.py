@@ -327,6 +327,22 @@ class TestSweep:
         (record,) = sweep(plan, tmp_path / "inviscid.jsonl")
         assert record.outcome in (Outcome.BLOWUP_SUSPECTED, Outcome.UNDER_RESOLVED)
 
+    def test_cells_past_the_direct_t_star_formula_both_finish(self, tmp_path):
+        """At gamma = 0.99 the T* of linf0 = 2000 fits in float64 only past an
+        overflowing factor, and that of linf0 = 2e5 does not fit at all."""
+        plan = SweepPlan(
+            gamma_values=(0.99,),
+            data=(cosine_positive(1000.0, 1000.0), cosine_positive(1e5, 1e5)),
+            resolutions=(64,),
+            control=StepControl(t_end=2e-6, snapshot_every=1e-6),
+            holder_alphas=None,
+        )
+        path = tmp_path / "near_one.jsonl"
+        finite, beyond = sweep(plan, path)
+        assert 8e156 < finite.t_star_predicted < 8.2e156
+        assert beyond.t_star_predicted is None
+        assert load_records(path) == [finite, beyond]
+
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in-process,

@@ -2,6 +2,8 @@
 schedule, T*, T1, gamma_1, and the energy-inequality probe."""
 
 import dataclasses
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from ccflab.regularity import (
     t_local,
     t_local_exponents,
     t_star,
+    tracked_schedule_alpha,
     v_field,
+    validate_schedule_params,
 )
 from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, run
 from ccflab.torus import RealField, TorusGrid, forward
@@ -69,21 +73,22 @@ class TestAlphaPolicy:
             alpha_policy(1.0)
 
 
-class TestHolderAlphas:
+class TestValidateScheduleParams:
     def test_explicit_alpha_is_checked_against_the_schedule(self):
-        assert holder_alphas(0.9, 0.3, True) == (0.3,)
-        assert holder_alphas(0.9, 0.3, False) == (0.3,)
+        validate_schedule_params(0.9, 0.3)
         with pytest.raises(ValueError, match="alpha must be in"):
-            holder_alphas(0.6, 0.3, True)
+            validate_schedule_params(0.6, 0.3)
         with pytest.raises(ValueError, match="gamma must be in"):
-            holder_alphas(1.2, 0.3, True)
+            validate_schedule_params(1.2, 0.3)
 
+
+class TestHolderAlphas:
     @pytest.mark.parametrize(
         "gamma, dissipation_on, tracked",
         [(0.6, True, (0.5,)), (0.9, True, (alpha_policy(0.9),)), (0.9, False, ()), (1.0, True, ()), (1.2, True, ())],
     )
     def test_policy_alpha_only_where_the_schedule_applies(self, gamma, dissipation_on, tracked):
-        assert holder_alphas(gamma, None, dissipation_on) == tracked
+        assert holder_alphas(gamma, dissipation_on) == tracked
 
 
 class TestScheduleAlpha:
@@ -102,6 +107,26 @@ class TestScheduleAlpha:
     )
     def test_the_one_tracked_exponent_on_the_schedule_else_the_policy(self, gamma, tracked, alpha):
         assert schedule_alpha(gamma, tracked) == alpha
+
+
+class TestTrackedScheduleAlpha:
+    @pytest.mark.parametrize(
+        "gamma, tracked, alpha",
+        [
+            (0.9, (0.3,), 0.3),
+            (0.9, (0.3, 0.2), 0.2),  # the policy alpha, within 1e-12
+            (0.9, (0.2, alpha_policy(0.9)), alpha_policy(0.9)),  # the smaller of two within 1e-12
+            (0.9, (0.3, 0.5), None),  # T* is at the policy alpha, which is not tracked
+            (0.9, (0.05,), None),  # below 1 - gamma: T* is at the policy alpha
+            (0.9, (), None),
+            (0.3, (0.5, 0.1), 0.5),
+            (1.2, (0.5, 0.2), None),  # no schedule at gamma >= 1
+        ],
+        ids=["own", "policy_within_1e-12", "two_within_1e-12", "several_off_policy", "off_schedule", "none",
+             "policy_below_half", "gamma_above_one"],
+    )
+    def test_the_tracked_exponent_of_t_star_or_none(self, gamma, tracked, alpha):
+        assert tracked_schedule_alpha(gamma, tracked) == alpha
 
 
 class TestTStar:
@@ -123,6 +148,30 @@ class TestTStar:
     def test_gamma_at_or_above_one_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             t_star(1.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.75, 0.9, 0.97])
+    @pytest.mark.parametrize("linf0", [1e-3, 0.7, 2.0, 150.0])
+    def test_the_direct_formula_wherever_no_factor_overflows(self, gamma, linf0):
+        k = RegularityConstants(k1=1.7, k2=1.3, C_star=0.6)
+        alpha = max(alpha_policy(gamma), 1.0 - gamma)
+        aggregate = k.C_star * k.k1 * k.k2 ** (gamma / (1.0 - gamma)) / gamma
+        direct = aggregate * alpha ** (1.0 / (1.0 - gamma)) * linf0 ** (gamma / (1.0 - gamma))
+        assert t_star(gamma, alpha, linf0, k) == direct
+
+    def test_a_factor_beyond_float64_is_taken_in_logs(self):
+        """At gamma = 0.99, linf0 = 2000 the factor 2000^99 overflows; T* ~ 8.1e156 does not."""
+        gamma, alpha, linf0 = 0.99, alpha_policy(0.99), 2000.0
+        with pytest.raises(OverflowError):
+            linf0 ** (gamma / (1.0 - gamma))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            g = Decimal(gamma)
+            exact = Decimal(alpha) ** (1 / (1 - g)) * Decimal(linf0) ** (g / (1 - g)) / g
+        assert t_star(gamma, alpha, linf0) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_a_t_star_beyond_float64_is_inf(self):
+        assert t_star(0.99, alpha_policy(0.99), 2e5) == math.inf
+        assert t_star(0.99, alpha_policy(0.99), 2000.0, RegularityConstants(k2=1e10)) == math.inf
 
 
 class TestXiSchedule:

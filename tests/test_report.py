@@ -11,7 +11,7 @@ import pytest
 
 import ccflab.report as report_module
 from ccflab.cli import main
-from ccflab.experiments import SweepPlan, cosine_positive, sweep
+from ccflab.experiments import SweepPlan, cosine_positive, make_datum, sweep
 from ccflab.records import append_record, load_records
 from ccflab.regularity import alpha_policy
 from ccflab.report import (
@@ -23,7 +23,8 @@ from ccflab.report import (
     parse_csv,
     report,
 )
-from ccflab.solver import StepControl
+from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, run
+from ccflab.torus import TorusGrid
 
 DATA = Path(__file__).with_name("data")
 
@@ -61,6 +62,37 @@ class TestSummary:
         assert rows[1]["max_holder_after_tstar"] is not None
         # gamma=0.6: T* ~ 0.83 > t_end=0.2, nothing after it, column blank
         assert rows[0]["max_holder_after_tstar"] is None
+
+    @pytest.mark.parametrize(
+        "gamma, dissipation_on, tracked, alpha, after_t_star",
+        [
+            (0.9, True, (0.3, 0.5), 0.3, False),  # T* is at the policy 0.2, which is not tracked
+            (0.9, True, (0.05,), 0.05, False),  # below 1 - gamma, so T* is at the policy 0.2
+            (0.9, True, (0.3,), 0.3, True),  # T* is at the one tracked exponent
+            (0.9, True, (0.2, 0.3), 0.2, True),  # 0.2 is the policy alpha within 1e-12
+            (0.9, False, (0.3, 0.2), 0.2, False),  # inviscid: no T*
+            (0.3, True, (0.5, 0.1), 0.5, False),  # the policy 0.5 is below 1 - gamma: no T*
+            (1.2, True, (0.5, 0.2), 0.2, False),  # no schedule at gamma >= 1
+        ],
+        ids=["untracked_policy", "off_schedule", "own", "policy", "inviscid", "policy_below_half", "gamma_above_one"],
+    )
+    def test_the_series_read_after_t_star_is_the_one_t_star_is_at(
+        self, gamma, dissipation_on, tracked, alpha, after_t_star
+    ):
+        """Snapshots every 2.5e-5 put two of them before T*(0.2) ~ 5.8e-5 and
+        many after T*(0.3) ~ 3.4e-3, so either cutoff shows in the maximum."""
+        theta0 = make_datum(cosine_positive(1.0, 1.0), TorusGrid(64))
+        record = run(
+            theta0,
+            ModelParams(gamma=gamma, n=64, dissipation_on=dissipation_on),
+            StepControl(t_end=0.005, snapshot_every=2.5e-5),
+            DiagnosticPlan(tracked),
+        )
+        (row,) = build_summary([record])
+        cutoff = record.t_star_predicted if after_t_star else 0.0
+        series = record.samples.holder[alpha][record.samples.t > cutoff]
+        assert row["holder_alpha"] == alpha
+        assert row["max_holder_after_tstar"] == series.max()
 
 
 class TestCsvRoundTrip:

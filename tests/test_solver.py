@@ -2,13 +2,15 @@
 linear exactness, detectors, monitors, and temporal convergence."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from ccflab import solver
-from ccflab.experiments import custom_datum
-from ccflab.records import Outcome, record_to_dict
+from ccflab.experiments import cosine_positive, custom_datum, make_datum
+from ccflab.records import Outcome, record_to_dict, record_to_json
+from ccflab.regularity import alpha_policy, t_star
 from ccflab.solver import (
     DiagnosticPlan,
     ModelParams,
@@ -324,6 +326,20 @@ class TestRun:
             StepControl(t_end=0.1),
         )
         assert inviscid.t_star_predicted is None
+
+    @pytest.mark.parametrize("amplitude, finite", [(1000.0, True), (1e5, False)])
+    def test_a_t_star_past_the_direct_formula_is_recorded(self, amplitude, finite):
+        """Near gamma = 1, linf0^{gamma/(1-gamma)} overflows: linf0 = 2000 still
+        has a float64 T* (~8.1e156), linf0 = 2e5 (~1e355) is recorded as None."""
+        grid = TorusGrid(64)
+        theta0 = make_datum(cosine_positive(amplitude, amplitude), grid)
+        rec = run(theta0, ModelParams(gamma=0.99, n=64), StepControl(t_end=2e-6, snapshot_every=1e-6))
+        if finite:
+            assert rec.t_star_predicted == t_star(0.99, alpha_policy(0.99), 2.0 * amplitude)
+            assert 8e156 < rec.t_star_predicted < 8.2e156
+        else:
+            assert rec.t_star_predicted is None
+        json.loads(record_to_json(rec), parse_constant=lambda token: pytest.fail(f"non-standard JSON token {token}"))
 
 
 class TestStopPaths:
