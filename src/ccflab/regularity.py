@@ -23,6 +23,7 @@ units of the configured constants, never an absolute physical claim.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -115,19 +116,20 @@ def t_star(
 
     C = C_star * k1 * k2^{gamma/(1-gamma)} / gamma. Defined only for gamma in
     (0, 1); the formula degenerates at the critical exponent. Near gamma = 1 a
-    factor can overflow float64 while T* does not; the product is then taken
-    as the exp of its log, and math.inf is returned when T* exceeds float64.
+    power can overflow or underflow float64 while T* does not; unless every
+    power and the product are normal floats, the product is taken as the exp
+    of its log, and math.inf is returned when T* exceeds float64.
     """
     validate_schedule_params(gamma, alpha)
     if not linf0 > 0.0:
         raise ValueError(f"linf0 must be positive, got {linf0}")
     e = gamma / (1.0 - gamma)
     try:
-        aggregate = k.C_star * k.k1 * k.k2**e / gamma
-        vanishing = aggregate * alpha ** (1.0 / (1.0 - gamma)) * linf0**e
+        powers = (k.k2**e, alpha ** (1.0 / (1.0 - gamma)), linf0**e)
+        vanishing = k.C_star * k.k1 * powers[0] / gamma * powers[1] * powers[2]
     except OverflowError:
-        vanishing = math.inf
-    if vanishing < math.inf:
+        powers, vanishing = (), math.inf
+    if all(sys.float_info.min <= v < math.inf for v in (*powers, vanishing)):
         return vanishing
     log_t = math.log(k.C_star * k.k1 / gamma) + math.log(alpha) / (1.0 - gamma)
     log_t += e * (math.log(k.k2) + math.log(linf0))

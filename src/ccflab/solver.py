@@ -13,13 +13,14 @@ makes 9 real transforms: one irfft of H theta for the CFL speed, then in each
 RK4 stage one batched irfft of the velocity and the gradient together and one
 rfft of their product.
 
-Detectors judge each recorded snapshot, and guards each step:
+Detectors judge each recorded snapshot, and guards each state, the datum's
+first transform included:
 
 * BlowupSuspected: non-finite state, or ||theta_x||_inf beyond 1e3 times its
   initial value, or the spectral tail fraction beyond torus.TAIL_LIMIT (1e-4)
   while still growing between snapshots.
 * UnderResolved: tail fraction beyond TAIL_LIMIT without growth.
-* StepCollapse: dt fell below 1e-12.
+* StepCollapse: dt fell below DT_FLOOR (1e-12), the solver's time resolution.
 
 Every stop, detector or numerical failure, is one RunStopped exception that
 carries its outcome and detail, and run() records it; a run that nothing
@@ -47,7 +48,6 @@ from .torus import (
     SpectralField,
     TorusGrid,
     derivative,
-    forward,
     inverse,
     tail_fraction,
 )
@@ -65,9 +65,11 @@ class RunStopped(RuntimeError):
         self.detail = detail
 
 
-def _non_finite(t: float) -> RunStopped:
-    """State left the reach of floating point; treated as suspected blow-up."""
-    return RunStopped(Outcome.BLOWUP_SUSPECTED, f"non-finite state at t={t:.6g}")
+def _finite(h: np.ndarray, t: float) -> np.ndarray:
+    """h, unless it left the reach of floating point: a suspected blow-up at t."""
+    if not np.all(np.isfinite(h)):
+        raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"non-finite state at t={t:.6g}")
+    return h
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,9 @@ class StepControl:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if not 0.0 < self.dt_max < math.inf:
             raise ValueError(f"dt_max must be positive and finite, got {self.dt_max}")
-        if not 0.0 < self.snapshot_every <= self.t_end:
+        if not DT_FLOOR < self.snapshot_every <= self.t_end:
             raise ValueError(
-                f"snapshot_every must be in (0, t_end], got {self.snapshot_every}"
+                f"snapshot_every must be in ({DT_FLOOR:g}, t_end], got {self.snapshot_every}"
             )
 
 
@@ -139,6 +141,10 @@ class _Kernel:
     """Symbols of one (grid, model) pair, and the integrating factors of the
     last dt, which most steps of a run repeat.
 
+    The switches are symbols, so every kernel takes one path: without
+    dealiasing the 0/1 mask is all ones, with linear_only the velocity and
+    gradient symbols are zero.
+
     Kernels are shared through _kernel: nothing writes to their arrays once
     built, and the factors are replaced as one (dt, half, full) tuple, so a
     reader never pairs one dt with the factors of another.
@@ -149,14 +155,12 @@ class _Kernel:
             raise ValueError(f"n mismatch: field has n={grid.n}, params n={p.n}")
         self.n = grid.n
         self.dx = grid.dx
-        self.linear_only = p.linear_only
         modes = grid.abs_modes
         self.lam = modes**p.gamma if p.dissipation_on else np.zeros_like(modes)
         self.hilbert = grid.hilbert_mult
-        symbols = np.stack([self.hilbert, grid.derivative_mult])
-        # The mask is 0/1, so folding it into the symbols is exact.
-        self.mask = grid.dealias_mask if p.dealias_on else None
-        self.velocity_gradient = symbols if self.mask is None else symbols * self.mask
+        self.mask = grid.dealias_mask if p.dealias_on else np.ones_like(grid.dealias_mask)
+        symbols = np.stack([self.hilbert, grid.derivative_mult]) * self.mask
+        self.velocity_gradient = np.zeros_like(symbols) if p.linear_only else symbols
         self._last = (None, None, None)
 
     def factors(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -174,20 +178,14 @@ _kernel = lru_cache(maxsize=8)(_Kernel)
 
 
 def _nonlinear_raw(h: np.ndarray, kernel: _Kernel) -> np.ndarray:
-    if kernel.linear_only:
-        return np.zeros_like(h)
     velocity, gradient = np.fft.irfft(kernel.velocity_gradient * h, kernel.n, norm="forward")
-    product = np.fft.rfft(velocity * gradient, norm="forward")
-    return product if kernel.mask is None else product * kernel.mask
+    return np.fft.rfft(velocity * gradient, norm="forward") * kernel.mask
 
 
 def nonlinear_term(theta_hat: SpectralField, p: ModelParams) -> SpectralField:
     """Transform of H(theta)*theta_x, pseudospectral, dealiased when enabled."""
     grid = theta_hat.grid
-    raw = _nonlinear_raw(theta_hat.coeffs, _kernel(grid, p))
-    if not np.all(np.isfinite(raw)):
-        raise _non_finite(math.nan)
-    return SpectralField(grid, raw)
+    return SpectralField(grid, _finite(_nonlinear_raw(theta_hat.coeffs, _kernel(grid, p)), math.nan))
 
 
 def _choose_dt(h, c: StepControl, kernel: _Kernel, t: float, t_limit: float) -> float:
@@ -213,10 +211,7 @@ def _step_raw(h, t, c, kernel: _Kernel, t_limit):
     k3 = N(half * h + dt / 2.0 * k2)
     k4 = N(full * h + dt * half * k3)
     out = full * h + dt / 6.0 * (full * k1 + 2.0 * half * (k2 + k3) + k4)
-    t_new = t + dt
-    if not np.all(np.isfinite(out)):
-        raise _non_finite(t_new)
-    return out, t_new, dt
+    return _finite(out, t + dt), t + dt, dt
 
 
 def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None = None) -> SolverState:
@@ -275,11 +270,11 @@ def _field_values(obj) -> dict:
 
 
 def _predictions(
-    theta0: RealField, first: DiagnosticsSample, p: ModelParams, plan: DiagnosticPlan, k: RegularityConstants
+    theta0: RealField, first: DiagnosticsSample | None, p: ModelParams, plan: DiagnosticPlan, k: RegularityConstants
 ):
     """T* at regularity.schedule_alpha's exponent and T1 where the formulas apply,
     None elsewhere and for a T* beyond float64; T1 reads the norms of theta0
-    from the run's first sample."""
+    from the run's first sample, and is None for a run stopped before it."""
     t_star_pred = None
     t_local_pred = None
     if p.dissipation_on and 0.0 < p.gamma < 1.0:
@@ -290,7 +285,7 @@ def _predictions(
                 vanishing = regularity.t_star(p.gamma, alpha, linf0, k)
                 t_star_pred = vanishing if vanishing < math.inf else None  # strict JSON: no Infinity
     if p.dissipation_on and 0.0 < p.gamma <= 1.0:
-        if first.l2 > 0.0 and first.hdot_three_half > 0.0:
+        if first is not None and first.l2 > 0.0 and first.hdot_three_half > 0.0:
             t_local_pred = regularity.t_local(p.gamma, first.l2, first.hdot_three_half, k)
     return t_star_pred, t_local_pred
 
@@ -333,24 +328,24 @@ def run(
         datum = {"kind": "custom", "samples": theta0.values.tolist()}
     config = build_config(p, c, constants, datum, plan)
 
-    h, t = forward(theta0).coeffs, 0.0
     samples: list[DiagnosticsSample] = []
-    steps, dt_lo, dt_hi = 0, math.inf, 0.0
+    t, steps, dt_lo, dt_hi = 0.0, 0, math.inf, 0.0
     outcome, detail = Outcome.COMPLETED, f"reached t_end={c.t_end:g}"
     try:
+        h = _finite(np.fft.rfft(theta0.values, norm="forward"), t)
         for snapshot_index in itertools.count():
             target = min(snapshot_index * c.snapshot_every, c.t_end)
-            while t < target - 1e-12:
+            while t < target - DT_FLOOR:
                 h, t, dt = _step_raw(h, t, c, kernel, target)
                 steps += 1
                 dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
             samples.append(_take_sample(SpectralField(grid, h), t, p.gamma, plan))
             _detect(samples)
-            if t >= c.t_end - 1e-12:
+            if t >= c.t_end - DT_FLOOR:
                 break
     except RunStopped as stop:
         outcome, detail = stop.outcome, stop.detail
-    t_star_pred, t_local_pred = _predictions(theta0, samples[0], p, plan, constants)
+    t_star_pred, t_local_pred = _predictions(theta0, samples[0] if samples else None, p, plan, constants)
 
     return RunRecord(
         config=config,

@@ -131,6 +131,12 @@ class TestRunCommand:
         assert (record.outcome.value, record.outcome_detail) == ("StepCollapse", detail)
         assert (len(record.samples), record.step_count) == (1, 0)
 
+    def test_a_snapshot_cadence_below_the_time_floor_is_a_validation_error(self, tmp_path, capsys):
+        """--t-end 1e-11 leaves the default cadence t_end/50 = 2e-13, below DT_FLOOR."""
+        assert main(["run", "--n", "64", "--t-end", "1e-11", "--out-dir", str(tmp_path)]) == 1
+        assert "snapshot_every must be in (1e-12, t_end], got 1.9999999999999998e-13" in capsys.readouterr().err
+        assert not (tmp_path / "runs.jsonl").exists()
+
     def test_t_star_is_that_of_the_one_tracked_exponent(self, tmp_path, capsys):
         """--alpha 0.3 at gamma 0.9 tracks C^0.3, so T* is T*(0.3), not the policy
         T*(0.2) = 5.83e-5, and the summary reads the C^0.3 series after it."""
@@ -212,6 +218,17 @@ class TestSweepAndReportCommands:
         code = main(["report", str(tmp_path / "sweep.jsonl"), "--out-dir", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "summary.csv").exists()
+
+    def test_a_datum_whose_transform_overflows_keeps_the_other_cell(self, tmp_path, capsys):
+        sweep = ["sweep", "--datum", "cosine:1,1", "--datum", "cosine:5e307,5e307", "--gamma", "0.9"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([*sweep, "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
+        kept, stopped = load_records(tmp_path / "sweep.jsonl")
+        assert (kept.outcome.value, stopped.outcome.value) == ("Completed", "BlowupSuspected")
+        assert (stopped.outcome_detail, len(stopped.samples)) == ("non-finite state at t=0", 0)
+        assert main(["report", str(tmp_path / "sweep.jsonl"), "--out-dir", str(tmp_path)]) == 0
+        rows = parse_csv((tmp_path / "summary.csv").read_text())
+        assert [row["outcome"] for row in rows] == ["Completed", "BlowupSuspected"]
 
     def test_a_second_report_prints_no_wrote_line(self, tmp_path, capsys):
         shutil.copyfile(SCHEMA_1_FILE, tmp_path / "sweep.jsonl")

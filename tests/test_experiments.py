@@ -327,6 +327,18 @@ class TestSweep:
         (record,) = sweep(plan, tmp_path / "inviscid.jsonl")
         assert record.outcome in (Outcome.BLOWUP_SUSPECTED, Outcome.UNDER_RESOLVED)
 
+    def test_a_datum_whose_transform_overflows_is_a_cell_outcome(self, small_plan, tmp_path):
+        """5e307*(1 + cos x) is finite, its transform is not: that cell stops at
+        t = 0 with no snapshot, and the other cell still runs."""
+        plan = replace(small_plan, gamma_values=(0.9,), data=(cosine_positive(1.0, 1.0), cosine_positive(5e307, 5e307)))
+        path = tmp_path / "overflow.jsonl"
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept, stopped = sweep(plan, path)
+        assert kept.outcome is Outcome.COMPLETED
+        assert (stopped.outcome, stopped.outcome_detail, len(stopped.samples)) == (
+            Outcome.BLOWUP_SUSPECTED, "non-finite state at t=0", 0)
+        assert load_records(path) == [kept, stopped]
+
     def test_cells_past_the_direct_t_star_formula_both_finish(self, tmp_path):
         """At gamma = 0.99 the T* of linf0 = 2000 fits in float64 only past an
         overflowing factor, and that of linf0 = 2e5 does not fit at all."""

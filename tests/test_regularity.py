@@ -169,6 +169,20 @@ class TestTStar:
             exact = Decimal(alpha) ** (1 / (1 - g)) * Decimal(linf0) ** (g / (1 - g)) / g
         assert t_star(gamma, alpha, linf0) == pytest.approx(float(exact), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha, power", [(alpha_policy(0.995), 0.0), (0.025, 3.873e-321)])
+    def test_an_underflowing_factor_is_taken_in_logs(self, alpha, power):
+        """At gamma = 0.995, alpha^200 underflows: 0.01^200 to 0, which zeroes
+        the direct product, and 0.025^200 to a subnormal float, which keeps 3
+        digits and would put the direct product off by 3e-4. T* does not
+        underflow: 0.01^200 * 10^199 / 0.995 ~ 1e-201."""
+        gamma, linf0 = 0.995, 10.0
+        assert alpha ** (1.0 / (1.0 - gamma)) == power
+        with localcontext() as ctx:
+            ctx.prec = 40
+            g = Decimal(gamma)
+            exact = Decimal(alpha) ** (1 / (1 - g)) * Decimal(linf0) ** (g / (1 - g)) / g
+        assert t_star(gamma, alpha, linf0) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
     def test_a_t_star_beyond_float64_is_inf(self):
         assert t_star(0.99, alpha_policy(0.99), 2e5) == math.inf
         assert t_star(0.99, alpha_policy(0.99), 2000.0, RegularityConstants(k2=1e10)) == math.inf

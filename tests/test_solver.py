@@ -49,6 +49,14 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="snapshot_every"):
             StepControl(t_end=1.0, snapshot_every=2.0)
 
+    @pytest.mark.parametrize("t_end, snapshot_every", [(5e-13, 5e-13), (1e-11, 1e-13), (1.0, solver.DT_FLOOR)])
+    def test_step_control_rejects_snapshots_below_the_time_floor(self, t_end, snapshot_every):
+        """Steps below DT_FLOOR are not taken, so such a cadence would record
+        snapshots at t = 0 and call the run Completed."""
+        with pytest.raises(ValueError, match=rf"^snapshot_every must be in \(1e-12, t_end\], got {snapshot_every}$"):
+            StepControl(t_end=t_end, snapshot_every=snapshot_every)
+        StepControl(t_end=1e-11, snapshot_every=2e-12)
+
     @pytest.mark.parametrize("key", ["t_end", "dt_max"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_step_control_rejects_a_non_finite_time(self, key, value):
@@ -341,6 +349,13 @@ class TestRun:
             assert rec.t_star_predicted is None
         json.loads(record_to_json(rec), parse_constant=lambda token: pytest.fail(f"non-standard JSON token {token}"))
 
+    def test_an_underflowing_t_star_is_recorded(self):
+        """At gamma = 0.995 the factor alpha^200 underflows; T* ~ 1e-201 does not."""
+        theta0 = make_datum(cosine_positive(5.0, 5.0), TorusGrid(64))
+        rec = run(theta0, ModelParams(gamma=0.995, n=64), StepControl(t_end=0.01, snapshot_every=0.005))
+        assert rec.t_star_predicted == t_star(0.995, alpha_policy(0.995), 10.0)
+        assert rec.t_star_predicted == pytest.approx(1.00502512562873e-201, rel=1e-12, abs=0.0)
+
 
 class TestStopPaths:
     """Every way a run ends, each pinned to its outcome, its exact detail, its
@@ -379,6 +394,16 @@ class TestStopPaths:
         rec = run(self.SMOOTH, self.P, self.C)
         detail = "gradient grew 1.07e+03x (limit 1000x) at t=0.12"
         assert _stop(rec) == (Outcome.BLOWUP_SUSPECTED, detail, 7, 12)
+
+    def test_an_overflowing_datum(self):
+        """A datum whose own transform leaves floating point stops the run
+        before its first snapshot; T1, read from that snapshot, is None."""
+        big = RealField(self.GRID, 1.5e308 * np.cos(self.GRID.points))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = run(big, self.P, self.C)
+        assert _stop(rec) == (Outcome.BLOWUP_SUSPECTED, "non-finite state at t=0", 0, 0)
+        assert (rec.t_local_predicted, rec.dt_min, rec.dt_max) == (None, None, None)
+        json.loads(record_to_json(rec), parse_constant=lambda token: pytest.fail(f"non-standard JSON token {token}"))
 
     def test_non_finite_state(self, monkeypatch):
         """The step that would leave floating point is not counted; its end time is named."""
