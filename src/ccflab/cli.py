@@ -20,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import regularity
-from .experiments import SweepPlan, _run_cell, parse_datum, sweep
+from .experiments import SweepPlan, _run_cell, datum_forms, parse_datum, sweep
 from .operators import calibrate_cgamma
 from .records import append_record, drop_torn_tail, load_records
 from .regularity import RegularityConstants
@@ -260,13 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = subs.add_parser("run", help="integrate one configuration and append its record")
     p_run.add_argument("--gamma", type=float, help="dissipation exponent in (0, 2]")
     p_run.add_argument("--n", type=int, help="grid size (even, >= 32)")
-    p_run.add_argument("--datum", help="cosine:a,b | von_mises:kappa | li_rodrigo:scale | custom:path")
+    p_run.add_argument("--datum", help=datum_forms())
     _add_cell_flags(p_run, _cmd_run)
 
     p_sweep = subs.add_parser("sweep", help="run a (datum, gamma, n) grid, resumable")
     p_sweep.add_argument("--gamma", help="comma-separated gamma values")
     p_sweep.add_argument("--n", help="comma-separated grid sizes")
-    p_sweep.add_argument("--datum", action="append", help="datum spec; repeat for several")
+    p_sweep.add_argument("--datum", action="append", help=f"datum spec ({datum_forms()}); repeat for several")
     p_sweep.add_argument("--jobs", type=int, help="max concurrent cells (default 1)")
     _add_cell_flags(p_sweep, _cmd_sweep)
 

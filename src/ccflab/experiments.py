@@ -1,10 +1,11 @@
 """Initial-data library and the resumable parameter-sweep harness.
 
-Data classes mirror the regularity/blow-up dichotomy: non-negative smooth
-data (shifted cosines, von Mises bumps) versus non-positive even data
-vanishing at the origin. The non-positive class is adapted to the torus as
--scale*sin^2(x/2), the closest periodic analogue of the compactly supported
-profiles it imitates; it is an analogue, not the original.
+The data are the non-negative smooth families a + b*cos(x) and
+exp(kappa*(cos(x)-1)), the non-positive li_rodrigo_type(s), and explicit
+samples. li_rodrigo_type(s) samples -s*sin^2(x/2) = (s/2)*cos(x) - s/2: a
+single-mode cosine shifted by a constant, even and zero at the origin, not a
+datum of the class for which Li and Rodrigo prove blow-up. One table,
+DATUM_FAMILIES, holds each family's alias, parameter names and formula.
 
 Sweeps enumerate (datum, gamma, n) cells in a fixed order, persist each
 record to JSONL as soon as it finishes, and key resumption on the config
@@ -29,34 +30,38 @@ from .regularity import RegularityConstants
 from .solver import DiagnosticPlan, ModelParams, StepControl, build_config, run
 from .torus import RealField, TorusGrid
 
-# Each datum family: its command-line alias and its parameter names, in the
-# order the command line lists them. custom's one parameter is its samples.
+
+def _von_mises(x: np.ndarray, kappa: float) -> np.ndarray:
+    values = np.exp(kappa * (np.cos(x) - 1.0))
+    if float(np.min(values)) <= 0.0:
+        raise ValueError(f"von_mises_bump underflowed to zero at kappa={kappa:g}")
+    return values
+
+
+# Each datum family: its command-line alias, its parameter names in the order
+# the command line lists them, and its formula, the samples at the grid points
+# from those parameters. custom's one parameter is its samples, taken as they are.
 DATUM_FAMILIES = {
-    "cosine_positive": ("cosine", ("a", "b")),
-    "von_mises_bump": ("von_mises", ("kappa",)),
-    "li_rodrigo_type": ("li_rodrigo", ("scale",)),
-    "custom": ("custom", ("samples",)),
+    "cosine_positive": ("cosine", ("a", "b"), lambda x, a, b: a + b * np.cos(x)),
+    "von_mises_bump": ("von_mises", ("kappa",), _von_mises),
+    "li_rodrigo_type": ("li_rodrigo", ("scale",), lambda x, scale: -scale * np.sin(x / 2.0) ** 2),
+    "custom": ("custom", ("samples",), None),
 }
-DATUM_KINDS = tuple(DATUM_FAMILIES)
-DATUM_ALIASES = {alias: kind for kind, (alias, _) in DATUM_FAMILIES.items()}
 
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """A named initial-data family with its parameters.
-
-    cosine_positive(a, b): a + b*cos(x), requires a >= b > 0 so the datum is
-    non-negative. von_mises_bump(kappa): exp(kappa*(cos(x)-1)), positive,
-    even, max 1 at x=0. li_rodrigo_type(scale): -scale*sin^2(x/2), even,
-    non-positive, zero at x=0. custom(samples): explicit grid samples.
-    """
+    """A DATUM_FAMILIES kind with its parameters, each finite and > 0; cosine's
+    a >= b keeps a + b*cos(x) non-negative, and custom's one parameter is its
+    finite samples. li_rodrigo_type(s) is -s*sin^2(x/2) = (s/2)*cos(x) - s/2,
+    a single-mode cosine shifted by a constant: non-positive, zero at x=0."""
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in DATUM_KINDS:
-            raise ValueError(f"unknown datum kind {self.kind!r}, expected one of {DATUM_KINDS}")
+        if self.kind not in DATUM_FAMILIES:
+            raise ValueError(f"unknown datum kind {self.kind!r}, expected one of {tuple(DATUM_FAMILIES)}")
         p = self.params
         if self.kind == "custom":
             samples = p.get("samples")
@@ -69,12 +74,9 @@ class InitialDatum:
         for key, value in values.items():
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} parameter {key} must be finite, got {value}")
-        if self.kind == "cosine_positive":
-            a, b = values["a"], values["b"]
-            if not (a >= b > 0.0):
-                raise ValueError(f"cosine_positive requires a >= b > 0, got a={a}, b={b}")
-        else:
-            ((key, value),) = values.items()
+        if self.kind == "cosine_positive" and not values["a"] >= values["b"] > 0.0:
+            raise ValueError(f"cosine_positive requires a >= b > 0, got a={values['a']}, b={values['b']}")
+        for key, value in values.items():
             if not value > 0.0:
                 raise ValueError(f"{self.kind} requires {key} > 0, got {value}")
 
@@ -103,40 +105,35 @@ def custom_datum(samples) -> InitialDatum:
 
 
 def make_datum(d: InitialDatum, grid: TorusGrid) -> RealField:
-    """Sample the datum on the grid. InitialDatum's parameter checks give each
-    family its sign; what only sampling shows is checked here: a von Mises bump
-    that underflows to zero, and custom samples of the wrong length."""
-    x = grid.points
-    if d.kind == "cosine_positive":
-        values = d.params["a"] + d.params["b"] * np.cos(x)
-    elif d.kind == "von_mises_bump":
-        kappa = d.params["kappa"]
-        values = np.exp(kappa * (np.cos(x) - 1.0))
-        if float(np.min(values)) <= 0.0:
-            raise ValueError(f"von_mises_bump underflowed to zero at kappa={kappa:g}")
-    elif d.kind == "li_rodrigo_type":
-        values = -d.params["scale"] * np.sin(x / 2.0) ** 2
-    else:
+    """Sample the datum through its family's formula. InitialDatum's checks give
+    each family its sign; only sampling shows a von Mises bump that underflows
+    to zero (its formula raises) and custom samples of the wrong length."""
+    if d.kind == "custom":
         samples = np.asarray(d.params["samples"], dtype=np.float64)
         if samples.shape != (grid.n,):
-            raise ValueError(
-                f"custom samples have length {samples.size}, grid expects {grid.n}"
-            )
-        values = samples
-    return RealField(grid, values)
+            raise ValueError(f"custom samples have length {samples.size}, grid expects {grid.n}")
+        return RealField(grid, samples)
+    _, names, formula = DATUM_FAMILIES[d.kind]
+    return RealField(grid, formula(grid.points, *(d.params[key] for key in names)))
+
+
+def datum_forms() -> str:
+    """The command-line datum forms, one per family: cosine:a,b | ... | custom:path."""
+    return " | ".join(
+        f"{alias}:{'path' if kind == 'custom' else ','.join(names)}" for kind, (alias, names, _) in DATUM_FAMILIES.items()
+    )
 
 
 def parse_datum(text: str) -> InitialDatum:
-    """Parse a CLI datum string such as cosine:1,1 or von_mises:5.
-
-    Forms: cosine:a,b | von_mises:kappa | li_rodrigo:scale | custom:path
-    where path is a text file of newline-separated sample values.
-    """
+    """Parse a CLI datum string such as cosine:1,1 or von_mises:5, in one of the
+    forms of datum_forms(); custom:path reads a text file of newline-separated
+    sample values."""
     name, sep, arg = text.partition(":")
     name, arg = name.strip(), arg.strip()
-    kind = DATUM_ALIASES.get(name)
+    kinds = {alias: kind for kind, (alias, _, _) in DATUM_FAMILIES.items()}
+    kind = kinds.get(name)
     if kind is None:
-        raise ValueError(f"unknown datum {name!r}, expected one of {sorted(DATUM_ALIASES)}")
+        raise ValueError(f"unknown datum {name!r}, expected one of {sorted(kinds)}")
     if not sep or not arg:
         raise ValueError(f"datum {name!r} requires parameters after a colon")
     if kind == "custom":

@@ -139,6 +139,17 @@ def t_star(
         return math.inf
 
 
+def predicted_t_star(gamma: float, dissipation_on: bool, tracked: tuple[float, ...], linf0: float,
+                     k: RegularityConstants) -> float | None:
+    """A run's T* at schedule_alpha's exponent, from its datum's sup norm linf0:
+    None where no T* applies (no dissipation, gamma outside (0, 1), a zero
+    datum, an exponent below 1 - gamma), math.inf beyond float64."""
+    if not (dissipation_on and 0.0 < gamma < 1.0 and linf0 > 0.0):
+        return None
+    alpha = schedule_alpha(gamma, tracked)
+    return t_star(gamma, alpha, linf0, k) if alpha >= 1.0 - gamma else None
+
+
 @dataclass(frozen=True)
 class RegularitySchedule:
     """Frozen xi schedule for one run, built by make_schedule: exponents, xi_0,

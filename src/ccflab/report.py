@@ -67,23 +67,31 @@ def build_summary(records: list[RunRecord]) -> list[dict]:
     holder_alpha is the tracked exponent T* is computed at
     (regularity.tracked_schedule_alpha), else the smallest tracked exponent.
     max_holder_after_tstar is its maximum over snapshots with t > T* for the
-    former when T* is not None, else over those with t > 0. fitted_c comes from
-    the energy probe and is blank when the probe refuses the record.
+    former when T* applies (regularity.predicted_t_star, asked when the record
+    holds null, which also stands for a T* beyond float64), else over those
+    with t > 0. fitted_c comes from the energy probe, blank when it refuses.
     """
     rows = []
     for record in records:
         model = record.config.get("model", {})
         gamma = float(model.get("gamma", 0.0))
         holder = record.samples.holder if record.samples else {}
-        alpha = regularity.tracked_schedule_alpha(gamma, tuple(record.config.get("holder_alphas", ())))
+        tracked = tuple(record.config.get("holder_alphas", ()))
+        alpha = regularity.tracked_schedule_alpha(gamma, tracked)
         cutoff = record.t_star_predicted
         if alpha not in holder:
             alpha, cutoff = min(holder, default=None), None
+        elif cutoff is None:
+            try:
+                k = regularity.RegularityConstants(**record.config.get("constants", {}))
+            except TypeError as exc:  # a record file's constants are outside input
+                raise ValueError(f"record {record.config_hash} has bad config.constants: {exc}") from None
+            dissipative, linf0 = bool(model.get("dissipation_on", True)), float(record.samples.linf[0])
+            cutoff = regularity.predicted_t_star(gamma, dissipative, tracked, linf0, k)
         max_holder = None
         if alpha is not None:
-            tail = holder[alpha][record.samples.t > (cutoff or 0.0)].tolist()
-            if tail:
-                max_holder = max(tail)
+            tail = holder[alpha][record.samples.t > (cutoff or 0.0)]
+            max_holder = max(tail.tolist(), default=None)
         try:
             fitted_c = regularity.energy_inequality_probe(record).fitted_c
         except ValueError:

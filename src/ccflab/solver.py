@@ -272,22 +272,17 @@ def _field_values(obj) -> dict:
 def _predictions(
     theta0: RealField, first: DiagnosticsSample | None, p: ModelParams, plan: DiagnosticPlan, k: RegularityConstants
 ):
-    """T* at regularity.schedule_alpha's exponent and T1 where the formulas apply,
-    None elsewhere and for a T* beyond float64; T1 reads the norms of theta0
-    from the run's first sample, and is None for a run stopped before it."""
-    t_star_pred = None
+    """T* (regularity.predicted_t_star) and T1 where the formulas apply, None
+    elsewhere and for a T* beyond float64, since strict JSON has no Infinity;
+    T1 reads the norms of theta0 from the run's first sample, and is None for
+    a run stopped before it."""
+    linf0 = float(np.max(np.abs(theta0.values)))
+    t_star_pred = regularity.predicted_t_star(p.gamma, p.dissipation_on, plan.holder_alphas, linf0, k)
     t_local_pred = None
-    if p.dissipation_on and 0.0 < p.gamma < 1.0:
-        linf0 = float(np.max(np.abs(theta0.values)))
-        if linf0 > 0.0:
-            alpha = regularity.schedule_alpha(p.gamma, plan.holder_alphas)
-            if alpha >= 1.0 - p.gamma:
-                vanishing = regularity.t_star(p.gamma, alpha, linf0, k)
-                t_star_pred = vanishing if vanishing < math.inf else None  # strict JSON: no Infinity
     if p.dissipation_on and 0.0 < p.gamma <= 1.0:
         if first is not None and first.l2 > 0.0 and first.hdot_three_half > 0.0:
             t_local_pred = regularity.t_local(p.gamma, first.l2, first.hdot_three_half, k)
-    return t_star_pred, t_local_pred
+    return (None if t_star_pred == math.inf else t_star_pred), t_local_pred
 
 
 def _detect(samples: list[DiagnosticsSample]) -> None:
@@ -332,7 +327,8 @@ def run(
     t, steps, dt_lo, dt_hi = 0.0, 0, math.inf, 0.0
     outcome, detail = Outcome.COMPLETED, f"reached t_end={c.t_end:g}"
     try:
-        h = _finite(np.fft.rfft(theta0.values, norm="forward"), t)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the outcome, not a warning
+            h = _finite(np.fft.rfft(theta0.values, norm="forward"), t)
         for snapshot_index in itertools.count():
             target = min(snapshot_index * c.snapshot_every, c.t_end)
             while t < target - DT_FLOOR:

@@ -72,14 +72,9 @@ class TorusGrid:
         return _read_only(TWO_PI * np.arange(self.n) / self.n)
 
     @cached_property
-    def modes(self) -> np.ndarray:
-        """Integer wavenumbers m = 0..n/2 of the half spectrum."""
-        return _read_only(np.arange(self.n // 2 + 1, dtype=np.int64))
-
-    @cached_property
     def abs_modes(self) -> np.ndarray:
-        """|m| as float64, the base of every |m|^s multiplier."""
-        return _read_only(self.modes.astype(np.float64))
+        """|m| = 0..n/2, the half spectrum's wavenumbers as float64: the base of every |m|^s."""
+        return _read_only(np.arange(self.n // 2 + 1, dtype=np.float64))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -147,14 +142,6 @@ class SpectralField:
                 f"tolerance {SYMMETRY_TOL * scale:.3e})"
             )
         object.__setattr__(self, "coeffs", coeffs)
-
-    def coeff(self, m: int) -> complex:
-        """Coefficient of mode m for |m| <= n/2; coeff(-m) is conj(coeff(m))."""
-        n = self.grid.n
-        if abs(m) > n // 2:
-            raise ValueError(f"mode {m} outside resolved range |m| <= {n // 2}")
-        c = complex(self.coeffs[abs(m)])
-        return c if m >= 0 else c.conjugate()
 
 
 def forward(f: RealField) -> SpectralField:

@@ -13,6 +13,7 @@ import pytest
 
 import ccflab
 from ccflab.cli import main
+from ccflab.experiments import DATUM_FAMILIES
 from ccflab.records import load_records, record_to_dict
 from ccflab.report import parse_csv
 
@@ -46,6 +47,17 @@ class TestExitCodes:
         out = capsys.readouterr().out
         for sub in ("run", "sweep", "verify", "calibrate", "report"):
             assert sub in out
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_datum_help_names_every_family_in_the_table(self, command, capsys, monkeypatch):
+        """The --datum help is read from DATUM_FAMILIES, an added family included."""
+        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps at the terminal width
+        monkeypatch.setitem(DATUM_FAMILIES, "scaled_bump", ("bump", ("k", "w"), None))
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        for alias, _, _ in DATUM_FAMILIES.values():
+            assert f" {alias}:" in out or f"({alias}:" in out
+        assert "bump:k,w" in out and "custom:path" in out
 
     def test_unknown_flag_is_an_error(self, capsys):
         assert main(["run", "--frobnicate"]) == 1
@@ -221,8 +233,7 @@ class TestSweepAndReportCommands:
 
     def test_a_datum_whose_transform_overflows_keeps_the_other_cell(self, tmp_path, capsys):
         sweep = ["sweep", "--datum", "cosine:1,1", "--datum", "cosine:5e307,5e307", "--gamma", "0.9"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main([*sweep, "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
+        assert main([*sweep, "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]) == 0
         kept, stopped = load_records(tmp_path / "sweep.jsonl")
         assert (kept.outcome.value, stopped.outcome.value) == ("Completed", "BlowupSuspected")
         assert (stopped.outcome_detail, len(stopped.samples)) == ("non-finite state at t=0", 0)

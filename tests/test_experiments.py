@@ -15,6 +15,7 @@ from ccflab.experiments import (
     SweepPlan,
     cosine_positive,
     custom_datum,
+    datum_forms,
     datum_label,
     li_rodrigo_type,
     make_datum,
@@ -107,6 +108,14 @@ class TestMakeDatum:
             values = make_datum(li_rodrigo_type(scale), grid).values
             assert np.max(values) <= 0.0 and values[0] == 0.0
 
+    @pytest.mark.parametrize("scale", [1.0, 20.0, 100.0])
+    def test_li_rodrigo_is_a_shifted_cosine(self, scale):
+        """-s*sin^2(x/2) = (s/2)*cos x - s/2: one cosine mode and a constant."""
+        grid = TorusGrid(64)
+        values = make_datum(li_rodrigo_type(scale), grid).values
+        shifted = make_datum(cosine_positive(scale / 2.0, scale / 2.0), grid).values - scale
+        np.testing.assert_allclose(values, shifted, rtol=0.0, atol=4.0 * np.spacing(scale))
+
     def test_custom_length_must_match_grid(self):
         with pytest.raises(ValueError, match="length"):
             make_datum(custom_datum(np.zeros(64)), TorusGrid(128))
@@ -164,6 +173,31 @@ class TestDatumLabel:
     )
     def test_labels(self, cfg, label):
         assert datum_label(cfg) == label
+
+
+class TestDatumFamilies:
+    def test_a_new_family_needs_only_its_entry(self, monkeypatch):
+        """A two-parameter family added to the table alone is validated, sampled,
+        parsed and labelled like the built-in ones."""
+        formula = lambda x, k, w: w * np.exp(k * (np.cos(x) - 1.0))  # noqa: E731
+        monkeypatch.setitem(experiments.DATUM_FAMILIES, "scaled_bump", ("bump", ("k", "w"), formula))
+        datum = InitialDatum("scaled_bump", {"k": 2.0, "w": 3.0})
+        grid = TorusGrid(64)
+        assert np.array_equal(make_datum(datum, grid).values, 3.0 * np.exp(2.0 * (np.cos(grid.points) - 1.0)))
+        with pytest.raises(ValueError, match=re.escape("scaled_bump requires k > 0, got -1.0")):
+            InitialDatum("scaled_bump", {"k": -1.0, "w": 3.0})
+        with pytest.raises(ValueError, match=re.escape("scaled_bump requires w > 0, got 0.0")):
+            InitialDatum("scaled_bump", {"k": 2.0})
+        with pytest.raises(ValueError, match=re.escape("scaled_bump parameter w must be finite, got inf")):
+            InitialDatum("scaled_bump", {"k": 2.0, "w": float("inf")})
+        assert parse_datum("bump:2,3") == datum
+        with pytest.raises(ValueError, match=re.escape("bump datum expects k,w, got '2'")):
+            parse_datum("bump:2")
+        assert datum_label(datum.to_config()) == "scaled_bump(2,3)"
+        assert "bump:k,w" in datum_forms().split(" | ")
+
+    def test_forms_list_every_family_in_table_order(self):
+        assert datum_forms() == "cosine:a,b | von_mises:kappa | li_rodrigo:scale | custom:path"
 
 
 class TestSweepPlan:
@@ -332,8 +366,7 @@ class TestSweep:
         t = 0 with no snapshot, and the other cell still runs."""
         plan = replace(small_plan, gamma_values=(0.9,), data=(cosine_positive(1.0, 1.0), cosine_positive(5e307, 5e307)))
         path = tmp_path / "overflow.jsonl"
-        with np.errstate(over="ignore", invalid="ignore"):
-            kept, stopped = sweep(plan, path)
+        kept, stopped = sweep(plan, path)
         assert kept.outcome is Outcome.COMPLETED
         assert (stopped.outcome, stopped.outcome_detail, len(stopped.samples)) == (
             Outcome.BLOWUP_SUSPECTED, "non-finite state at t=0", 0)

@@ -17,6 +17,7 @@ from ccflab.regularity import (
     holder_alphas,
     holder_seminorm,
     make_schedule,
+    predicted_t_star,
     schedule_alpha,
     sobolev_norm,
     t_local,
@@ -127,6 +128,30 @@ class TestTrackedScheduleAlpha:
     )
     def test_the_tracked_exponent_of_t_star_or_none(self, gamma, tracked, alpha):
         assert tracked_schedule_alpha(gamma, tracked) == alpha
+
+
+class TestPredictedTStar:
+    K = RegularityConstants()
+
+    @pytest.mark.parametrize(
+        "gamma, dissipation_on, tracked, linf0",
+        [
+            (0.9, False, (0.2,), 2.0),  # inviscid
+            (1.2, True, (), 2.0),  # no schedule at gamma >= 1
+            (0.9, True, (0.2,), 0.0),  # a zero datum
+            (0.3, True, (), 2.0),  # the policy 0.5 is below 1 - gamma
+        ],
+        ids=["inviscid", "gamma_above_one", "zero_datum", "policy_below_half"],
+    )
+    def test_none_where_no_t_star_applies(self, gamma, dissipation_on, tracked, linf0):
+        assert predicted_t_star(gamma, dissipation_on, tracked, linf0, self.K) is None
+
+    def test_t_star_at_the_schedule_exponent(self):
+        assert predicted_t_star(0.9, True, (0.3,), 2.0, self.K) == t_star(0.9, 0.3, 2.0)
+        assert predicted_t_star(0.9, True, (0.05,), 2.0, self.K) == t_star(0.9, alpha_policy(0.9), 2.0)
+
+    def test_infinite_beyond_float64(self):
+        assert predicted_t_star(0.99, True, (), 2e5, self.K) == math.inf
 
 
 class TestTStar:

@@ -94,6 +94,22 @@ class TestSummary:
         assert row["holder_alpha"] == alpha
         assert row["max_holder_after_tstar"] == series.max()
 
+    def test_a_t_star_beyond_float64_leaves_the_cell_blank(self):
+        """At gamma = 0.99, T* of linf0 = 2e5 (~1e355) is recorded as null and lies
+        past every snapshot, so no Holder value is read after it."""
+        theta0 = make_datum(cosine_positive(1e5, 1e5), TorusGrid(64))
+        alpha = alpha_policy(0.99)
+        record = run(theta0, ModelParams(gamma=0.99, n=64), StepControl(t_end=2e-6, snapshot_every=4e-8),
+                     DiagnosticPlan((alpha,)))
+        (row,) = build_summary([record])
+        assert (record.t_star_predicted, row["t_star_predicted"]) == (None, None)
+        assert len(record.samples.holder[alpha]) > 1
+        assert (row["holder_alpha"], row["max_holder_after_tstar"]) == (alpha, None)
+        for constants in ({"k1": 1.0, "k9": 2.0}, [1.0], {"k1": "1"}):
+            edited = dataclasses.replace(record, config={**record.config, "constants": constants})
+            with pytest.raises(ValueError, match="bad config.constants"):
+                build_summary([edited])
+
 
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, records):
