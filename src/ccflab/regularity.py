@@ -56,6 +56,8 @@ class RegularityConstants:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a number, got {value}")
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{f.name} must be strictly positive and finite, got {value}")
         if self.k2 < 1.0:

@@ -84,7 +84,7 @@ def build_summary(records: list[RunRecord]) -> list[dict]:
         elif cutoff is None:
             try:
                 k = regularity.RegularityConstants(**record.config.get("constants", {}))
-            except TypeError as exc:  # a record file's constants are outside input
+            except (TypeError, ValueError) as exc:  # a record file's constants are outside input
                 raise ValueError(f"record {record.config_hash} has bad config.constants: {exc}") from None
             dissipative, linf0 = bool(model.get("dissipation_on", True)), float(record.samples.linf[0])
             cutoff = regularity.predicted_t_star(gamma, dissipative, tracked, linf0, k)

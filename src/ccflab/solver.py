@@ -11,14 +11,15 @@ layout of every SpectralField, so run(), step() and nonlinear_term() pass the
 coefficients as they are to one kernel, built once per (grid, params). A step
 makes 9 real transforms: one irfft of H theta for the CFL speed, then in each
 RK4 stage one batched irfft of the velocity and the gradient together and one
-rfft of their product.
+rfft of their product. A snapshot makes one, a batched irfft of theta and theta_x.
 
-Detectors judge each recorded snapshot, and guards each state, the datum's
-first transform included:
+Detectors judge each recorded snapshot, and guards each state (the datum's
+first transform included) and each snapshot's diagnostics, all under one
+np.errstate in run(), so an overflow is an outcome, not a warning:
 
-* BlowupSuspected: non-finite state, or ||theta_x||_inf beyond 1e3 times its
-  initial value, or the spectral tail fraction beyond torus.TAIL_LIMIT (1e-4)
-  while still growing between snapshots.
+* BlowupSuspected: non-finite state or diagnostics, or ||theta_x||_inf beyond
+  1e3 times its initial value, or the spectral tail fraction beyond
+  torus.TAIL_LIMIT (1e-4) while still growing between snapshots.
 * UnderResolved: tail fraction beyond TAIL_LIMIT without growth.
 * StepCollapse: dt fell below DT_FLOOR (1e-12), the solver's time resolution.
 
@@ -42,15 +43,7 @@ import numpy as np
 from . import regularity
 from .records import DiagnosticsSample, Outcome, RunRecord
 from .regularity import RegularityConstants
-from .torus import (
-    TAIL_LIMIT,
-    RealField,
-    SpectralField,
-    TorusGrid,
-    derivative,
-    inverse,
-    tail_fraction,
-)
+from .torus import TAIL_LIMIT, RealField, SpectralField, TorusGrid, tail_fraction
 
 GRADIENT_BLOWUP_FACTOR = 1e3
 DT_FLOOR = 1e-12
@@ -65,10 +58,10 @@ class RunStopped(RuntimeError):
         self.detail = detail
 
 
-def _finite(h: np.ndarray, t: float) -> np.ndarray:
+def _finite(h: np.ndarray, t: float, what: str = "state") -> np.ndarray:
     """h, unless it left the reach of floating point: a suspected blow-up at t."""
     if not np.all(np.isfinite(h)):
-        raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"non-finite state at t={t:.6g}")
+        raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"non-finite {what} at t={t:.6g}")
     return h
 
 
@@ -97,16 +90,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Time-stepping limits and the snapshot cadence."""
+    """Time-stepping limits and the snapshot cadence, by default 0.02 capped
+    at t_end."""
 
     t_end: float
     dt_max: float = 0.01
     cfl: float = 0.4
-    snapshot_every: float = 0.02
+    snapshot_every: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if self.snapshot_every is None:
+            object.__setattr__(self, "snapshot_every", min(0.02, self.t_end))
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if not 0.0 < self.dt_max < math.inf:
@@ -224,22 +220,26 @@ def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None =
 
 
 def _take_sample(F: SpectralField, t: float, gamma: float, plan: DiagnosticPlan) -> DiagnosticsSample:
-    phys = inverse(F)
-    grad = inverse(derivative(F)).values
-    holder = {a: regularity.holder_seminorm(phys, a) for a in plan.holder_alphas}
-    return DiagnosticsSample(
+    """The snapshot of F at t, unless a value of it leaves float64 (RunStopped)."""
+    grid, h = F.grid, F.coeffs
+    theta, theta_x = np.fft.irfft(np.stack([h, h * grid.derivative_mult]), grid.n, norm="forward")
+    values = dict(
         t=t,
         l2=regularity.sobolev_norm(F, 0.0),
-        linf=float(np.max(np.abs(phys.values))),
-        mean=float(F.coeffs[0].real),
+        linf=float(np.max(np.abs(theta))),
+        mean=float(h[0].real),
         hdot_half=regularity.sobolev_norm(F, 0.5),
         hdot_three_half=regularity.sobolev_norm(F, 1.5),
         hdot_mid=regularity.sobolev_norm(F, (3.0 + gamma) / 2.0),
-        holder=holder,
         tail_fraction=tail_fraction(F),
-        min_value=float(np.min(phys.values)),
-        grad_linf=float(np.max(np.abs(grad))),
+        min_value=float(np.min(theta)),
+        grad_linf=float(np.max(np.abs(theta_x))),
     )
+    _finite(np.array(list(values.values())), t, "diagnostics")  # then theta is finite, as RealField requires
+    phys = RealField(grid, theta)
+    holder = {a: regularity.holder_seminorm(phys, a) for a in plan.holder_alphas}
+    _finite(np.array(list(holder.values())), t, "diagnostics")
+    return DiagnosticsSample(**values, holder=holder)
 
 
 def build_config(
@@ -329,16 +329,16 @@ def run(
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the outcome, not a warning
             h = _finite(np.fft.rfft(theta0.values, norm="forward"), t)
-        for snapshot_index in itertools.count():
-            target = min(snapshot_index * c.snapshot_every, c.t_end)
-            while t < target - DT_FLOOR:
-                h, t, dt = _step_raw(h, t, c, kernel, target)
-                steps += 1
-                dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
-            samples.append(_take_sample(SpectralField(grid, h), t, p.gamma, plan))
-            _detect(samples)
-            if t >= c.t_end - DT_FLOOR:
-                break
+            for snapshot_index in itertools.count():
+                target = min(snapshot_index * c.snapshot_every, c.t_end)
+                while t < target - DT_FLOOR:
+                    h, t, dt = _step_raw(h, t, c, kernel, target)
+                    steps += 1
+                    dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+                samples.append(_take_sample(SpectralField(grid, h), t, p.gamma, plan))
+                _detect(samples)
+                if t >= c.t_end - DT_FLOOR:
+                    break
     except RunStopped as stop:
         outcome, detail = stop.outcome, stop.detail
     t_star_pred, t_local_pred = _predictions(theta0, samples[0] if samples else None, p, plan, constants)

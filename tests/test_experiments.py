@@ -372,6 +372,18 @@ class TestSweep:
             Outcome.BLOWUP_SUSPECTED, "non-finite state at t=0", 0)
         assert load_records(path) == [kept, stopped]
 
+    def test_a_datum_whose_diagnostics_overflow_is_a_cell_outcome(self, small_plan, tmp_path):
+        """1e300*(1 + cos x) has a finite transform whose squared coefficients
+        overflow: that cell stops at its t = 0 snapshot, unrecorded and without
+        a warning, and the other cell still runs."""
+        plan = replace(small_plan, gamma_values=(0.9,), data=(cosine_positive(1.0, 1.0), cosine_positive(1e300, 1e300)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept, stopped = sweep(plan, tmp_path / "overflow.jsonl")
+        assert kept.outcome is Outcome.COMPLETED
+        assert (stopped.outcome, stopped.outcome_detail, len(stopped.samples)) == (
+            Outcome.BLOWUP_SUSPECTED, "non-finite diagnostics at t=0", 0)
+
     def test_cells_past_the_direct_t_star_formula_both_finish(self, tmp_path):
         """At gamma = 0.99 the T* of linf0 = 2000 fits in float64 only past an
         overflowing factor, and that of linf0 = 2e5 does not fit at all."""

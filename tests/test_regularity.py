@@ -58,6 +58,11 @@ class TestConstants:
         with pytest.raises(ValueError, match=f"{key} must be strictly positive and finite, got inf"):
             RegularityConstants(**{key: float("inf")})
 
+    def test_a_bool_constant_is_named(self):
+        """True would pass the range check as 1; a record's constants block is outside input."""
+        with pytest.raises(ValueError, match="k1 must be a number, got True"):
+            RegularityConstants(k1=True)
+
     def test_k2_lower_bound(self):
         with pytest.raises(ValueError, match="k2"):
             RegularityConstants(k2=0.5)

@@ -105,7 +105,7 @@ class TestSummary:
         assert (record.t_star_predicted, row["t_star_predicted"]) == (None, None)
         assert len(record.samples.holder[alpha]) > 1
         assert (row["holder_alpha"], row["max_holder_after_tstar"]) == (alpha, None)
-        for constants in ({"k1": 1.0, "k9": 2.0}, [1.0], {"k1": "1"}):
+        for constants in ({"k1": 1.0, "k9": 2.0}, [1.0], {"k1": "1"}, {"k1": -1.0}, {"k1": True}):
             edited = dataclasses.replace(record, config={**record.config, "constants": constants})
             with pytest.raises(ValueError, match="bad config.constants"):
                 build_summary([edited])

@@ -9,20 +9,35 @@ import numpy as np
 import pytest
 
 from ccflab import solver
-from ccflab.experiments import cosine_positive, custom_datum, make_datum
-from ccflab.records import Outcome, record_to_dict, record_to_json
-from ccflab.regularity import alpha_policy, t_star
+from ccflab.experiments import cosine_positive, custom_datum, make_datum, von_mises_bump
+from ccflab.records import DiagnosticsSample, Outcome, config_hash, record_to_dict, record_to_json
+from ccflab.regularity import (
+    RegularityConstants,
+    alpha_policy,
+    holder_seminorm,
+    sobolev_norm,
+    t_star,
+)
 from ccflab.solver import (
     DiagnosticPlan,
     ModelParams,
     SolverState,
     StepControl,
     _take_sample,
+    build_config,
     nonlinear_term,
     run,
     step,
 )
-from ccflab.torus import RealField, SpectralField, TorusGrid, forward, inverse
+from ccflab.torus import (
+    RealField,
+    SpectralField,
+    TorusGrid,
+    derivative,
+    forward,
+    inverse,
+    tail_fraction,
+)
 
 
 class TestParamValidation:
@@ -65,6 +80,18 @@ class TestParamValidation:
         written to the record as the non-JSON token Infinity."""
         with pytest.raises(ValueError, match=f"{key} must be positive and finite, got {value}"):
             StepControl(**{"t_end": 1.0, key: value})
+
+    def test_the_default_cadence_is_capped_at_t_end(self):
+        """A short run needs no cadence of its own; a run of 1.0 keeps 0.02,
+        and so its config and hash."""
+        assert StepControl(t_end=0.01).snapshot_every == 0.01
+        c = StepControl(t_end=1.0)
+        assert c.snapshot_every == 0.02
+        p, k, plan = ModelParams(gamma=0.9, n=64), RegularityConstants(), DiagnosticPlan()
+        config = build_config(p, c, k, {"kind": "cosine", "a": 1.0, "b": 1.0}, plan)
+        assert config["control"] == {"t_end": 1.0, "dt_max": 0.01, "cfl": 0.4, "snapshot_every": 0.02}
+        explicit = build_config(p, StepControl(t_end=1.0, snapshot_every=0.02), k, config["datum"], plan)
+        assert config_hash(config) == config_hash(explicit)
 
     def test_diagnostic_plan_alpha_range(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -411,14 +438,70 @@ class TestStopPaths:
             rec = run(theta0, self.P, self.C)
         assert (rec.outcome, rec.outcome_detail) == (Outcome.BLOWUP_SUSPECTED, "non-finite state at t=0")
 
+    def test_diagnostics_that_overflow(self):
+        """1e300*(1 + cos x) and its transform are finite, its squared
+        coefficients are not: the t = 0 snapshot stops the run unrecorded."""
+        theta0 = make_datum(cosine_positive(1e300, 1e300), self.GRID)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = run(theta0, self.P, self.C, DiagnosticPlan((alpha_policy(0.9),)))
+        assert _stop(rec) == (Outcome.BLOWUP_SUSPECTED, "non-finite diagnostics at t=0", 0, 0)
+        assert rec.t_local_predicted is None
+
     def test_non_finite_state(self, monkeypatch):
         """The step that would leave floating point is not counted; its end time is named."""
         monkeypatch.setattr(solver, "_nonlinear_raw", lambda h, kernel: np.full_like(h, np.inf))
-        with np.errstate(invalid="ignore"):
-            rec = run(self.SMOOTH, self.P, self.C)
+        rec = run(self.SMOOTH, self.P, self.C)
         assert _stop(rec) == (Outcome.BLOWUP_SUSPECTED, "non-finite state at t=0.01", 1, 0)
         with pytest.raises(RuntimeError, match=r"^non-finite state at t=nan$"):
             nonlinear_term(forward(self.SMOOTH), self.P)
+
+
+def _reference_sample(F, t, gamma, plan):
+    """A snapshot taken field by field: theta and theta_x each through inverse()."""
+    phys = inverse(F)
+    grad = inverse(derivative(F)).values
+    return DiagnosticsSample(
+        t=t,
+        l2=sobolev_norm(F, 0.0),
+        linf=float(np.max(np.abs(phys.values))),
+        mean=float(F.coeffs[0].real),
+        hdot_half=sobolev_norm(F, 0.5),
+        hdot_three_half=sobolev_norm(F, 1.5),
+        hdot_mid=sobolev_norm(F, (3.0 + gamma) / 2.0),
+        holder={a: holder_seminorm(phys, a) for a in plan.holder_alphas},
+        tail_fraction=tail_fraction(F),
+        min_value=float(np.min(phys.values)),
+        grad_linf=float(np.max(np.abs(grad))),
+    )
+
+
+class TestSnapshot:
+    @pytest.mark.parametrize("alphas", [(), (0.2,)])
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    @pytest.mark.parametrize("datum", ["cosine", "von_mises", "noise"])
+    def test_one_batched_transform_gives_the_field_by_field_sample(self, datum, n, alphas):
+        grid = TorusGrid(n)
+        if datum == "noise":
+            theta = RealField(grid, np.random.default_rng(n).standard_normal(n))
+        else:
+            theta = make_datum(cosine_positive(1.0, 1.0) if datum == "cosine" else von_mises_bump(5.0), grid)
+        F, plan = forward(theta), DiagnosticPlan(alphas)
+        sample, reference = _take_sample(F, 0.25, 0.9, plan), _reference_sample(F, 0.25, 0.9, plan)
+        for f in dataclasses.fields(DiagnosticsSample):
+            assert getattr(sample, f.name) == getattr(reference, f.name), f.name
+
+    def test_a_snapshot_makes_one_inverse_transform(self, monkeypatch):
+        calls, irfft = [], np.fft.irfft
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return irfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        grid = TorusGrid(64)
+        _take_sample(forward(RealField(grid, np.cos(grid.points))), 0.0, 0.9, DiagnosticPlan((0.2,)))
+        assert calls == [(2, 33)]
 
 
 class TestMonitors:
