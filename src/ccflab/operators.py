@@ -71,10 +71,6 @@ class CalibrationError(RuntimeError):
         self.residual = residual
 
 
-class UnderResolvedFieldError(ValueError):
-    """Raised when a field is too rough at grid scale for the quadrature."""
-
-
 @dataclass(frozen=True)
 class CgammaCalibration:
     """Fitted normalization for the singular-integral fractional Laplacian."""
@@ -191,7 +187,7 @@ def calibrate_cgamma(gamma: float, grid: TorusGrid) -> CgammaCalibration:
 def _check_quadrature_input(f: RealField) -> None:
     tf = tail_fraction(forward(f))
     if tf >= QUADRATURE_TAIL_LIMIT:
-        raise UnderResolvedFieldError(
+        raise ValueError(
             f"field spectral tail fraction {tf:.3e} >= {QUADRATURE_TAIL_LIMIT}; "
             "refine the grid before applying the quadrature"
         )
@@ -230,7 +226,6 @@ __all__ = [
     "CALIBRATION_TOL",
     "QUADRATURE_TAIL_LIMIT",
     "CalibrationError",
-    "UnderResolvedFieldError",
     "CgammaCalibration",
     "hilbert",
     "frac_laplacian_spectral",

@@ -1,11 +1,10 @@
 """Regularity-theory calculators: homogeneous Sobolev norms, the Holder
-estimator and its modulated v-field, the xi(t) schedule with its vanishing
-time T*, the local-existence horizon T1, the gamma_1 dissipation threshold,
-and the energy-inequality probe run over recorded diagnostics.
+estimator, the xi(t) schedule with its vanishing time T*, the local-existence
+horizon T1, the gamma_1 dissipation threshold, and the energy-inequality probe
+run over recorded diagnostics.
 
-The Holder estimator and the v-field share one increment kernel, _increment,
-which reads theta(x+h) as a slice of the field laid out twice; xi(t) has one
-formula, RegularitySchedule.xi_at, and xi_0 one, in make_schedule.
+xi(t) has one formula, RegularitySchedule.xi_at, and xi_0 one, in
+make_schedule.
 
 The Holder estimator is an exact pruned scan. The sup increment
 A(h) = max_x |theta(x+h) - theta(x)| is subadditive in h, so after A is
@@ -154,15 +153,13 @@ def predicted_t_star(gamma: float, dissipation_on: bool, tracked: tuple[float, .
 
 @dataclass(frozen=True)
 class RegularitySchedule:
-    """Frozen xi schedule for one run, built by make_schedule: exponents, xi_0,
-    T*, and the threshold M = 4*linf0/xi_0^alpha above which the modulated
-    field would be flagged."""
+    """Frozen xi schedule for one run, built by make_schedule: exponents, xi_0
+    and T*."""
 
     gamma: float
     alpha: float
     xi0: float
     t_star: float
-    M: float
 
     def xi_at(self, t: float) -> float:
         """Modulation scale xi(t) = xi0 * (1 - t/T*)^{1/gamma}, 0 for t >= T*: the
@@ -179,7 +176,7 @@ def make_schedule(
     with xi_0 = (k2 * alpha * linf0)^{1/(1-gamma)}; t_star validates the inputs."""
     vanishing = t_star(gamma, alpha, linf0, k)
     xi0 = (k.k2 * alpha * linf0) ** (1.0 / (1.0 - gamma))
-    return RegularitySchedule(gamma, alpha, xi0, vanishing, 4.0 * linf0 / xi0**alpha)
+    return RegularitySchedule(gamma, alpha, xi0, vanishing)
 
 
 def sobolev_norm(F: SpectralField, s: float) -> float:
@@ -251,21 +248,6 @@ def holder_seminorm(f: RealField, alpha: float) -> float:
     for h in rest[bound * _BOUND_PAD / d**alpha > best]:
         best = max(best, ratio(int(h)))
     return best
-
-
-def v_field(theta: RealField, h_index: int, t: float, sched: RegularitySchedule) -> RealField:
-    """Modulated finite difference v = (theta(x+h) - theta(x)) / (xi(t)^2 + |h|^2)^{alpha/2}.
-
-    h is h_index grid cells; |h| is the geodesic torus distance. A zero offset
-    returns the zero field (the difference vanishes identically).
-    """
-    n = theta.grid.n
-    h = h_index % n
-    if h == 0:
-        return RealField(theta.grid, np.zeros(n))
-    delta, d = _increment(np.concatenate((theta.values, theta.values)), h, theta.grid.dx)
-    xi = sched.xi_at(t)
-    return RealField(theta.grid, delta / (xi * xi + d * d) ** (sched.alpha / 2.0))
 
 
 def t_local_exponents(gamma: float) -> tuple[float, float]:

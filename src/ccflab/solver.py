@@ -101,6 +101,8 @@ class StepControl:
     def __post_init__(self) -> None:
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if self.t_end <= DT_FLOOR:
+            raise ValueError(f"t_end must exceed the time floor {DT_FLOOR:g}, got {self.t_end}")
         if self.snapshot_every is None:
             object.__setattr__(self, "snapshot_every", min(0.02, self.t_end))
         if not 0.0 < self.cfl <= 1.0:

@@ -143,10 +143,19 @@ class TestRunCommand:
         assert (record.outcome.value, record.outcome_detail) == ("StepCollapse", detail)
         assert (len(record.samples), record.step_count) == (1, 0)
 
-    def test_a_snapshot_cadence_below_the_time_floor_is_a_validation_error(self, tmp_path, capsys):
-        """--t-end 1e-11 leaves the default cadence t_end/50 = 2e-13, below DT_FLOOR."""
-        assert main(["run", "--n", "64", "--t-end", "1e-11", "--out-dir", str(tmp_path)]) == 1
-        assert "snapshot_every must be in (1e-12, t_end], got 1.9999999999999998e-13" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "t_end, message",
+        [
+            ("1e-11", "snapshot_every must be in (1e-12, t_end], got 1.9999999999999998e-13"),
+            ("1e-13", "t_end must exceed the time floor 1e-12, got 1e-13"),
+        ],
+        ids=["cadence", "t_end"],
+    )
+    def test_a_time_below_the_time_floor_is_a_validation_error(self, tmp_path, capsys, t_end, message):
+        """--t-end 1e-11 leaves the default cadence t_end/50 = 2e-13 below DT_FLOOR;
+        --t-end 1e-13 is itself below it, so the error names t_end, not the cadence."""
+        assert main(["run", "--n", "64", "--t-end", t_end, "--out-dir", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "runs.jsonl").exists()
 
     def test_t_star_is_that_of_the_one_tracked_exponent(self, tmp_path, capsys):

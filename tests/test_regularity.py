@@ -24,7 +24,6 @@ from ccflab.regularity import (
     t_local_exponents,
     t_star,
     tracked_schedule_alpha,
-    v_field,
     validate_schedule_params,
 )
 from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, run
@@ -265,7 +264,6 @@ class TestXiSchedule:
         sched = make_schedule(0.5, 0.5, 1.0)
         assert sched.xi0 == 0.25
         assert sched.t_star == 0.5
-        assert sched.M == 4.0 * 1.0 / 0.25**0.5
         for t in (0.0, 0.2, 0.499, 0.5, 0.7):
             assert sched.xi_at(t) == pytest.approx(max(0.5 - t, 0.0) ** 2, abs=1e-13)
 
@@ -335,38 +333,6 @@ class TestHolderSeminorm:
             holder_seminorm(f, 0.0)
         with pytest.raises(ValueError, match="alpha"):
             holder_seminorm(f, 1.2)
-
-
-class TestVField:
-    def test_constant_theta_gives_zero(self):
-        grid = TorusGrid(64)
-        sched = make_schedule(0.5, 0.5, 1.0)
-        v = v_field(RealField(grid, np.full(64, 1.0)), 5, 0.0, sched)
-        assert np.max(np.abs(v.values)) == 0.0
-
-    def test_after_t_star_recovers_holder_seminorm(self):
-        """With xi = 0 the modulation is pure |h|^alpha, so the sup over
-        offsets of ||v||_inf is the grid Holder seminorm."""
-        grid = TorusGrid(128)
-        f = RealField(grid, np.cos(grid.points) + 0.2 * np.cos(3 * grid.points))
-        sched = make_schedule(0.5, 0.5, 1.0)
-        t_after = sched.t_star + 1.0
-        best = max(
-            float(np.max(np.abs(v_field(f, h, t_after, sched).values)))
-            for h in range(1, grid.n // 2 + 1)
-        )
-        assert best == pytest.approx(holder_seminorm(f, sched.alpha), abs=1e-12)
-
-    def test_direct_arithmetic_at_t_zero(self):
-        grid = TorusGrid(64)
-        f = RealField(grid, np.cos(grid.points))
-        sched = make_schedule(0.5, 0.5, 1.0)
-        h = grid.n // 2  # offset pi: delta_h cos = -2 cos
-        v = v_field(f, h, 0.0, sched)
-        expected = 2.0 * np.abs(np.cos(grid.points)) / (sched.xi0**2 + np.pi**2) ** (
-            sched.alpha / 2
-        )
-        assert np.max(np.abs(np.abs(v.values) - expected)) < 1e-12
 
 
 class TestTLocal:

@@ -65,13 +65,20 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="snapshot_every"):
             StepControl(t_end=1.0, snapshot_every=2.0)
 
-    @pytest.mark.parametrize("t_end, snapshot_every", [(5e-13, 5e-13), (1e-11, 1e-13), (1.0, solver.DT_FLOOR)])
+    @pytest.mark.parametrize("t_end, snapshot_every", [(1e-11, 1e-13), (1.0, solver.DT_FLOOR)])
     def test_step_control_rejects_snapshots_below_the_time_floor(self, t_end, snapshot_every):
         """Steps below DT_FLOOR are not taken, so such a cadence would record
         snapshots at t = 0 and call the run Completed."""
         with pytest.raises(ValueError, match=rf"^snapshot_every must be in \(1e-12, t_end\], got {snapshot_every}$"):
             StepControl(t_end=t_end, snapshot_every=snapshot_every)
         StepControl(t_end=1e-11, snapshot_every=2e-12)
+
+    @pytest.mark.parametrize("t_end, snapshot_every", [(5e-13, 5e-13), (1e-13, None), (solver.DT_FLOOR, None)])
+    def test_step_control_rejects_a_t_end_at_or_below_the_time_floor(self, t_end, snapshot_every):
+        """The error names t_end, the field below the solver's time resolution,
+        not the cadence the caller may never have set."""
+        with pytest.raises(ValueError, match=rf"^t_end must exceed the time floor 1e-12, got {t_end}$"):
+            StepControl(t_end=t_end, snapshot_every=snapshot_every)
 
     @pytest.mark.parametrize("key", ["t_end", "dt_max"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
