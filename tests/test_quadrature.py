@@ -108,6 +108,16 @@ class TestCordobaIdentity:
         with pytest.raises(ValueError, match="tail"):
             dgamma(rough, cal)
 
+    @pytest.mark.parametrize("route", [frac_laplacian_quadrature, dgamma], ids=lambda r: r.__name__)
+    def test_the_guard_raises_a_plain_value_error(self, grid, route):
+        """Both quadrature routes refuse a rough field with a ValueError itself,
+        not a subclass, which the CLI maps to exit 1."""
+        cal = calibrate_cgamma(0.5, grid)
+        rough = RealField(grid, np.cos((grid.n // 2 - 1) * grid.points))
+        with pytest.raises(ValueError, match="refine the grid") as excinfo:
+            route(rough, cal)
+        assert type(excinfo.value) is ValueError
+
 
 class TestCalibrationFailure:
     def test_calibration_object_enforces_residual_bound(self):

@@ -267,6 +267,11 @@ class TestXiSchedule:
         for t in (0.0, 0.2, 0.499, 0.5, 0.7):
             assert sched.xi_at(t) == pytest.approx(max(0.5 - t, 0.0) ** 2, abs=1e-13)
 
+    def test_schedule_fields_are_the_exponents_xi0_and_t_star(self):
+        """The schedule carries what xi_at and criterion 6 read, and nothing else."""
+        names = tuple(field.name for field in dataclasses.fields(make_schedule(0.5, 0.5, 1.0)))
+        assert names == ("gamma", "alpha", "xi0", "t_star")
+
 
 class TestSobolevNorm:
     def test_single_mode_values(self):
