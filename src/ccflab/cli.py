@@ -20,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import regularity
-from .experiments import SweepPlan, _run_cell, datum_forms, parse_datum, sweep
+from .experiments import SweepPlan, _run_batch, datum_forms, parse_datum, sweep
 from .operators import calibrate_cgamma
 from .records import append_record, drop_torn_tail, load_records
 from .regularity import RegularityConstants
@@ -153,8 +153,7 @@ def _cmd_run(args) -> int:
         resolutions=(_number(_pick(args.n, cfg.get("n"), 256), "n", whole=True),),
         data=(_datum(_pick(args.datum, cfg.get("datum"), "cosine:1,1"), "datum"),),
     )
-    (cell,) = plan.cells()
-    record = _run_cell((plan, *cell))
+    (record,) = _run_batch((plan, tuple(plan.cells())))
     path = _out_dir(args) / "runs.jsonl"
     if path.exists():
         drop_torn_tail(path)
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gamma", help="comma-separated gamma values")
     p_sweep.add_argument("--n", help="comma-separated grid sizes")
     p_sweep.add_argument("--datum", action="append", help=f"datum spec ({datum_forms()}); repeat for several")
-    p_sweep.add_argument("--jobs", type=int, help="max concurrent cells (default 1)")
+    p_sweep.add_argument("--jobs", type=int, help="max worker processes, each running batches of cells of one n (default 1)")
     _add_cell_flags(p_sweep, _cmd_sweep)
 
     p_verify = subs.add_parser("verify", help="operator residual table")

@@ -7,9 +7,11 @@ single-mode cosine shifted by a constant, even and zero at the origin, not a
 datum of the class for which Li and Rodrigo prove blow-up. One table,
 DATUM_FAMILIES, holds each family's alias, parameter names and formula.
 
-Sweeps enumerate (datum, gamma, n) cells in a fixed order, persist each
-record to JSONL as soon as it finishes, and key resumption on the config
-hash, so re-running a completed sweep performs zero new simulations.
+Sweeps enumerate (datum, gamma, n) cells in a fixed order, run the pending
+cells of each n as one batch (solver.run_batch), persist each record to
+JSONL in that order as soon as the records before it are in, and key
+resumption on the config hash, so re-running a completed sweep performs zero
+new simulations.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from . import regularity
 from .records import RunRecord, append_record, config_hash, drop_torn_tail, load_records
 from .regularity import RegularityConstants
-from .solver import DiagnosticPlan, ModelParams, StepControl, build_config, run
+from .solver import DiagnosticPlan, ModelParams, StepControl, build_config, run_batch
 from .torus import RealField, TorusGrid
 
 
@@ -211,24 +213,63 @@ class SweepPlan:
         return cells
 
 
-Cell = tuple[SweepPlan, InitialDatum, ModelParams, DiagnosticPlan]
+Cell = tuple[InitialDatum, ModelParams, DiagnosticPlan]
+# A batch: the plan and its cells, all of one n, that run as one stack.
+Batch = tuple[SweepPlan, tuple[Cell, ...]]
+
+# The most coefficients (rows times n//2+1) one batch carries: 124 rows at
+# n = 64, 7 at n = 1024, one from n = 4096 on. Per run, a batch was fastest
+# near this size; a larger stack outgrows the cache, so 16 rows at n = 1024
+# ran no faster than 16 runs, and 4 rows at n = 4096 ran slower than 4 runs.
+BATCH_COEFFICIENTS = 1 << 12
 
 
-def _run_cell(cell: Cell) -> RunRecord:
-    plan, datum, params, diagnostics = cell
-    theta0 = make_datum(datum, TorusGrid(params.n))
-    return run(theta0, params, plan.control, diagnostics, plan.constants, datum.to_config())
+def _run_batch(batch: Batch) -> list[RunRecord]:
+    plan, cells = batch
+    grid = TorusGrid(cells[0][1].n)
+    rows = [(make_datum(datum, grid), params, diagnostics, datum.to_config()) for datum, params, diagnostics in cells]
+    return run_batch(rows, plan.control, plan.constants)
+
+
+def _batches(pending: dict[int, Cell], workers: int) -> list[list[int]]:
+    """The pending cells, by index, in batches of one n, each holding at most
+    BATCH_COEFFICIENTS. While there are fewer batches than workers, the
+    costliest batch of several cells is halved; a batch costs about rows *
+    (n//2+1) * n, since a step's work grows with the coefficients and, once the
+    CFL bound binds, the steps grow with n. Each batch lists its cells in plan
+    order, and the batches are sorted by their first cell."""
+    by_n: dict[int, list[int]] = {}
+    for i, (_, params, _) in pending.items():
+        by_n.setdefault(params.n, []).append(i)
+    batches = []
+    for n, cells in by_n.items():
+        size = max(1, BATCH_COEFFICIENTS // (n // 2 + 1))
+        batches += [cells[k : k + size] for k in range(0, len(cells), size)]
+
+    def cost(batch: list[int]) -> int:
+        n = pending[batch[0]][1].n
+        return len(batch) * (n // 2 + 1) * n
+
+    while len(batches) < workers:  # workers <= cells, so some batch has two
+        costliest = max((b for b in batches if len(b) > 1), key=cost)
+        batches.remove(costliest)
+        batches += [costliest[: len(costliest) // 2], costliest[len(costliest) // 2 :]]
+    return sorted(batches)
 
 
 def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
-    """Run every cell of the plan, appending each record to out_path as it
-    finishes. Cells whose config hash already appears in the file are reused
-    verbatim, so interrupted sweeps resume where they stopped; a last line
-    torn by a kill mid-append is dropped with a warning, and that cell reruns.
+    """Run every cell of the plan, appending each record to out_path in plan
+    order as soon as the cells before it are in. Cells whose config hash
+    already appears in the file are reused verbatim, so interrupted sweeps
+    resume where they stopped; a last line torn by a kill mid-append is
+    dropped with a warning, and that cell reruns. A kill loses the batches
+    still running and the finished records that wait for an earlier cell:
+    about one batch per n, since the batches start in plan order.
 
     Numerical failures inside a cell land in that cell's outcome; they never
-    abort the sweep. Cells run in min(parallelism, pending cells, usable CPUs)
-    processes, and with one of them no pool is built.
+    abort the sweep. Pending cells run in batches of one n (_batches), one
+    stack each (solver.run_batch), in min(parallelism, pending cells, usable
+    CPUs) processes; with one of them no pool is built.
     """
     out_path = Path(out_path)
     existing: dict[str, RunRecord] = {}
@@ -238,18 +279,26 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
             existing[record.config_hash] = record
 
     results: list[RunRecord | None] = []
-    jobs: dict[int, Cell] = {}  # by index in results
-    for datum, params, diagnostics in plan.cells():
+    pending: dict[int, Cell] = {}  # by index in results
+    for cell in plan.cells():
+        datum, params, diagnostics = cell
         config = build_config(params, plan.control, plan.constants, datum.to_config(), diagnostics)
         results.append(existing.get(config_hash(config)))
         if results[-1] is None:
-            jobs[len(results) - 1] = (plan, datum, params, diagnostics)
+            pending[len(results) - 1] = cell
 
-    if jobs:
+    if pending:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = min(plan.parallelism, len(jobs), cpus)
+        workers = min(plan.parallelism, len(pending), cpus)
+        batches = _batches(pending, workers)
+        jobs = [(plan, tuple(pending[i] for i in batch)) for batch in batches]
+        cursor = iter(pending)  # the next record to append, in plan order
+        written = next(cursor)
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            for i, record in zip(jobs, (pool.map if pool else map)(_run_cell, jobs.values())):
-                results[i] = record
-                append_record(out_path, record)
+            for batch, records in zip(batches, (pool.map if pool else map)(_run_batch, jobs)):
+                for i, record in zip(batch, records):
+                    results[i] = record
+                while written is not None and results[written] is not None:
+                    append_record(out_path, results[written])
+                    written = next(cursor, None)
     return results

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .records import Outcome, RunRecord
-from .torus import TAIL_LIMIT, TWO_PI, RealField, SpectralField
+from .torus import TAIL_LIMIT, TWO_PI, RealField, SpectralField, TorusGrid
 
 # Relative pad on the Holder pruning bound. A computed increment and a computed
 # bound each lie within a few ulps (~1e-16) of their exact values, so this pad
@@ -188,8 +188,12 @@ def sobolev_norm(F: SpectralField, s: float) -> float:
     """
     if s < 0.0:
         raise ValueError(f"s must be >= 0, got {s}")
-    weights = F.grid.weights * F.grid.abs_modes ** (2.0 * s)
-    return float(np.sqrt(TWO_PI * np.sum(weights * np.abs(F.coeffs) ** 2)))
+    return float(np.sqrt(TWO_PI * np.sum(sobolev_weights(F.grid, s) * np.abs(F.coeffs) ** 2)))
+
+
+def sobolev_weights(grid: TorusGrid, s: float) -> np.ndarray:
+    """The half-spectrum weights w_m |m|^{2s} of sobolev_norm's sum."""
+    return grid.weights * grid.abs_modes ** (2.0 * s)
 
 
 def _increment(doubled: np.ndarray, h: int, dx: float) -> tuple[np.ndarray, float]:

@@ -6,16 +6,22 @@ pure-dissipation runs are exact to roundoff and the full scheme is fourth
 order in time. The step size is dt = min(dt_max, cfl*dx/max(1, ||H theta||_inf)),
 further clamped so steps land exactly on snapshot times and t_end.
 
-The stepping state is theta_hat's rfft half spectrum (modes m = 0..n/2), the
-layout of every SpectralField, so run(), step() and nonlinear_term() pass the
-coefficients as they are to one kernel, built once per (grid, params). A step
-makes 9 real transforms: one irfft of H theta for the CFL speed, then in each
-RK4 stage one batched irfft of the velocity and the gradient together and one
-rfft of their product. A snapshot makes one, a batched irfft of theta and theta_x.
+The stepping state is a (B, n//2+1) stack of rfft half spectra (modes
+m = 0..n/2), one row per run, each row the layout of a SpectralField. run()
+is the one-row run_batch, and step() and nonlinear_term() pass their
+coefficients as a one-row stack, all to one kernel built once per (grid,
+models). Each row has its own gamma symbols and its own CFL dt. A batched
+step makes 9 real transforms, each over the whole stack: one irfft of
+H theta for the CFL speeds, then in each RK4 stage one irfft of every row's
+velocity and gradient and one rfft of their products. A snapshot makes one,
+an irfft of theta and theta_x of every row, 2B rows in all. Rows that reach
+a snapshot time sit out the steps the others still need, and a RunStopped
+ends its own row only, so each row's record is the one run() gives for it
+alone, bit for bit apart from wall_time.
 
 Detectors judge each recorded snapshot, and guards each state (the datum's
 first transform included) and each snapshot's diagnostics, all under one
-np.errstate in run(), so an overflow is an outcome, not a warning:
+np.errstate in run_batch(), so an overflow is an outcome, not a warning:
 
 * BlowupSuspected: non-finite state or diagnostics, or ||theta_x||_inf beyond
   1e3 times its initial value, or the spectral tail fraction beyond
@@ -23,18 +29,20 @@ np.errstate in run(), so an overflow is an outcome, not a warning:
 * UnderResolved: tail fraction beyond TAIL_LIMIT without growth.
 * StepCollapse: dt fell below DT_FLOOR (1e-12), the solver's time resolution.
 
-Every stop, detector or numerical failure, is one RunStopped exception that
-carries its outcome and detail, and run() records it; a run that nothing
-stops is Completed.
+Every stop, detector or numerical failure, is one RunStopped that carries
+its outcome and detail, and run_batch() records it in its row's record; a
+run that nothing stops is Completed.
 Runs are deterministic: fixed evaluation order, no randomness, identical
 inputs give bit-identical records.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -43,7 +51,7 @@ import numpy as np
 from . import regularity
 from .records import DiagnosticsSample, Outcome, RunRecord
 from .regularity import RegularityConstants
-from .torus import TAIL_LIMIT, RealField, SpectralField, TorusGrid, tail_fraction
+from .torus import TAIL_LIMIT, TWO_PI, RealField, SpectralField, TorusGrid, tail_fraction
 
 GRADIENT_BLOWUP_FACTOR = 1e3
 DT_FLOOR = 1e-12
@@ -58,11 +66,17 @@ class RunStopped(RuntimeError):
         self.detail = detail
 
 
-def _finite(h: np.ndarray, t: float, what: str = "state") -> np.ndarray:
-    """h, unless it left the reach of floating point: a suspected blow-up at t."""
-    if not np.all(np.isfinite(h)):
-        raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"non-finite {what} at t={t:.6g}")
-    return h
+def _blowup(t: float, what: str) -> RunStopped:
+    """The stop of a row whose state or diagnostics left float64 at t."""
+    return RunStopped(Outcome.BLOWUP_SUSPECTED, f"non-finite {what} at t={t:.6g}")
+
+
+def _non_finite(a: np.ndarray, t, what: str = "state") -> dict[int, RunStopped]:
+    """The _blowup of each row of a, by position, that holds a value beyond
+    float64, at that row's time t."""
+    if np.isfinite(a).all():
+        return {}
+    return {i: _blowup(t[i], what) for i in np.flatnonzero(~np.isfinite(a).all(axis=1))}
 
 
 @dataclass(frozen=True)
@@ -136,42 +150,70 @@ class DiagnosticPlan:
 
 
 class _Kernel:
-    """Symbols of one (grid, model) pair, and the integrating factors of the
-    last dt, which most steps of a run repeat.
+    """Symbols of a stack of (grid, model) rows, one row per model, and the
+    integrating factors of the last row dts, which most steps of a run repeat.
 
-    The switches are symbols, so every kernel takes one path: without
+    The switches are per-row symbols, so every row takes one path: without
     dealiasing the 0/1 mask is all ones, with linear_only the velocity and
-    gradient symbols are zero.
+    gradient symbols are zero. norm_weights holds each row's Sobolev weights
+    (regularity.sobolev_weights) at s = 0, 1/2, 3/2 and (3 + gamma)/2, the
+    four norms of a snapshot.
 
-    Kernels are shared through _kernel: nothing writes to their arrays once
-    built, and the factors are replaced as one (dt, half, full) tuple, so a
-    reader never pairs one dt with the factors of another.
+    One-row kernels are shared through _kernel: nothing writes to their
+    arrays once built, and the factors are replaced as one (dts, factors)
+    tuple, so a reader never pairs one dt with the factors of another.
     """
 
-    def __init__(self, grid: TorusGrid, p: ModelParams):
-        if grid.n != p.n:
-            raise ValueError(f"n mismatch: field has n={grid.n}, params n={p.n}")
+    def __init__(self, grid: TorusGrid, params: tuple[ModelParams, ...]):
+        for p in params:
+            if grid.n != p.n:
+                raise ValueError(f"n mismatch: field has n={grid.n}, params n={p.n}")
+        self.grid = grid
         self.n = grid.n
         self.dx = grid.dx
         modes = grid.abs_modes
-        self.lam = modes**p.gamma if p.dissipation_on else np.zeros_like(modes)
         self.hilbert = grid.hilbert_mult
-        self.mask = grid.dealias_mask if p.dealias_on else np.ones_like(grid.dealias_mask)
-        symbols = np.stack([self.hilbert, grid.derivative_mult]) * self.mask
-        self.velocity_gradient = np.zeros_like(symbols) if p.linear_only else symbols
-        self._last = (None, None, None)
+        symbols = np.stack([self.hilbert, grid.derivative_mult])
+        lam, mask, velocity_gradient, norm_weights = [], [], [], []
+        for p in params:
+            lam.append(modes**p.gamma if p.dissipation_on else np.zeros_like(modes))
+            mask.append(grid.dealias_mask if p.dealias_on else np.ones_like(grid.dealias_mask))
+            velocity_gradient.append(np.zeros_like(symbols) if p.linear_only else symbols * mask[-1])
+            orders = (0.0, 0.5, 1.5, (3.0 + p.gamma) / 2.0)
+            norm_weights.append([regularity.sobolev_weights(grid, s) for s in orders])
+        # The 0/1 mask is stored complex, as the spectra it multiplies are: a bool
+        # mask would be cast on every product, which costs more on a stack.
+        self.lam, self.mask, self.norm_weights = np.array(lam), np.array(mask, dtype=complex), np.array(norm_weights)
+        # (2, B, n//2+1): the velocity symbols of every row, then the gradient symbols.
+        self.velocity_gradient = np.stack(velocity_gradient, axis=1)
+        self._last = (None, None)
 
-    def factors(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """e^{-lam dt/2} and its square."""
-        last = self._last
-        if dt != last[0]:
+    def factors(self, dt: np.ndarray) -> tuple[np.ndarray, ...]:
+        """e^{-lam dt/2}, its square, twice it and dt times it, the factors of
+        an RK4 step at a (B, 1) column of row dts."""
+        key = dt.tobytes()
+        last_key, last = self._last
+        if key != last_key:
             half = np.exp(-self.lam * dt / 2.0)
-            last = self._last = (dt, half, half * half)
-        return last[1], last[2]
+            last = half, half * half, 2.0 * half, dt * half
+            self._last = (key, last)
+        return last
+
+    def rows(self, rows: np.ndarray) -> _Kernel:
+        """The kernel of these rows (ascending indices), itself for every row."""
+        if rows.size == len(self.lam):
+            return self
+        sub = copy.copy(self)
+        sub.lam, sub.mask, sub.norm_weights = self.lam[rows], self.mask[rows], self.norm_weights[rows]
+        sub.velocity_gradient = self.velocity_gradient[:, rows]
+        sub._last = (None, None)
+        return sub
 
 
-# run(), step() and nonlinear_term() build and check the kernel of a (grid,
-# params) pair once; a sweep worker cycles through a few (n, gamma) pairs.
+# One-row kernels are cached: run(), step() and nonlinear_term() build and
+# check the kernel of a (grid, params) pair once, and a chain of steps reuses
+# it. run_batch() builds a kernel of several rows for its batch alone, since
+# no later call repeats it.
 _kernel = lru_cache(maxsize=8)(_Kernel)
 
 
@@ -183,33 +225,51 @@ def _nonlinear_raw(h: np.ndarray, kernel: _Kernel) -> np.ndarray:
 def nonlinear_term(theta_hat: SpectralField, p: ModelParams) -> SpectralField:
     """Transform of H(theta)*theta_x, pseudospectral, dealiased when enabled."""
     grid = theta_hat.grid
-    return SpectralField(grid, _finite(_nonlinear_raw(theta_hat.coeffs, _kernel(grid, p)), math.nan))
+    h = _nonlinear_raw(theta_hat.coeffs[None], _kernel(grid, (p,)))
+    stops = _non_finite(h, [math.nan])
+    if stops:
+        raise stops[0]
+    return SpectralField(grid, h[0])
 
 
-def _choose_dt(h, c: StepControl, kernel: _Kernel, t: float, t_limit: float) -> float:
-    # The CFL speed reads the undealiased state.
+def _choose_dt(h, c: StepControl, kernel: _Kernel, t: np.ndarray, t_limit: float) -> list[float]:
+    # The CFL speed reads the undealiased state. Each row's dt is a few float
+    # operations, cheaper in Python than as numpy calls on a short stack.
     velocity = np.fft.irfft(kernel.hilbert * h, kernel.n, norm="forward")
-    speed = max(1.0, float(np.max(np.abs(velocity))))
-    dt = min(c.dt_max, c.cfl * kernel.dx / speed, t_limit - t)
-    if dt < DT_FLOOR:
-        raise RunStopped(Outcome.STEP_COLLAPSE, f"step size collapsed to {dt:.3e} at t={t:.6g}")
-    return dt
+    speeds = np.abs(velocity).max(axis=1).tolist()
+    return [min(c.dt_max, c.cfl * kernel.dx / max(1.0, s), t_limit - ti) for s, ti in zip(speeds, t.tolist())]
 
 
 def _step_raw(h, t, c, kernel: _Kernel, t_limit):
-    """One integrating-factor RK4 step: the new state, its time and the dt taken."""
-    dt = _choose_dt(h, c, kernel, t, t_limit)
-    half, full = kernel.factors(dt)
+    """One integrating-factor RK4 step of each row of the stack h from its time
+    t, at its own CFL dt: the new states, their times, the dt of each row, and
+    by position the RunStopped of each row that takes no step, because its dt
+    fell below DT_FLOOR or its new state left floating point. Such a row keeps
+    its state and time, and its dt reads NaN."""
+    dts = _choose_dt(h, c, kernel, t, t_limit)
+    stops = {
+        i: RunStopped(Outcome.STEP_COLLAPSE, f"step size collapsed to {d:.3e} at t={t[i]:.6g}")
+        for i, d in enumerate(dts) if d < DT_FLOOR
+    }
+    dt = np.array(dts)
+    tau = dt[:, None]
+    half, full, twice_half, tau_half = kernel.factors(tau)
 
     def N(v):
         return _nonlinear_raw(v, kernel)
 
     k1 = N(h)
-    k2 = N(half * (h + dt / 2.0 * k1))
-    k3 = N(half * h + dt / 2.0 * k2)
-    k4 = N(full * h + dt * half * k3)
-    out = full * h + dt / 6.0 * (full * k1 + 2.0 * half * (k2 + k3) + k4)
-    return _finite(out, t + dt), t + dt, dt
+    k2 = N(half * (h + tau / 2.0 * k1))
+    k3 = N(half * h + tau / 2.0 * k2)
+    full_h = full * h
+    k4 = N(full_h + tau_half * k3)
+    out = full_h + tau / 6.0 * (full * k1 + twice_half * (k2 + k3) + k4)
+    t_new = t + dt
+    stops = {**_non_finite(out, t_new), **stops}
+    if stops:
+        rows = list(stops)
+        out[rows], t_new[rows], dt[rows] = h[rows], t[rows], math.nan
+    return out, t_new, dt, stops
 
 
 def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None = None) -> SolverState:
@@ -217,31 +277,48 @@ def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None =
     overshoots a snapshot boundary. A collapsed or non-finite step raises RunStopped."""
     grid = s.theta_hat.grid
     limit = c.t_end if t_limit is None else t_limit
-    h, t_new, _ = _step_raw(s.theta_hat.coeffs, s.t, c, _kernel(grid, p), limit)
-    return SolverState(t=t_new, theta_hat=SpectralField(grid, h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, t, _, stops = _step_raw(s.theta_hat.coeffs[None], np.array([s.t]), c, _kernel(grid, (p,)), limit)
+    if stops:
+        raise stops[0]
+    return SolverState(t=float(t[0]), theta_hat=SpectralField(grid, h[0]))
 
 
-def _take_sample(F: SpectralField, t: float, gamma: float, plan: DiagnosticPlan) -> DiagnosticsSample:
-    """The snapshot of F at t, unless a value of it leaves float64 (RunStopped)."""
-    grid, h = F.grid, F.coeffs
+def _take_sample(
+    h: np.ndarray, t: np.ndarray, kernel: _Kernel, plans: Sequence[DiagnosticPlan]
+) -> list[DiagnosticsSample | RunStopped]:
+    """The snapshot of each row of the stack h at its time t, tracking its
+    plan's Holder exponents, or the RunStopped of a row whose snapshot holds a
+    value beyond float64; theta and theta_x of every row come from one irfft."""
+    grid = kernel.grid
     theta, theta_x = np.fft.irfft(np.stack([h, h * grid.derivative_mult]), grid.n, norm="forward")
-    values = dict(
+    power = np.abs(h) ** 2
+    norms = np.sqrt(TWO_PI * np.sum(kernel.norm_weights * power[:, None], axis=-1))
+    columns = dict(
         t=t,
-        l2=regularity.sobolev_norm(F, 0.0),
-        linf=float(np.max(np.abs(theta))),
-        mean=float(h[0].real),
-        hdot_half=regularity.sobolev_norm(F, 0.5),
-        hdot_three_half=regularity.sobolev_norm(F, 1.5),
-        hdot_mid=regularity.sobolev_norm(F, (3.0 + gamma) / 2.0),
-        tail_fraction=tail_fraction(F),
-        min_value=float(np.min(theta)),
-        grad_linf=float(np.max(np.abs(theta_x))),
+        l2=norms[:, 0],
+        linf=np.abs(theta).max(axis=1),
+        mean=h[:, 0].real,
+        hdot_half=norms[:, 1],
+        hdot_three_half=norms[:, 2],
+        hdot_mid=norms[:, 3],
+        tail_fraction=[tail_fraction(SpectralField(grid, row)) for row in h],
+        min_value=theta.min(axis=1),
+        grad_linf=np.abs(theta_x).max(axis=1),
     )
-    _finite(np.array(list(values.values())), t, "diagnostics")  # then theta is finite, as RealField requires
-    phys = RealField(grid, theta)
-    holder = {a: regularity.holder_seminorm(phys, a) for a in plan.holder_alphas}
-    _finite(np.array(list(holder.values())), t, "diagnostics")
-    return DiagnosticsSample(**values, holder=holder)
+    table = np.column_stack(list(columns.values()))
+    stops = _non_finite(table, t, "diagnostics")  # a finite linf means a finite theta
+    out = []
+    for i, (values, plan) in enumerate(zip(table.tolist(), plans)):
+        if i in stops:
+            out.append(stops[i])
+            continue
+        holder = {a: regularity.holder_seminorm(RealField(grid, theta[i]), a) for a in plan.holder_alphas}
+        if all(map(math.isfinite, holder.values())):
+            out.append(DiagnosticsSample(**dict(zip(columns, values)), holder=holder))
+        else:
+            out.append(_blowup(values[0], "diagnostics"))
+    return out
 
 
 def build_config(
@@ -316,44 +393,100 @@ def run(
     Snapshots are taken at t = 0, every snapshot_every units, and at t_end.
     An early stop is recorded in outcome/outcome_detail, never raised.
     Without a datum block, the config names theta0 by its samples. The record
-    counts the steps taken and their smallest and largest size.
+    counts the steps taken and their smallest and largest size. This is the
+    one-row run_batch.
     """
-    grid = theta0.grid
-    kernel = _kernel(grid, p)
+    (record,) = run_batch([(theta0, p, plan, datum)], c, constants)
+    return record
+
+
+def run_batch(
+    rows: Sequence[tuple[RealField, ModelParams, DiagnosticPlan, dict | None]],
+    c: StepControl,
+    constants: RegularityConstants = RegularityConstants(),
+) -> list[RunRecord]:
+    """run() for each (theta0, model, plan, datum) row, on one grid, with one
+    control and one set of constants: the records in row order.
+
+    The rows advance as one (B, n//2+1) stack, each at its own CFL dt. A row
+    that reaches the next snapshot time sits out the steps the others still
+    need, and the rows there are sampled together. A RunStopped ends its own
+    row. Each record equals the one run() gives for its row alone, apart from
+    wall_time, which is the batch's wall time divided by B.
+    """
     started = time.perf_counter()
-    if datum is None:
-        datum = {"kind": "custom", "samples": theta0.values.tolist()}
-    config = build_config(p, c, constants, datum, plan)
-
-    samples: list[DiagnosticsSample] = []
-    t, steps, dt_lo, dt_hi = 0.0, 0, math.inf, 0.0
-    outcome, detail = Outcome.COMPLETED, f"reached t_end={c.t_end:g}"
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the outcome, not a warning
-            h = _finite(np.fft.rfft(theta0.values, norm="forward"), t)
-            for snapshot_index in itertools.count():
-                target = min(snapshot_index * c.snapshot_every, c.t_end)
-                while t < target - DT_FLOOR:
-                    h, t, dt = _step_raw(h, t, c, kernel, target)
-                    steps += 1
-                    dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
-                samples.append(_take_sample(SpectralField(grid, h), t, p.gamma, plan))
-                _detect(samples)
-                if t >= c.t_end - DT_FLOOR:
-                    break
-    except RunStopped as stop:
-        outcome, detail = stop.outcome, stop.detail
-    t_star_pred, t_local_pred = _predictions(theta0, samples[0] if samples else None, p, plan, constants)
-
-    return RunRecord(
-        config=config,
-        samples=samples,
-        outcome=outcome,
-        outcome_detail=detail,
-        t_star_predicted=t_star_pred,
-        t_local_predicted=t_local_pred,
-        wall_time=time.perf_counter() - started,
-        step_count=steps,
-        dt_min=dt_lo if steps else None,
-        dt_max=dt_hi if steps else None,
-    )
+    grid = rows[0][0].grid
+    if any(theta0.grid != grid for theta0, *_ in rows):
+        raise ValueError("the rows of a batch must share one grid")
+    params = tuple(p for _, p, _, _ in rows)
+    kernel = _kernel(grid, params) if len(params) == 1 else _Kernel(grid, params)
+    count = len(rows)
+    samples: list[list[DiagnosticsSample]] = [[] for _ in rows]
+    t, steps = np.zeros(count), np.zeros(count, dtype=int)
+    dt_lo, dt_hi = np.full(count, math.inf), np.zeros(count)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the outcome, not a warning
+        h = np.fft.rfft(np.stack([theta0.values for theta0, *_ in rows]), norm="forward")
+        stops = _non_finite(h, t)
+        live = np.array([i for i in range(count) if i not in stops], dtype=int)
+        for snapshot_index in itertools.count():
+            target = min(snapshot_index * c.snapshot_every, c.t_end)
+            moving = live[t[live] < target - DT_FLOOR]
+            while moving.size:
+                # The moving rows step as one stack until one of them stops or
+                # arrives; a slice picks them, without a copy, when all move.
+                at = slice(None) if moving.size == count else moving
+                sub, hm, tm = kernel.rows(moving), h[at], t[at]
+                taken, lo, hi = 0, dt_lo[at], dt_hi[at]
+                while True:
+                    hm, tm, dt, stopped = _step_raw(hm, tm, c, sub, target)
+                    taken += 1
+                    np.fmin(lo, dt, out=lo)  # a stopped row's NaN dt is skipped
+                    np.fmax(hi, dt, out=hi)
+                    if stopped or tm.max() >= target - DT_FLOOR:
+                        break
+                h[at], t[at], dt_lo[at], dt_hi[at] = hm, tm, lo, hi
+                steps[at] += taken
+                going = tm < target - DT_FLOOR
+                for i, stop in stopped.items():
+                    steps[moving[i]] -= 1
+                    stops[moving[i]] = stop
+                    going[i] = False
+                moving = moving[going]
+            live = np.array([i for i in live if i not in stops], dtype=int)
+            if not live.size:
+                break
+            at = slice(None) if live.size == count else live
+            plans = [rows[i][2] for i in live]
+            for i, sample in zip(live, _take_sample(h[at], t[at], kernel.rows(live), plans)):
+                if isinstance(sample, RunStopped):
+                    stops[i] = sample
+                    continue
+                samples[i].append(sample)
+                try:
+                    _detect(samples[i])
+                except RunStopped as stop:
+                    stops[i] = stop
+            live = np.array([i for i in live if i not in stops and t[i] < c.t_end - DT_FLOOR], dtype=int)
+            if not live.size:
+                break
+    share = (time.perf_counter() - started) / count
+    records = []
+    for i, (theta0, p, plan, datum) in enumerate(rows):
+        if datum is None:
+            datum = {"kind": "custom", "samples": theta0.values.tolist()}
+        first = samples[i][0] if samples[i] else None
+        t_star_pred, t_local_pred = _predictions(theta0, first, p, plan, constants)
+        stop, took = stops.get(i), int(steps[i])
+        records.append(RunRecord(
+            config=build_config(p, c, constants, datum, plan),
+            samples=samples[i],
+            outcome=stop.outcome if stop else Outcome.COMPLETED,
+            outcome_detail=stop.detail if stop else f"reached t_end={c.t_end:g}",
+            t_star_predicted=t_star_pred,
+            t_local_predicted=t_local_pred,
+            wall_time=share,
+            step_count=took,
+            dt_min=float(dt_lo[i]) if took else None,
+            dt_max=float(dt_hi[i]) if took else None,
+        ))
+    return records

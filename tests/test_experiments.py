@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ccflab.report as report_module
-from ccflab import experiments, records
+from ccflab import experiments, records, solver
 from ccflab.experiments import (
     InitialDatum,
     SweepPlan,
@@ -401,6 +401,84 @@ class TestSweep:
         assert load_records(path) == [finite, beyond]
 
 
+def _two_n_plan() -> SweepPlan:
+    """Cells 0, 2, 4, 6 at n = 64 and 1, 3, 5, 7 at n = 128."""
+    return SweepPlan(
+        gamma_values=(0.6, 1.2),
+        data=(cosine_positive(1.0, 1.0), cosine_positive(5.0, 5.0)),
+        resolutions=(64, 128),
+        control=StepControl(t_end=0.05, snapshot_every=0.025),
+        holder_alphas=None,
+    )
+
+
+class TestBatches:
+    def test_pending_cells_are_batched_by_n_in_plan_order(self):
+        pending = dict(enumerate(_two_n_plan().cells()))
+        assert experiments._batches(pending, 1) == [[0, 2, 4, 6], [1, 3, 5, 7]]
+        del pending[2], pending[7]
+        assert experiments._batches(pending, 2) == [[0, 4, 6], [1, 3, 5]]
+
+    def test_the_costliest_batch_is_halved_while_workers_outnumber_batches(self):
+        pending = dict(enumerate(_two_n_plan().cells()))
+        assert experiments._batches(pending, 3) == [[0, 2, 4, 6], [1, 3], [5, 7]]  # n = 128 costs more
+        assert experiments._batches(pending, 8) == [[0], [1], [2], [3], [4], [5], [6], [7]]
+
+    def test_a_batch_holds_at_most_a_fixed_number_of_coefficients(self, monkeypatch):
+        monkeypatch.setattr(experiments, "BATCH_COEFFICIENTS", 3 * 33)  # three rows at n = 64, one at 128
+        pending = dict(enumerate(_two_n_plan().cells()))
+        assert experiments._batches(pending, 1) == [[0, 2, 4], [1], [3], [5], [6], [7]]
+        # A costlier batch of one cell is not halved; the batch of several is.
+        assert experiments._batches(pending, 7) == [[0], [1], [2, 4], [3], [5], [6], [7]]
+
+    def test_large_grids_run_one_cell_per_batch(self):
+        """At n = 4096 a batch of two rows ran no faster than two runs, so a
+        sweep over n = 64 and 4096 gives each n = 4096 cell its own batch,
+        which any free worker takes."""
+        plan = replace(_two_n_plan(), resolutions=(64, 4096))
+        assert experiments._batches(dict(enumerate(plan.cells())), 2) == [[0, 2, 4, 6], [1], [3], [5], [7]]
+
+    def test_a_kill_loses_only_the_records_not_yet_in_plan_order(self, tmp_path, monkeypatch):
+        """With batches [0, 2], [1], [3], [4, 6], [5], [7], a kill in the fourth
+        leaves the records of cells 0 to 3 on file."""
+        monkeypatch.setattr(experiments, "BATCH_COEFFICIENTS", 2 * 33)
+        started = []
+        run_batch = experiments._run_batch
+
+        def killed_in_the_fourth(batch):
+            started.append(batch)
+            if len(started) == 4:
+                raise KeyboardInterrupt
+            return run_batch(batch)
+
+        monkeypatch.setattr(experiments, "_run_batch", killed_in_the_fourth)
+        plan = _two_n_plan()
+        with pytest.raises(KeyboardInterrupt):
+            sweep(plan, tmp_path / "sweep.jsonl")
+        cells = list(plan.cells())
+        assert [(r.config["model"]["gamma"], r.config["model"]["n"]) for r in load_records(tmp_path / "sweep.jsonl")] == [
+            (params.gamma, params.n) for _, params, _ in cells[:4]
+        ]
+
+    def test_a_sweep_runs_one_batch_per_n_and_writes_in_plan_order(self, tmp_path, monkeypatch):
+        batches = []
+        run_batch = experiments._run_batch
+        monkeypatch.setattr(experiments, "_run_batch", lambda batch: batches.append(len(batch[1])) or run_batch(batch))
+        plan = _two_n_plan()
+        records = sweep(plan, tmp_path / "sweep.jsonl")
+        assert batches == [4, 4]
+        assert load_records(tmp_path / "sweep.jsonl") == records
+        assert [r.config["model"]["n"] for r in records] == [64, 128] * 4
+
+    def test_each_batched_record_is_its_cells_own_run(self, tmp_path):
+        plan = _two_n_plan()
+        records = sweep(plan, tmp_path / "sweep.jsonl")
+        for record, (datum, params, diagnostics) in zip(records, plan.cells()):
+            theta0 = make_datum(datum, TorusGrid(params.n))
+            alone = solver.run(theta0, params, plan.control, diagnostics, plan.constants, datum.to_config())
+            assert replace(record, wall_time=0.0) == replace(alone, wall_time=0.0)
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in-process,
     so no test starts a worker process."""
@@ -479,8 +557,9 @@ class TestTornTail:
         with pytest.raises(ValueError, match=r"sweep\.jsonl:2"):
             load_records(out)  # the loader itself stays strict
         ran = []
-        run_cell = experiments._run_cell
-        monkeypatch.setattr(experiments, "_run_cell", lambda job: ran.append(job[2].gamma) or run_cell(job))
+        run_batch = experiments._run_batch
+        monkeypatch.setattr(experiments, "_run_batch",
+                            lambda batch: ran.extend(params.gamma for _, params, _ in batch[1]) or run_batch(batch))
         with pytest.warns(UserWarning, match=re.escape(f"{out}: dropped a torn last line of {len(torn)} bytes")):
             records = sweep(small_plan, out)
         assert ran == [0.9]

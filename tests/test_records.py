@@ -174,8 +174,8 @@ class TestSampleTable:
         taken = []
 
         def take(*args, take=solver._take_sample):
-            taken.append(take(*args))
-            return taken[-1]
+            taken.extend(take(*args))
+            return taken[-1:]
 
         monkeypatch.setattr(solver, "_take_sample", take)
         grid = TorusGrid(64)

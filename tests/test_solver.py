@@ -217,7 +217,7 @@ class TestStep:
         s = SolverState(t=0.0, theta_hat=forward(theta0))
         while s.t < c.t_end - 1e-12:
             s = step(s, p, c)
-        final = _take_sample(s.theta_hat, s.t, p.gamma, DiagnosticPlan())
+        final = _sample(s.theta_hat, s.t, p.gamma, DiagnosticPlan())
         assert len(rec.samples) == 2
         assert final == rec.samples[-1]
 
@@ -418,9 +418,8 @@ class TestStopPaths:
         """Snapshots whose grad_linf is scaled by 1 + 1e4*t pass the 1000x limit at t = 0.12."""
         take = solver._take_sample
 
-        def scaled(F, t, gamma, plan):
-            sample = take(F, t, gamma, plan)
-            return dataclasses.replace(sample, grad_linf=sample.grad_linf * (1.0 + 1e4 * t))
+        def scaled(h, t, kernel, plans):
+            return [dataclasses.replace(s, grad_linf=s.grad_linf * (1.0 + 1e4 * s.t)) for s in take(h, t, kernel, plans)]
 
         monkeypatch.setattr(solver, "_take_sample", scaled)
         rec = run(self.SMOOTH, self.P, self.C)
@@ -464,6 +463,13 @@ class TestStopPaths:
             nonlinear_term(forward(self.SMOOTH), self.P)
 
 
+def _sample(F, t, gamma, plan):
+    """The snapshot run() takes of F at t: that of a one-row stack."""
+    kernel = solver._kernel(F.grid, (ModelParams(gamma=gamma, n=F.grid.n),))
+    (sample,) = _take_sample(F.coeffs[None], np.array([t]), kernel, [plan])
+    return sample
+
+
 def _reference_sample(F, t, gamma, plan):
     """A snapshot taken field by field: theta and theta_x each through inverse()."""
     phys = inverse(F)
@@ -494,11 +500,29 @@ class TestSnapshot:
         else:
             theta = make_datum(cosine_positive(1.0, 1.0) if datum == "cosine" else von_mises_bump(5.0), grid)
         F, plan = forward(theta), DiagnosticPlan(alphas)
-        sample, reference = _take_sample(F, 0.25, 0.9, plan), _reference_sample(F, 0.25, 0.9, plan)
+        sample, reference = _sample(F, 0.25, 0.9, plan), _reference_sample(F, 0.25, 0.9, plan)
         for f in dataclasses.fields(DiagnosticsSample):
             assert getattr(sample, f.name) == getattr(reference, f.name), f.name
 
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_a_stack_gives_each_row_its_field_by_field_sample(self, n):
+        """Rows of different data, times, gammas and tracked exponents, sampled
+        as one stack: each row's sample is its own field-by-field one."""
+        grid = TorusGrid(n)
+        fields = [
+            forward(make_datum(cosine_positive(1.0, 1.0), grid)),
+            forward(make_datum(von_mises_bump(5.0), grid)),
+            forward(RealField(grid, np.random.default_rng(n).standard_normal(n))),
+        ]
+        times, gammas = [0.0, 0.25, 0.5], [0.6, 0.9, 1.5]
+        plans = [DiagnosticPlan((0.5,)), DiagnosticPlan(), DiagnosticPlan((0.2, 1.0))]
+        kernel = solver._Kernel(grid, tuple(ModelParams(gamma=g, n=n) for g in gammas))
+        stack = np.array([F.coeffs for F in fields])
+        samples = _take_sample(stack, np.array(times), kernel, plans)
+        assert samples == [_reference_sample(*row) for row in zip(fields, times, gammas, plans)]
+
     def test_a_snapshot_makes_one_inverse_transform(self, monkeypatch):
+        """B rows go through one irfft of 2B rows: theta and theta_x of each."""
         calls, irfft = [], np.fft.irfft
 
         def counted(a, *args, **kwargs):
@@ -507,8 +531,10 @@ class TestSnapshot:
 
         monkeypatch.setattr(np.fft, "irfft", counted)
         grid = TorusGrid(64)
-        _take_sample(forward(RealField(grid, np.cos(grid.points))), 0.0, 0.9, DiagnosticPlan((0.2,)))
-        assert calls == [(2, 33)]
+        p = ModelParams(gamma=0.9, n=64)
+        stack = np.array([forward(RealField(grid, k * np.cos(grid.points))).coeffs for k in (1.0, 2.0, 3.0)])
+        _take_sample(stack, np.zeros(3), solver._Kernel(grid, (p, p, p)), [DiagnosticPlan((0.2,))] * 3)
+        assert calls == [(2, 3, 33)]
 
 
 class TestMonitors:
