@@ -185,7 +185,7 @@ def calibrate_cgamma(gamma: float, grid: TorusGrid) -> CgammaCalibration:
 
 
 def _check_quadrature_input(f: RealField) -> None:
-    tf = tail_fraction(forward(f))
+    tf = tail_fraction(f.grid, forward(f).coeffs)
     if tf >= QUADRATURE_TAIL_LIMIT:
         raise ValueError(
             f"field spectral tail fraction {tf:.3e} >= {QUADRATURE_TAIL_LIMIT}; "

@@ -69,9 +69,9 @@ class DiagnosticsSample:
     grad_linf: float
 
 
-# A sample's fields in the order of its constructor's parameters, and those that are floats.
+# A sample's fields in constructor order, and the float ones: the columns of a SampleTable and a snapshot.
 _SAMPLE_FIELDS = tuple(f.name for f in fields(DiagnosticsSample))
-_SCALARS = tuple(name for name in _SAMPLE_FIELDS if name != "holder")
+SCALAR_FIELDS = tuple(name for name in _SAMPLE_FIELDS if name != "holder")
 
 
 class SampleTable:
@@ -86,18 +86,18 @@ class SampleTable:
     def __init__(self, columns: dict):
         """columns: each float field's values, and under "holder" each exponent's."""
         holder = columns["holder"]
-        data = np.array([*(columns[name] for name in _SCALARS), *holder.values()], dtype=np.float64)
+        data = np.array([*(columns[name] for name in SCALAR_FIELDS), *holder.values()], dtype=np.float64)
         data.flags.writeable = False
-        for name, column in zip(_SCALARS, data):
+        for name, column in zip(SCALAR_FIELDS, data):
             object.__setattr__(self, name, column)
-        holder = dict(zip(map(float, holder), data[len(_SCALARS):]))
+        holder = dict(zip(map(float, holder), data[len(SCALAR_FIELDS):]))
         object.__setattr__(self, "holder", MappingProxyType(holder))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SampleTable is read-only; cannot set {name!r}")
 
     def _map(self, fn) -> dict:  # the constructor's argument, fn applied to each column
-        columns = {name: fn(getattr(self, name)) for name in _SCALARS}
+        columns = {name: fn(getattr(self, name)) for name in SCALAR_FIELDS}
         return {**columns, "holder": {a: fn(v) for a, v in self.holder.items()}}
 
     def __reduce__(self):
@@ -115,7 +115,7 @@ class SampleTable:
     def __eq__(self, other):
         if not isinstance(other, SampleTable):
             return NotImplemented
-        pairs = [(getattr(self, name), getattr(other, name)) for name in _SCALARS]
+        pairs = [(getattr(self, name), getattr(other, name)) for name in SCALAR_FIELDS]
         pairs += [(v, other.holder.get(a)) for a, v in self.holder.items()]
         same = self.holder.keys() == other.holder.keys()
         return same and all(np.array_equal(a, b, equal_nan=True) for a, b in pairs)
@@ -134,7 +134,7 @@ class RunRecord:
     """
 
     config: dict
-    samples: SampleTable  # or DiagnosticsSample rows, which __post_init__ turns into one
+    samples: SampleTable  # or DiagnosticsSample rows, built by hand, which __post_init__ turns into one
     outcome: Outcome
     outcome_detail: str = ""
     t_star_predicted: float | None = None
@@ -207,8 +207,8 @@ def _check_datum(datum: dict) -> None:
 
 def _sample_columns(rows: list) -> dict:
     """Rows, each a dict of DiagnosticsSample fields, in the schema 2 column
-    layout. The one place rows become columns, so the one check that every row
-    tracks the same exponents."""
+    layout: the rows of a schema 1 line or of a record built by hand, and the
+    one check that every row tracks the same exponents."""
     rows = [_expect(row, dict, "sample") for row in _expect(rows, list, "record 'samples'")]
     try:
         columns = {name: [row[name] for row in rows] for name in _SAMPLE_FIELDS}
@@ -264,7 +264,7 @@ def _table_from_columns(d: dict, read_column) -> SampleTable:
     except KeyError as exc:
         raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
     t = read_column(columns["t"], None, "sample 't'")
-    read = {name: read_column(columns[name], len(t), f"sample {name!r}") for name in _SCALARS if name != "t"}
+    read = {name: read_column(columns[name], len(t), f"sample {name!r}") for name in SCALAR_FIELDS if name != "t"}
     keys: dict[float, str] = {}  # each exponent read so far, and the key that named it
     read["holder"] = {}
     for key, values in _expect(columns["holder"], dict, "sample 'holder'").items():

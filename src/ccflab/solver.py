@@ -14,10 +14,11 @@ models). Each row has its own gamma symbols and its own CFL dt. A batched
 step makes 9 real transforms, each over the whole stack: one irfft of
 H theta for the CFL speeds, then in each RK4 stage one irfft of every row's
 velocity and gradient and one rfft of their products. A snapshot makes one,
-an irfft of theta and theta_x of every row, 2B rows in all. Rows that reach
-a snapshot time sit out the steps the others still need, and a RunStopped
-ends its own row only, so each row's record is the one run() gives for it
-alone, bit for bit apart from wall_time.
+an irfft of theta and theta_x of every row, and one table of diagnostics,
+whose rows the records take as their columns. Rows that reach a snapshot time
+sit out the steps the others still need, and a RunStopped ends its own row
+only, so each row's record is the one run() gives for it alone, bit for bit
+apart from wall_time.
 
 Detectors judge each recorded snapshot, and guards each state (the datum's
 first transform included) and each snapshot's diagnostics, all under one
@@ -49,12 +50,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import regularity
-from .records import DiagnosticsSample, Outcome, RunRecord
+from .records import SCALAR_FIELDS, Outcome, RunRecord, SampleTable
 from .regularity import RegularityConstants
 from .torus import TAIL_LIMIT, TWO_PI, RealField, SpectralField, TorusGrid, tail_fraction
 
 GRADIENT_BLOWUP_FACTOR = 1e3
 DT_FLOOR = 1e-12
+_T, _TAIL, _GRAD = map(SCALAR_FIELDS.index, ("t", "tail_fraction", "grad_linf"))  # _detect's columns
 
 
 class RunStopped(RuntimeError):
@@ -286,10 +288,11 @@ def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None =
 
 def _take_sample(
     h: np.ndarray, t: np.ndarray, kernel: _Kernel, plans: Sequence[DiagnosticPlan]
-) -> list[DiagnosticsSample | RunStopped]:
-    """The snapshot of each row of the stack h at its time t, tracking its
-    plan's Holder exponents, or the RunStopped of a row whose snapshot holds a
-    value beyond float64; theta and theta_x of every row come from one irfft."""
+) -> tuple[np.ndarray, list[list[float]], dict[int, RunStopped]]:
+    """The snapshot of each row of the stack h at its time t: its (B, 10) table
+    of scalar diagnostics in SCALAR_FIELDS order, each row's values of its
+    plan's Holder exponents, and by position the RunStopped of each row whose
+    snapshot holds a value beyond float64. One irfft gives every theta and theta_x."""
     grid = kernel.grid
     theta, theta_x = np.fft.irfft(np.stack([h, h * grid.derivative_mult]), grid.n, norm="forward")
     power = np.abs(h) ** 2
@@ -302,23 +305,19 @@ def _take_sample(
         hdot_half=norms[:, 1],
         hdot_three_half=norms[:, 2],
         hdot_mid=norms[:, 3],
-        tail_fraction=[tail_fraction(SpectralField(grid, row)) for row in h],
+        tail_fraction=tail_fraction(grid, h),
         min_value=theta.min(axis=1),
         grad_linf=np.abs(theta_x).max(axis=1),
     )
-    table = np.column_stack(list(columns.values()))
+    table = np.column_stack([columns[name] for name in SCALAR_FIELDS])
     stops = _non_finite(table, t, "diagnostics")  # a finite linf means a finite theta
-    out = []
-    for i, (values, plan) in enumerate(zip(table.tolist(), plans)):
-        if i in stops:
-            out.append(stops[i])
-            continue
-        holder = {a: regularity.holder_seminorm(RealField(grid, theta[i]), a) for a in plan.holder_alphas}
-        if all(map(math.isfinite, holder.values())):
-            out.append(DiagnosticsSample(**dict(zip(columns, values)), holder=holder))
-        else:
-            out.append(_blowup(values[0], "diagnostics"))
-    return out
+    holders = []
+    for i, plan in enumerate(plans):
+        alphas = () if i in stops else plan.holder_alphas
+        holders.append([regularity.holder_seminorm(RealField(grid, theta[i]), a) for a in alphas])
+        if not all(map(math.isfinite, holders[i])):
+            stops[i] = _blowup(t[i], "diagnostics")
+    return table, holders, stops
 
 
 def build_config(
@@ -349,7 +348,7 @@ def _field_values(obj) -> dict:
 
 
 def _predictions(
-    theta0: RealField, first: DiagnosticsSample | None, p: ModelParams, plan: DiagnosticPlan, k: RegularityConstants
+    theta0: RealField, samples: SampleTable, p: ModelParams, plan: DiagnosticPlan, k: RegularityConstants
 ):
     """T* (regularity.predicted_t_star) and T1 where the formulas apply, None
     elsewhere and for a T* beyond float64, since strict JSON has no Infinity;
@@ -358,26 +357,27 @@ def _predictions(
     linf0 = float(np.max(np.abs(theta0.values)))
     t_star_pred = regularity.predicted_t_star(p.gamma, p.dissipation_on, plan.holder_alphas, linf0, k)
     t_local_pred = None
-    if p.dissipation_on and 0.0 < p.gamma <= 1.0:
-        if first is not None and first.l2 > 0.0 and first.hdot_three_half > 0.0:
-            t_local_pred = regularity.t_local(p.gamma, first.l2, first.hdot_three_half, k)
+    if p.dissipation_on and 0.0 < p.gamma <= 1.0 and len(samples):
+        l2, hdot32 = float(samples.l2[0]), float(samples.hdot_three_half[0])
+        if l2 > 0.0 and hdot32 > 0.0:
+            t_local_pred = regularity.t_local(p.gamma, l2, hdot32, k)
     return (None if t_star_pred == math.inf else t_star_pred), t_local_pred
 
 
-def _detect(samples: list[DiagnosticsSample]) -> None:
-    """Judge the newest snapshot, raising RunStopped when a detector fires: its
-    gradient against the first snapshot's, its tail growth against the
-    snapshot before it (the first against itself)."""
-    sample, grad0 = samples[-1], samples[0].grad_linf
-    prev = samples[-2] if len(samples) > 1 else sample
-    if grad0 > 0.0 and sample.grad_linf > GRADIENT_BLOWUP_FACTOR * grad0:
-        growth = f"gradient grew {sample.grad_linf / grad0:.3g}x (limit {GRADIENT_BLOWUP_FACTOR:g}x)"
-        raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"{growth} at t={sample.t:.6g}")
-    if sample.tail_fraction > TAIL_LIMIT:
-        tail = f"tail fraction {sample.tail_fraction:.3e} exceeds {TAIL_LIMIT:g}"
-        if sample.tail_fraction > prev.tail_fraction:
-            raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"{tail} and is growing at t={sample.t:.6g}")
-        raise RunStopped(Outcome.UNDER_RESOLVED, f"{tail} at t={sample.t:.6g}")
+def _detect(rows: list[list[float]]) -> None:
+    """Judge the newest snapshot row of a run's table, raising RunStopped when
+    a detector fires: its gradient against the first row's, its tail growth
+    against the row before it (the first against itself)."""
+    t, tail, grad = (rows[-1][column] for column in (_T, _TAIL, _GRAD))
+    grad0, prev_tail = rows[0][_GRAD], rows[-2:][0][_TAIL]
+    if grad0 > 0.0 and grad > GRADIENT_BLOWUP_FACTOR * grad0:
+        growth = f"gradient grew {grad / grad0:.3g}x (limit {GRADIENT_BLOWUP_FACTOR:g}x)"
+        raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"{growth} at t={t:.6g}")
+    if tail > TAIL_LIMIT:
+        message = f"tail fraction {tail:.3e} exceeds {TAIL_LIMIT:g}"
+        if tail > prev_tail:
+            raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"{message} and is growing at t={t:.6g}")
+        raise RunStopped(Outcome.UNDER_RESOLVED, f"{message} at t={t:.6g}")
 
 
 def run(
@@ -421,7 +421,7 @@ def run_batch(
     params = tuple(p for _, p, _, _ in rows)
     kernel = _kernel(grid, params) if len(params) == 1 else _Kernel(grid, params)
     count = len(rows)
-    samples: list[list[DiagnosticsSample]] = [[] for _ in rows]
+    tables, holders = [[] for _ in rows], [[] for _ in rows]  # each row's snapshot rows and Holder values
     t, steps = np.zeros(count), np.zeros(count, dtype=int)
     dt_lo, dt_hi = np.full(count, math.inf), np.zeros(count)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the outcome, not a warning
@@ -456,14 +456,15 @@ def run_batch(
             if not live.size:
                 break
             at = slice(None) if live.size == count else live
-            plans = [rows[i][2] for i in live]
-            for i, sample in zip(live, _take_sample(h[at], t[at], kernel.rows(live), plans)):
-                if isinstance(sample, RunStopped):
-                    stops[i] = sample
+            table, holder, stopped = _take_sample(h[at], t[at], kernel.rows(live), [rows[i][2] for i in live])
+            for j, (i, values) in enumerate(zip(live, table.tolist())):
+                if j in stopped:
+                    stops[i] = stopped[j]
                     continue
-                samples[i].append(sample)
+                tables[i].append(values)
+                holders[i].append(holder[j])
                 try:
-                    _detect(samples[i])
+                    _detect(tables[i])
                 except RunStopped as stop:
                     stops[i] = stop
             live = np.array([i for i in live if i not in stops and t[i] < c.t_end - DT_FLOOR], dtype=int)
@@ -474,12 +475,14 @@ def run_batch(
     for i, (theta0, p, plan, datum) in enumerate(rows):
         if datum is None:
             datum = {"kind": "custom", "samples": theta0.values.tolist()}
-        first = samples[i][0] if samples[i] else None
-        t_star_pred, t_local_pred = _predictions(theta0, first, p, plan, constants)
+        # With no snapshot, np.transpose([]) has no column, so holder is {}.
+        columns = dict(zip(SCALAR_FIELDS, np.reshape(tables[i], (-1, len(SCALAR_FIELDS))).T))
+        samples = SampleTable({**columns, "holder": dict(zip(plan.holder_alphas, np.transpose(holders[i])))})
+        t_star_pred, t_local_pred = _predictions(theta0, samples, p, plan, constants)
         stop, took = stops.get(i), int(steps[i])
         records.append(RunRecord(
             config=build_config(p, c, constants, datum, plan),
-            samples=samples[i],
+            samples=samples,
             outcome=stop.outcome if stop else Outcome.COMPLETED,
             outcome_detail=stop.detail if stop else f"reached t_end={c.t_end:g}",
             t_star_predicted=t_star_pred,

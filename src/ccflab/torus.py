@@ -164,15 +164,11 @@ def derivative(F: SpectralField) -> SpectralField:
 TAIL_LIMIT = 1e-4
 
 
-def tail_fraction(F: SpectralField) -> float:
-    """Energy fraction carried by modes |m| > n/4, mean mode excluded.
-
-    Returns 0 for an (almost) zero field by convention.
-    """
-    energy = F.grid.weights * np.abs(F.coeffs) ** 2
-    energy[0] = 0.0
-    total = float(energy.sum())
-    if total == 0.0:
-        return 0.0
-    high = float(energy[F.grid.abs_modes > F.grid.n / 4].sum())
-    return high / total
+def tail_fraction(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Energy fraction carried by modes |m| > n/4 (slots n//4+1..n/2), mean
+    mode excluded, of a half spectrum or of each row of a stack of them; 0 for
+    a field with no energy outside its mean."""
+    energy = grid.weights * np.abs(coeffs) ** 2
+    energy[..., 0] = 0.0
+    total, high = energy.sum(axis=-1), energy[..., grid.n // 4 + 1:].sum(axis=-1)
+    return high / np.where(total == 0.0, 1.0, total)  # a zero total has a zero high part

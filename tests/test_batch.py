@@ -14,10 +14,10 @@ import pytest
 
 from ccflab import solver
 from ccflab.experiments import cosine_positive, li_rodrigo_type, make_datum, von_mises_bump
-from ccflab.records import Outcome, record_to_dict
+from ccflab.records import DiagnosticsSample, Outcome, record_to_dict
 from ccflab.regularity import holder_alphas, sobolev_weights
 from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, run, run_batch
-from ccflab.torus import RealField, SpectralField, TorusGrid, forward, tail_fraction
+from ccflab.torus import RealField, SpectralField, TorusGrid, tail_fraction
 
 SIZES = [32, 64, 96, 128, 1024, 4096]
 ROWS = [1, 2, 3, 8]
@@ -52,15 +52,18 @@ class TestPreconditions:
     @pytest.mark.parametrize("n", SIZES)
     def test_sums_of_a_stack_equal_the_row_sums(self, n, rows):
         """The snapshot's Sobolev sums over the last axis of a (B, 4, m) stack,
-        and its tail fraction of each row of the stack, equal the one-row forms."""
+        and its tail fraction of the stack, a slice sum over the last axis,
+        equal the one-row forms; a zero row among others has tail fraction 0."""
         grid = TorusGrid(n)
-        fields = [forward(RealField(grid, x)) for x in np.random.default_rng(n + rows).standard_normal((rows, n))]
-        power = np.abs(np.array([F.coeffs for F in fields])) ** 2
+        stack = np.fft.rfft(np.random.default_rng(n + rows).standard_normal((rows, n)), norm="forward")
+        power = np.abs(stack) ** 2
         weights = np.array([sobolev_weights(grid, s) for s in (0.0, 0.5, 1.5, 1.95)])
         sums = np.sum(weights * power[:, None], axis=-1)
         assert sums.tolist() == [[np.sum(w * p) for w in weights] for p in power]
-        stack = np.array([F.coeffs for F in fields])
-        assert [tail_fraction(SpectralField(grid, row)) for row in stack] == [tail_fraction(F) for F in fields]
+        stack[rows // 2] = 0.0
+        tails = tail_fraction(grid, stack)
+        assert tails.tolist() == [tail_fraction(grid, row) for row in stack]
+        assert tails[rows // 2] == 0.0 and (tails > 0.0).sum() == rows - 1
 
 
 N = 256
@@ -123,6 +126,26 @@ class TestRunBatch:
             (Outcome.BLOWUP_SUSPECTED, "non-finite state at t=0.00981748"),
             (Outcome.STEP_COLLAPSE, "step size collapsed to 9.817e-15 at t=0"),
         ]
+
+    def test_snapshots_reach_the_records_as_columns(self, monkeypatch):
+        """No DiagnosticsSample and no SpectralField is built while a batch
+        that tracks Holder exponents is sampled; reading a row builds one."""
+        built = []
+
+        def counted(cls, method):
+            def wrapper(self, *args, **kwargs):
+                built.append(cls.__name__)
+                return method(self, *args, **kwargs)
+            monkeypatch.setattr(cls, method.__name__, wrapper)
+
+        counted(SpectralField, SpectralField.__post_init__)
+        counted(DiagnosticsSample, DiagnosticsSample.__init__)
+        records = run_batch(MIXED, CONTROL)
+        assert built == [] and sum(len(r.samples) for r in records) > 20
+        assert list(records[0].samples.holder) == [0.5]
+        assert records[0].samples[0] == records[0].samples[:1][0]
+        SpectralField(GRID, np.zeros(N // 2 + 1))
+        assert built == ["DiagnosticsSample", "DiagnosticsSample", "SpectralField"]
 
     def test_wall_times_sum_to_no_more_than_the_batch(self):
         started = time.perf_counter()

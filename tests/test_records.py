@@ -13,6 +13,7 @@ import pytest
 
 from ccflab import solver
 from ccflab.records import (
+    SCALAR_FIELDS,
     SCHEMA_VERSION,
     DiagnosticsSample,
     Outcome,
@@ -171,17 +172,19 @@ class TestSampleTable:
         assert samples.holder[0.2].tolist() == [1.6048121798571024] * 3
 
     def test_a_row_is_the_sample_run_took(self, monkeypatch):
+        """Each row of the record is the snapshot's table row and Holder values."""
         taken = []
 
         def take(*args, take=solver._take_sample):
-            taken.extend(take(*args))
-            return taken[-1:]
+            table, holders, stops = take(*args)
+            taken.append(DiagnosticsSample(**dict(zip(SCALAR_FIELDS, table[0])), holder={0.2: holders[0][0]}))
+            return table, holders, stops
 
         monkeypatch.setattr(solver, "_take_sample", take)
         grid = TorusGrid(64)
         rec = run(make_datum(cosine_positive(1.0, 1.0), grid), ModelParams(gamma=0.9, n=64),
                   StepControl(t_end=0.1, snapshot_every=0.05), DiagnosticPlan((0.2,)))
-        assert rec.samples[-1] == taken[-1]
+        assert len(taken) == 3 and rec.samples[-1] == taken[-1]
         assert isinstance(rec.samples[0], DiagnosticsSample)
         assert list(rec.samples) == taken
         row = vars(rec.samples[-1])

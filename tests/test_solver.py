@@ -10,7 +10,7 @@ import pytest
 
 from ccflab import solver
 from ccflab.experiments import cosine_positive, custom_datum, make_datum, von_mises_bump
-from ccflab.records import DiagnosticsSample, Outcome, config_hash, record_to_dict, record_to_json
+from ccflab.records import SCALAR_FIELDS, DiagnosticsSample, Outcome, config_hash, record_to_dict, record_to_json
 from ccflab.regularity import (
     RegularityConstants,
     alpha_policy,
@@ -416,10 +416,12 @@ class TestStopPaths:
 
     def test_gradient_growth(self, monkeypatch):
         """Snapshots whose grad_linf is scaled by 1 + 1e4*t pass the 1000x limit at t = 0.12."""
-        take = solver._take_sample
+        take, t, grad = solver._take_sample, SCALAR_FIELDS.index("t"), SCALAR_FIELDS.index("grad_linf")
 
-        def scaled(h, t, kernel, plans):
-            return [dataclasses.replace(s, grad_linf=s.grad_linf * (1.0 + 1e4 * s.t)) for s in take(h, t, kernel, plans)]
+        def scaled(*args):
+            table, holders, stops = take(*args)
+            table[:, grad] *= 1.0 + 1e4 * table[:, t]
+            return table, holders, stops
 
         monkeypatch.setattr(solver, "_take_sample", scaled)
         rec = run(self.SMOOTH, self.P, self.C)
@@ -434,6 +436,15 @@ class TestStopPaths:
         assert _stop(rec) == (Outcome.BLOWUP_SUSPECTED, "non-finite state at t=0", 0, 0)
         assert (rec.t_local_predicted, rec.dt_min, rec.dt_max) == (None, None, None)
         json.loads(record_to_json(rec), parse_constant=lambda token: pytest.fail(f"non-standard JSON token {token}"))
+
+    def test_a_run_stopped_before_its_first_snapshot_tracks_no_exponent(self):
+        """With no sample, its holder map is empty whatever its plan tracks,
+        in the table and in its line, as in a record built from no rows."""
+        big = RealField(self.GRID, 1.5e308 * np.cos(self.GRID.points))
+        rec = run(big, self.P, self.C, DiagnosticPlan((0.2,)))
+        assert _stop(rec) == (Outcome.BLOWUP_SUSPECTED, "non-finite state at t=0", 0, 0)
+        assert dict(rec.samples.holder) == {} and '"holder":{}' in record_to_json(rec)
+        assert rec.samples == dataclasses.replace(rec, samples=[]).samples
 
     def test_an_overflowing_datum_prints_no_warning(self):
         """The outcome says that the transform of 5e307*(1 + cos x) overflows;
@@ -463,10 +474,22 @@ class TestStopPaths:
             nonlinear_term(forward(self.SMOOTH), self.P)
 
 
+def _rows(stack, times, kernel, plans):
+    """The snapshot _take_sample takes of a stack, each row read as a
+    DiagnosticsSample: its table row by SCALAR_FIELDS, its Holder values by
+    its plan's exponents."""
+    table, holders, stops = _take_sample(stack, np.array(times), kernel, plans)
+    assert stops == {} and table.shape == (len(stack), len(SCALAR_FIELDS))
+    return [
+        DiagnosticsSample(**dict(zip(SCALAR_FIELDS, row)), holder=dict(zip(plan.holder_alphas, values)))
+        for row, values, plan in zip(table.tolist(), holders, plans)
+    ]
+
+
 def _sample(F, t, gamma, plan):
     """The snapshot run() takes of F at t: that of a one-row stack."""
     kernel = solver._kernel(F.grid, (ModelParams(gamma=gamma, n=F.grid.n),))
-    (sample,) = _take_sample(F.coeffs[None], np.array([t]), kernel, [plan])
+    (sample,) = _rows(F.coeffs[None], [t], kernel, [plan])
     return sample
 
 
@@ -483,7 +506,7 @@ def _reference_sample(F, t, gamma, plan):
         hdot_three_half=sobolev_norm(F, 1.5),
         hdot_mid=sobolev_norm(F, (3.0 + gamma) / 2.0),
         holder={a: holder_seminorm(phys, a) for a in plan.holder_alphas},
-        tail_fraction=tail_fraction(F),
+        tail_fraction=float(tail_fraction(F.grid, F.coeffs)),
         min_value=float(np.min(phys.values)),
         grad_linf=float(np.max(np.abs(grad))),
     )
@@ -518,8 +541,24 @@ class TestSnapshot:
         plans = [DiagnosticPlan((0.5,)), DiagnosticPlan(), DiagnosticPlan((0.2, 1.0))]
         kernel = solver._Kernel(grid, tuple(ModelParams(gamma=g, n=n) for g in gammas))
         stack = np.array([F.coeffs for F in fields])
-        samples = _take_sample(stack, np.array(times), kernel, plans)
+        samples = _rows(stack, times, kernel, plans)
         assert samples == [_reference_sample(*row) for row in zip(fields, times, gammas, plans)]
+
+    def test_a_row_whose_diagnostics_overflow_stops_by_its_position(self):
+        """Its squared coefficients leave float64: it gets a stop and no Holder
+        values, and the rows beside it are sampled as alone."""
+        grid = TorusGrid(64)
+        fields = [forward(make_datum(cosine_positive(a, a), grid)) for a in (1.0, 1e300, 2.0)]
+        plans, times = [DiagnosticPlan((0.2,))] * 3, [0.0, 0.25, 0.5]
+        kernel = solver._Kernel(grid, (ModelParams(gamma=0.9, n=64),) * 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table, holders, stops = _take_sample(np.array([F.coeffs for F in fields]), np.array(times), kernel, plans)
+        assert list(stops) == [1] and stops[1].detail == "non-finite diagnostics at t=0.25"
+        assert holders[1] == [] and not np.isfinite(table[1]).all()
+        for i in (0, 2):
+            alone = _sample(fields[i], times[i], 0.9, plans[i])
+            assert table[i].tolist() == [getattr(alone, name) for name in SCALAR_FIELDS]
+            assert holders[i] == list(alone.holder.values())
 
     def test_a_snapshot_makes_one_inverse_transform(self, monkeypatch):
         """B rows go through one irfft of 2B rows: theta and theta_x of each."""

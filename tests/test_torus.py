@@ -178,23 +178,23 @@ class TestTailFraction:
     def test_band_limited_field_has_zero_tail(self):
         grid = TorusGrid(128)
         F = forward(RealField(grid, np.cos(5 * grid.points)))
-        assert tail_fraction(F) < 1e-28
+        assert tail_fraction(grid, F.coeffs) < 1e-28
 
     def test_single_high_mode_is_all_tail(self):
         grid = TorusGrid(128)
         f = RealField(grid, np.cos(63 * grid.points))
-        assert tail_fraction(forward(f)) == pytest.approx(1.0, abs=1e-12)
+        assert tail_fraction(grid, forward(f).coeffs) == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_is_excluded_and_zero_field_is_zero(self):
         grid = TorusGrid(64)
-        assert tail_fraction(forward(RealField(grid, np.zeros(64)))) == 0.0
+        assert tail_fraction(grid, forward(RealField(grid, np.zeros(64))).coeffs) == 0.0
         # pure constant: no fluctuation energy at all, still 0 by convention
-        assert tail_fraction(forward(RealField(grid, np.ones(64)))) == 0.0
+        assert tail_fraction(grid, forward(RealField(grid, np.ones(64))).coeffs) == 0.0
 
     def test_von_mises_bump_resolves_at_256(self):
         grid = TorusGrid(256)
         f = RealField(grid, np.exp(5 * (np.cos(grid.points) - 1)))
-        assert tail_fraction(forward(f)) < 1e-10
+        assert tail_fraction(grid, forward(f).coeffs) < 1e-10
 
 
 def _oracle_field(name: str, grid: TorusGrid) -> np.ndarray:
@@ -211,7 +211,8 @@ class TestParsevalWeights:
     complex FFT, with |m| taken from the signed wavenumbers."""
 
     @pytest.mark.parametrize("field", ["cosine", "von_mises", "white_noise"])
-    @pytest.mark.parametrize("n", [64, 96, 4096])
+    # 66 and 98 are 2 mod 4, where n/4 falls between two modes.
+    @pytest.mark.parametrize("n", [64, 66, 96, 98, 4096])
     def test_sobolev_norm_and_tail_fraction_match_a_full_fft_oracle(self, n, field):
         grid = TorusGrid(n)
         values = _oracle_field(field, grid)
@@ -230,8 +231,8 @@ class TestParsevalWeights:
         # A band-limited field's tail is roundoff (~1e-32) that two different
         # FFTs do not reproduce, so against np.fft.fft the fraction is compared
         # on its own scale, the total energy ...
-        assert tail_fraction(F) == pytest.approx(oracle_tail(full), rel=1e-14, abs=1e-14)
+        assert tail_fraction(grid, F.coeffs) == pytest.approx(oracle_tail(full), rel=1e-14, abs=1e-14)
         # ... and against the Hermitian completion of the same coefficients,
         # which isolates the weights, relatively.
         completed = np.concatenate([F.coeffs, np.conj(F.coeffs[-2:0:-1])])
-        assert tail_fraction(F) == pytest.approx(oracle_tail(completed), rel=1e-14, abs=0.0)
+        assert tail_fraction(grid, F.coeffs) == pytest.approx(oracle_tail(completed), rel=1e-14, abs=0.0)
