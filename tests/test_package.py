@@ -1,5 +1,6 @@
 """Tests for the package's public surface."""
 
+import json
 import subprocess
 import sys
 import types
@@ -44,6 +45,32 @@ def test_records_loads_no_other_ccflab_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['ccflab', 'ccflab.records']"
+
+
+def test_only_the_routes_that_call_them_import_scipy_and_the_pool(tmp_path):
+    """run, a one-worker sweep and report load no scipy module and not the
+    process pool's; calibrate reaches zeta, so it loads scipy.special."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path.insert(0, {str(Path(ccflab.__file__).resolve().parent.parent)!r})\n"
+        "from ccflab.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "heavy = lambda: sorted(m for m in sys.modules\n"
+        "                       if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process')\n"
+        "model = ['--gamma', '0.9', '--n', '64', '--t-end', '0.01', '--out-dir', out]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['run', *model]), main(['sweep', *model, '--jobs', '1']),\n"
+        "             main(['report', out + '/sweep.jsonl', '--out-dir', out])]\n"
+        "    before = heavy()\n"
+        "    codes.append(main(['calibrate', '--gamma', '0.9', '--n', '64']))\n"
+        "print(json.dumps([codes, before, 'scipy.special' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, special_after_calibrate = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
+    assert special_after_calibrate
 
 
 def test_no_full_spectrum_transform_is_reached(monkeypatch):
