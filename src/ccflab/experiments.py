@@ -8,10 +8,10 @@ datum of the class for which Li and Rodrigo prove blow-up. One table,
 DATUM_FAMILIES, holds each family's alias, parameter names and formula.
 
 Sweeps enumerate (datum, gamma, n) cells in a fixed order, run the pending
-cells of each n as one batch (solver.run_batch), persist each record to
-JSONL in that order as soon as the records before it are in, and key
-resumption on the config hash, so re-running a completed sweep performs zero
-new simulations.
+cells in batches of one n (solver.run_batch) and append each batch's records
+to JSONL when it returns: the file, which summary.csv follows, is in batch
+order, and a kill loses only the running batches (sweep()). Resumption keys
+on the config hash, so re-running a completed sweep runs no new simulation.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ DATUM_FAMILIES = {
 
 @dataclass(frozen=True)
 class InitialDatum:
-    """A DATUM_FAMILIES kind with its parameters, each finite and > 0; cosine's
+    """A DATUM_FAMILIES kind with its family's parameters and no other key (one
+    would enter the config hash, not the label), each finite and > 0; cosine's
     a >= b keeps a + b*cos(x) non-negative, and custom's one parameter is its
     finite samples. li_rodrigo_type(s) is -s*sin^2(x/2) = (s/2)*cos(x) - s/2,
     a single-mode cosine shifted by a constant: non-positive, zero at x=0."""
@@ -65,6 +66,10 @@ class InitialDatum:
         if self.kind not in DATUM_FAMILIES:
             raise ValueError(f"unknown datum kind {self.kind!r}, expected one of {tuple(DATUM_FAMILIES)}")
         p = self.params
+        names = DATUM_FAMILIES[self.kind][1]
+        for key in p:
+            if key not in names:
+                raise ValueError(f"{self.kind} takes parameters {','.join(names)}, not {key!r}")
         if self.kind == "custom":
             samples = p.get("samples")
             if samples is None or len(samples) == 0:
@@ -72,7 +77,7 @@ class InitialDatum:
             if not all(math.isfinite(v) for v in samples):
                 raise ValueError("custom datum samples must be finite")
             return
-        values = {key: float(p.get(key, 0.0)) for key in DATUM_FAMILIES[self.kind][1]}
+        values = {key: float(p.get(key, 0.0)) for key in names}
         for key, value in values.items():
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} parameter {key} must be finite, got {value}")
@@ -163,12 +168,13 @@ def datum_label(cfg: dict) -> str:
 class SweepPlan:
     """Cartesian sweep over (datum, gamma, n) with shared constants.
 
-    Cells are enumerated datum-major, then gamma, then resolution; the order
-    is part of the persisted-file contract. The constants and control block
-    replicate into every cell's config. Every cell tracks the Holder exponents
-    in holder_alphas (none by default). With None, each cell tracks its own:
-    regularity.holder_alphas gives the policy alpha of a dissipative cell with
-    gamma in (0, 1), and none to any other cell.
+    Cells are enumerated datum-major, then gamma, then resolution: the order
+    sweep() returns; its file, which summary.csv follows, is in batch order
+    (the plan order for one n), and a kill loses only the running batches.
+    The constants and control block replicate into every cell's config. Every
+    cell tracks the Holder exponents in holder_alphas (none by default). With
+    None, each cell tracks its own: regularity.holder_alphas gives the policy
+    alpha of a dissipative cell with gamma in (0, 1), and none to any other cell.
     """
 
     gamma_values: tuple[float, ...]
@@ -232,12 +238,12 @@ def _run_batch(batch: Batch) -> list[RunRecord]:
 
 
 def _batches(pending: dict[int, Cell], workers: int) -> list[list[int]]:
-    """The pending cells, by index, in batches of one n, each holding at most
-    BATCH_COEFFICIENTS. While there are fewer batches than workers, the
-    costliest batch of several cells is halved; a batch costs about rows *
-    (n//2+1) * n, since a step's work grows with the coefficients and, once the
-    CFL bound binds, the steps grow with n. Each batch lists its cells in plan
-    order, and the batches are sorted by their first cell."""
+    """The pending cells, by index, in batches of one n, each in plan order
+    and holding at most BATCH_COEFFICIENTS, sorted by their first cell. While
+    there are fewer batches than workers, the costliest batch of several cells
+    is halved (2 workers, 2-CPU x86-64: 31 cells at n = 256 took 0.55-0.69 s,
+    0.98-1.22 s unhalved); a batch costs about rows * (n//2+1) * n, since a
+    step's work grows with the coefficients and, CFL-bound, the steps with n."""
     by_n: dict[int, list[int]] = {}
     for i, (_, params, _) in pending.items():
         by_n.setdefault(params.n, []).append(i)
@@ -258,49 +264,42 @@ def _batches(pending: dict[int, Cell], workers: int) -> list[list[int]]:
 
 
 def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
-    """Run every cell of the plan, appending each record to out_path in plan
-    order as soon as the cells before it are in. Cells whose config hash
-    already appears in the file are reused verbatim, so interrupted sweeps
-    resume where they stopped; a last line torn by a kill mid-append is
-    dropped with a warning, and that cell reruns. A kill loses the batches
-    still running and the finished records that wait for an earlier cell:
-    about one batch per n, since the batches start in plan order. A missing
-    directory of out_path is made before any cell runs.
-
-    Numerical failures inside a cell land in that cell's outcome; they never
-    abort the sweep. Pending cells run in batches of one n (_batches), one
-    stack each (solver.run_batch), in min(parallelism, pending cells, usable
-    CPUs) processes; with one of them no pool is built.
+    """Run every cell of the plan and return the records in plan order. Cells
+    whose config hash is on file are reused verbatim, so interrupted sweeps
+    resume; a last line torn by a kill mid-append is dropped with a warning,
+    and that cell reruns. The pending cells run in batches of one n
+    (_batches), one stack each (solver.run_batch), in min(parallelism, pending
+    cells, usable CPUs) processes, with no pool for one. Each batch's records
+    are appended to out_path when it returns, so the file, and the summary.csv
+    rows `ccflab report` makes of it, are in batch order (sorted by first
+    cell, each in plan order); a kill loses the batches still running and,
+    with several workers, finished ones queued behind them. Numerical
+    failures inside a cell land in its outcome and never abort the sweep.
+    out_path's directory is made before any cell runs.
     """
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     existing: dict[str, RunRecord] = {}
     if out_path.exists():
         drop_torn_tail(out_path)
-        for record in load_records(out_path):
-            existing[record.config_hash] = record
+        existing = {record.config_hash: record for record in load_records(out_path)}
 
     results: list[RunRecord | None] = []
     pending: dict[int, Cell] = {}  # by index in results
-    for cell in plan.cells():
-        datum, params, diagnostics = cell
+    for i, (datum, params, diagnostics) in enumerate(plan.cells()):
         config = build_config(params, plan.control, plan.constants, datum.to_config(), diagnostics)
         results.append(existing.get(config_hash(config)))
         if results[-1] is None:
-            pending[len(results) - 1] = cell
+            pending[i] = (datum, params, diagnostics)
 
     if pending:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         workers = min(plan.parallelism, len(pending), cpus)
         batches = _batches(pending, workers)
         jobs = [(plan, tuple(pending[i] for i in batch)) for batch in batches]
-        cursor = iter(pending)  # the next record to append, in plan order
-        written = next(cursor)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             for batch, records in zip(batches, (pool.map if pool else map)(_run_batch, jobs)):
                 for i, record in zip(batch, records):
                     results[i] = record
-                while written is not None and results[written] is not None:
-                    append_record(out_path, results[written])
-                    written = next(cursor, None)
+                    append_record(out_path, record)
     return results

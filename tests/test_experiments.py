@@ -65,6 +65,21 @@ class TestDatumValidation:
         with pytest.raises(ValueError, match=rf"{kind} parameter {key} must be finite"):
             InitialDatum(kind, params)
 
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("von_mises_bump", {"kappa": 1.0, "kapa": 2.0}, "kapa"),
+            ("cosine_positive", {"a": 2.0, "b": 1.0, "c": 1.0}, "c"),
+            ("custom", {"samples": (1.0,), "n": 1.0}, "n"),
+        ],
+        ids=["von_mises.kapa", "cosine.c", "custom.n"],
+    )
+    def test_a_parameter_the_family_does_not_name_is_rejected(self, kind, params, key):
+        """Such a key would enter the config and its resume hash while the
+        label leaves it out: one run under two hashes."""
+        with pytest.raises(ValueError, match=rf"{kind} takes parameters .*, not '{key}'"):
+            InitialDatum(kind, params)
+
     def test_non_finite_custom_samples_rejected(self):
         with pytest.raises(ValueError, match="custom datum samples must be finite"):
             custom_datum([0.0, float("nan"), 1.0])
@@ -444,9 +459,10 @@ class TestBatches:
         plan = replace(_two_n_plan(), resolutions=(64, 4096))
         assert experiments._batches(dict(enumerate(plan.cells())), 2) == [[0, 2, 4, 6], [1], [3], [5], [7]]
 
-    def test_a_kill_loses_only_the_records_not_yet_in_plan_order(self, tmp_path, monkeypatch):
+    def test_a_kill_loses_only_the_batches_not_yet_returned(self, tmp_path, monkeypatch):
         """With batches [0, 2], [1], [3], [4, 6], [5], [7], a kill in the fourth
-        leaves the records of cells 0 to 3 on file."""
+        leaves the records of the first three on file, in batch order; the
+        rerun returns every record in plan order."""
         monkeypatch.setattr(experiments, "BATCH_COEFFICIENTS", 2 * 33)
         started = []
         run_batch = experiments._run_batch
@@ -462,19 +478,52 @@ class TestBatches:
         with pytest.raises(KeyboardInterrupt):
             sweep(plan, tmp_path / "sweep.jsonl")
         cells = list(plan.cells())
-        assert [(r.config["model"]["gamma"], r.config["model"]["n"]) for r in load_records(tmp_path / "sweep.jsonl")] == [
-            (params.gamma, params.n) for _, params, _ in cells[:4]
+        key = lambda r: (r.config["model"]["gamma"], r.config["model"]["n"])  # noqa: E731
+        assert [key(r) for r in load_records(tmp_path / "sweep.jsonl")] == [
+            (cells[i][1].gamma, cells[i][1].n) for i in (0, 2, 1, 3)
         ]
+        records = sweep(plan, tmp_path / "sweep.jsonl")
+        assert [key(r) for r in records] == [(params.gamma, params.n) for _, params, _ in cells]
 
-    def test_a_sweep_runs_one_batch_per_n_and_writes_in_plan_order(self, tmp_path, monkeypatch):
+    def test_a_sweep_runs_one_batch_per_n_and_writes_in_batch_order(self, tmp_path, monkeypatch):
         batches = []
         run_batch = experiments._run_batch
         monkeypatch.setattr(experiments, "_run_batch", lambda batch: batches.append(len(batch[1])) or run_batch(batch))
         plan = _two_n_plan()
         records = sweep(plan, tmp_path / "sweep.jsonl")
         assert batches == [4, 4]
-        assert load_records(tmp_path / "sweep.jsonl") == records
+        assert load_records(tmp_path / "sweep.jsonl") == [records[i] for i in (0, 2, 4, 6, 1, 3, 5, 7)]
         assert [r.config["model"]["n"] for r in records] == [64, 128] * 4
+
+    @pytest.mark.parametrize("parallelism", [1, 2], ids=["in-process", "pool"])
+    def test_a_kill_in_the_second_batch_keeps_the_first_on_file(self, tmp_path, monkeypatch, pools, parallelism):
+        """Batches [0, 2, 4, 6] and [1, 3, 5, 7]: a kill in the second keeps
+        the first batch's four records, and the rerun runs only the second's."""
+        plan = replace(_two_n_plan(), parallelism=parallelism)
+        cells = list(plan.cells())
+        ran = []
+        run_batch = experiments._run_batch
+
+        def killed_in_the_second(batch):
+            ran.append([cells.index(cell) for cell in batch[1]])
+            if len(ran) == 2:
+                raise KeyboardInterrupt
+            return run_batch(batch)
+
+        monkeypatch.setattr(experiments, "_run_batch", killed_in_the_second)
+        path = tmp_path / "sweep.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            sweep(plan, path)
+        assert ran == [[0, 2, 4, 6], [1, 3, 5, 7]]
+        kept = [record.config_hash for record in load_records(path)]
+        ran.clear()
+        monkeypatch.setattr(experiments, "_run_batch", lambda batch: ran.append([cells.index(cell) for cell in batch[1]]) or run_batch(batch))
+        records = sweep(plan, path)
+        assert sorted(i for batch in ran for i in batch) == [1, 3, 5, 7]
+        assert kept == [records[i].config_hash for i in (0, 2, 4, 6)]
+        on_file = [record.config_hash for record in load_records(path)]
+        assert sorted(on_file) == sorted(set(on_file)) == sorted(record.config_hash for record in records)
+        assert pools == ([2, 2] if parallelism > 1 else [])
 
     def test_each_batched_record_is_its_cells_own_run(self, tmp_path):
         plan = _two_n_plan()
