@@ -196,8 +196,8 @@ class SweepPlan:
                 if value in values[:i]:
                     first = values.index(value)
                     raise ValueError(f"sweep axis {axis} lists one value twice (entries {first} and {i})")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+        if type(self.parallelism) is not int or self.parallelism < 1:  # not a bool, an int subclass
+            raise ValueError(f"parallelism must be an int >= 1, got {self.parallelism!r}")
         # Reject bad axes and data before any cell runs.
         for gamma, n in product(self.gamma_values, self.resolutions):
             ModelParams(gamma=gamma, n=n)

@@ -186,7 +186,7 @@ def sobolev_norm(F: SpectralField, s: float) -> float:
     the grid's Parseval weights. For s = 0 this is the full L2 norm (the mean
     contributes |0|^0 = 1); for s > 0 the mean mode drops out automatically.
     """
-    if s < 0.0:
+    if not s >= 0.0:  # NaN too
         raise ValueError(f"s must be >= 0, got {s}")
     return float(np.sqrt(TWO_PI * np.sum(sobolev_weights(F.grid, s) * np.abs(F.coeffs) ** 2)))
 

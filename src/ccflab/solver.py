@@ -8,9 +8,9 @@ further clamped so steps land exactly on snapshot times and t_end.
 
 The stepping state is a (B, n//2+1) stack of rfft half spectra (modes
 m = 0..n/2), one row per run, each row the layout of a SpectralField. run()
-is the one-row run_batch, and step() and nonlinear_term() pass their
-coefficients as a one-row stack, all to one kernel built once per (grid,
-models). Each row has its own gamma symbols and its own CFL dt. A batched
+is the one-row run_batch, which builds the kernel of its rows, and step() and
+nonlinear_term() pass their coefficients as a one-row stack to a cached
+kernel. Each row has its own gamma symbols and its own CFL dt. A batched
 step makes 9 real transforms, each over the whole stack: one irfft of
 H theta for the CFL speeds, then in each RK4 stage one irfft of every row's
 velocity and gradient and one rfft of their products. A snapshot makes one,
@@ -212,10 +212,9 @@ class _Kernel:
         return sub
 
 
-# One-row kernels are cached: run(), step() and nonlinear_term() build and
-# check the kernel of a (grid, params) pair once, and a chain of steps reuses
-# it. run_batch() builds a kernel of several rows for its batch alone, since
-# no later call repeats it.
+# step() and nonlinear_term() take their one-row kernel from this cache, so a
+# chain of steps builds and checks the kernel of a (grid, params) pair once.
+# run_batch(), run() included, builds the kernel of its rows for its batch alone.
 _kernel = lru_cache(maxsize=8)(_Kernel)
 
 
@@ -364,20 +363,21 @@ def _predictions(
     return (None if t_star_pred == math.inf else t_star_pred), t_local_pred
 
 
-def _detect(rows: list[list[float]]) -> None:
-    """Judge the newest snapshot row of a run's table, raising RunStopped when
-    a detector fires: its gradient against the first row's, its tail growth
-    against the row before it (the first against itself)."""
+def _detect(rows: list[list[float]]) -> RunStopped | None:
+    """The RunStopped of the first detector that fires on the newest snapshot
+    row of a run's table, else None: its gradient against the first row's,
+    its tail growth against the row before it (the first against itself)."""
     t, tail, grad = (rows[-1][column] for column in (_T, _TAIL, _GRAD))
     grad0, prev_tail = rows[0][_GRAD], rows[-2:][0][_TAIL]
     if grad0 > 0.0 and grad > GRADIENT_BLOWUP_FACTOR * grad0:
         growth = f"gradient grew {grad / grad0:.3g}x (limit {GRADIENT_BLOWUP_FACTOR:g}x)"
-        raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"{growth} at t={t:.6g}")
+        return RunStopped(Outcome.BLOWUP_SUSPECTED, f"{growth} at t={t:.6g}")
     if tail > TAIL_LIMIT:
         message = f"tail fraction {tail:.3e} exceeds {TAIL_LIMIT:g}"
         if tail > prev_tail:
-            raise RunStopped(Outcome.BLOWUP_SUSPECTED, f"{message} and is growing at t={t:.6g}")
-        raise RunStopped(Outcome.UNDER_RESOLVED, f"{message} at t={t:.6g}")
+            return RunStopped(Outcome.BLOWUP_SUSPECTED, f"{message} and is growing at t={t:.6g}")
+        return RunStopped(Outcome.UNDER_RESOLVED, f"{message} at t={t:.6g}")
+    return None
 
 
 def run(
@@ -400,6 +400,13 @@ def run(
     return record
 
 
+def _running(t: np.ndarray, stops: dict[int, RunStopped], until: float) -> np.ndarray:
+    """The rows, ascending, that no stop has ended and whose time t is below until."""
+    below = t < until - DT_FLOOR
+    below[list(stops)] = False
+    return below.nonzero()[0]
+
+
 def run_batch(
     rows: Sequence[tuple[RealField, ModelParams, DiagnosticPlan, dict | None]],
     c: StepControl,
@@ -419,7 +426,7 @@ def run_batch(
     if any(theta0.grid != grid for theta0, *_ in rows):
         raise ValueError("the rows of a batch must share one grid")
     params = tuple(p for _, p, _, _ in rows)
-    kernel = _kernel(grid, params) if len(params) == 1 else _Kernel(grid, params)
+    kernel = _Kernel(grid, params)
     count = len(rows)
     tables, holders = [[] for _ in rows], [[] for _ in rows]  # each row's snapshot rows and Holder values
     t, steps = np.zeros(count), np.zeros(count, dtype=int)
@@ -427,16 +434,13 @@ def run_batch(
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the outcome, not a warning
         h = np.fft.rfft(np.stack([theta0.values for theta0, *_ in rows]), norm="forward")
         stops = _non_finite(h, t)
-        live = np.array([i for i in range(count) if i not in stops], dtype=int)
         for snapshot_index in itertools.count():
             target = min(snapshot_index * c.snapshot_every, c.t_end)
-            moving = live[t[live] < target - DT_FLOOR]
+            moving = _running(t, stops, target)
             while moving.size:
-                # The moving rows step as one stack until one of them stops or
-                # arrives; a slice picks them, without a copy, when all move.
-                at = slice(None) if moving.size == count else moving
-                sub, hm, tm = kernel.rows(moving), h[at], t[at]
-                taken, lo, hi = 0, dt_lo[at], dt_hi[at]
+                # The moving rows step as one stack until one of them stops or arrives.
+                sub, hm, tm = kernel.rows(moving), h[moving], t[moving]
+                taken, lo, hi = 0, dt_lo[moving], dt_hi[moving]
                 while True:
                     hm, tm, dt, stopped = _step_raw(hm, tm, c, sub, target)
                     taken += 1
@@ -444,31 +448,23 @@ def run_batch(
                     np.fmax(hi, dt, out=hi)
                     if stopped or tm.max() >= target - DT_FLOOR:
                         break
-                h[at], t[at], dt_lo[at], dt_hi[at] = hm, tm, lo, hi
-                steps[at] += taken
-                going = tm < target - DT_FLOOR
-                for i, stop in stopped.items():
-                    steps[moving[i]] -= 1
-                    stops[moving[i]] = stop
-                    going[i] = False
-                moving = moving[going]
-            live = np.array([i for i in live if i not in stops], dtype=int)
+                h[moving], t[moving], dt_lo[moving], dt_hi[moving] = hm, tm, lo, hi
+                steps[moving] += taken - np.isnan(dt)  # a stopped row did not take its last step
+                stops.update({moving[i]: stop for i, stop in stopped.items()})
+                moving = _running(t, stops, target)
+            live = _running(t, stops, math.inf)
             if not live.size:
                 break
-            at = slice(None) if live.size == count else live
-            table, holder, stopped = _take_sample(h[at], t[at], kernel.rows(live), [rows[i][2] for i in live])
+            table, holder, stopped = _take_sample(h[live], t[live], kernel.rows(live), [rows[i][2] for i in live])
             for j, (i, values) in enumerate(zip(live, table.tolist())):
-                if j in stopped:
-                    stops[i] = stopped[j]
-                    continue
-                tables[i].append(values)
-                holders[i].append(holder[j])
-                try:
-                    _detect(tables[i])
-                except RunStopped as stop:
+                stop = stopped.get(j)
+                if stop is None:
+                    tables[i].append(values)
+                    holders[i].append(holder[j])
+                    stop = _detect(tables[i])
+                if stop:
                     stops[i] = stop
-            live = np.array([i for i in live if i not in stops and t[i] < c.t_end - DT_FLOOR], dtype=int)
-            if not live.size:
+            if not _running(t, stops, c.t_end).size:
                 break
     share = (time.perf_counter() - started) / count
     records = []

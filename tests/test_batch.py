@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ccflab import solver
-from ccflab.experiments import cosine_positive, li_rodrigo_type, make_datum, von_mises_bump
+from ccflab.experiments import BATCH_COEFFICIENTS, cosine_positive, li_rodrigo_type, make_datum, von_mises_bump
 from ccflab.records import DiagnosticsSample, Outcome, record_to_dict
 from ccflab.regularity import holder_alphas, sobolev_weights
 from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, run, run_batch
@@ -71,11 +71,11 @@ GRID = TorusGrid(N)
 CONTROL = StepControl(t_end=0.2, snapshot_every=0.02)
 
 
-def _row(datum, gamma, dissipation_on=True):
+def _row(datum, gamma, dissipation_on=True, grid=GRID):
     """A batch row of a named datum tracking its policy Holder exponents, as a
     sweep with holder_alphas=None builds it."""
-    params = ModelParams(gamma=gamma, n=N, dissipation_on=dissipation_on)
-    theta0 = make_datum(datum, GRID)
+    params = ModelParams(gamma=gamma, n=grid.n, dissipation_on=dissipation_on)
+    theta0 = make_datum(datum, grid)
     return theta0, params, DiagnosticPlan(holder_alphas(gamma, dissipation_on)), datum.to_config()
 
 
@@ -154,13 +154,27 @@ class TestRunBatch:
         assert sum(r.wall_time for r in records) <= elapsed
         assert len({r.wall_time for r in records}) == 1
 
-    def test_only_one_row_kernels_are_cached(self):
-        """A chain of steps reuses its one-row kernel; a batch's kernel, which
-        no later call repeats, is not kept."""
+    def test_a_full_batch_is_its_rows_runs(self):
+        """A batch as large as a sweep makes at n = 64 gives each row's run().
+        Its rows take different step counts and stop at different snapshots,
+        so later bursts and samples take subsets of its rows."""
+        grid = TorusGrid(64)
+        rows = [_row(cosine_positive(k / 2, k / 2), gamma, grid=grid) for k in range(1, 63) for gamma in (0.6, 1.3)]
+        assert len(rows) == BATCH_COEFFICIENTS // (64 // 2 + 1)
+        control = StepControl(t_end=0.1, snapshot_every=0.02)
+        records = run_batch(rows, control)
+        alone = [run(theta0, p, control, plan, datum=datum) for theta0, p, plan, datum in rows]
+        assert [_comparable(r) for r in records] == [_comparable(r) for r in alone]
+        assert {r.outcome for r in records} == {Outcome.COMPLETED, Outcome.BLOWUP_SUSPECTED}
+        assert len({r.step_count for r in records}) > 1 and len({len(r.samples) for r in records}) > 1
+
+    def test_a_batch_leaves_the_kernel_cache_empty(self):
+        """run_batch builds the kernel of its rows for that batch alone, one row
+        included; the cache serves the chained step() and nonlinear_term()."""
         solver._kernel.cache_clear()
         run_batch(MIXED[:2], CONTROL)
         run_batch(MIXED[:1], CONTROL)
-        assert solver._kernel.cache_info().currsize == 1
+        assert solver._kernel.cache_info().currsize == 0
 
     def test_rows_share_one_grid(self):
         other = TorusGrid(128)

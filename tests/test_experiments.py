@@ -242,6 +242,13 @@ class TestSweepPlan:
         with pytest.raises(ValueError, match=rf"sweep axis {axis} lists one value twice \(entries 0 and 2\)"):
             SweepPlan(**axes)
 
+    @pytest.mark.parametrize("parallelism", [0, -1, 1.5, 2.0, True], ids=["zero", "negative", "fraction", "float", "bool"])
+    def test_parallelism_must_be_a_whole_count(self, parallelism):
+        """A fraction would reach ProcessPoolExecutor as max_workers and fail
+        there; True, a Python int, would pass as one worker."""
+        with pytest.raises(ValueError, match=re.escape(f"parallelism must be an int >= 1, got {parallelism!r}")):
+            SweepPlan(gamma_values=(0.9,), data=(cosine_positive(1, 1),), resolutions=(64,), parallelism=parallelism)
+
     @pytest.mark.parametrize(
         "datum, message",
         [

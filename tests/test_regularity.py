@@ -291,8 +291,9 @@ class TestSobolevNorm:
     def test_negative_s_rejected(self):
         grid = TorusGrid(64)
         F = forward(RealField(grid, np.cos(grid.points)))
-        with pytest.raises(ValueError, match="s must be"):
-            sobolev_norm(F, -0.5)
+        for s in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="s must be"):
+                sobolev_norm(F, s)
 
 
 class TestHolderSeminorm:

@@ -389,6 +389,41 @@ class TestRun:
         assert rec.t_star_predicted == pytest.approx(1.00502512562873e-201, rel=1e-12, abs=0.0)
 
 
+def _snapshot(t: float, tail: float, grad: float) -> list[float]:
+    """A snapshot row in SCALAR_FIELDS order, zero but for t, tail_fraction and grad_linf."""
+    values = dict(t=t, tail_fraction=tail, grad_linf=grad)
+    return [values.get(name, 0.0) for name in SCALAR_FIELDS]
+
+
+class TestDetect:
+    """_detect judges the newest row of a run's snapshot table: its gradient
+    against the first row's, its tail growth against the row before it."""
+
+    @pytest.mark.parametrize(
+        "table, expected",
+        [
+            ([(0.0, 1e-8, 1.0), (0.02, 2e-8, 900.0)], None),
+            (
+                [(0.0, 1e-8, 1.0), (0.02, 1e-8, 5.0), (0.04, 1e-8, 1500.0)],
+                (Outcome.BLOWUP_SUSPECTED, "gradient grew 1.5e+03x (limit 1000x) at t=0.04"),
+            ),
+            (
+                [(0.0, 5e-4, 1.0), (0.02, 1.5e-4, 1.0), (0.04, 2e-4, 1.0)],
+                (Outcome.BLOWUP_SUSPECTED, "tail fraction 2.000e-04 exceeds 0.0001 and is growing at t=0.04"),
+            ),
+            (
+                [(0.0, 3e-4, 1.0), (0.02, 2e-4, 1.0)],
+                (Outcome.UNDER_RESOLVED, "tail fraction 2.000e-04 exceeds 0.0001 at t=0.02"),
+            ),
+            ([(0.0, 2e-4, 1.0)], (Outcome.UNDER_RESOLVED, "tail fraction 2.000e-04 exceeds 0.0001 at t=0")),
+        ],
+        ids=["quiet", "gradient_growth", "growing_tail", "steady_tail", "one_row"],
+    )
+    def test_outcome_and_detail(self, table, expected):
+        stop = solver._detect([_snapshot(*row) for row in table])
+        assert (None if stop is None else (stop.outcome, stop.detail)) == expected
+
+
 class TestStopPaths:
     """Every way a run ends, each pinned to its outcome, its exact detail, its
     sample count and its step count. The growing tail is
