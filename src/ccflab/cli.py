@@ -266,7 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gamma", help="comma-separated gamma values")
     p_sweep.add_argument("--n", help="comma-separated grid sizes")
     p_sweep.add_argument("--datum", action="append", help=f"datum spec ({datum_forms()}); repeat for several")
-    p_sweep.add_argument("--jobs", type=int, help="max worker processes, each running batches of cells of one n (default 1)")
+    p_sweep.add_argument(
+        "--jobs", type=int,
+        help="max worker processes, each running batches of cells of one n (default 1); fewer, or none, "
+             "when the pending cells' estimated time would not repay a pool's 0.04 s",
+    )
     _add_cell_flags(p_sweep, _cmd_sweep)
 
     p_verify = subs.add_parser("verify", help="operator residual table")

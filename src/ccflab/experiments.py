@@ -12,6 +12,9 @@ cells in batches of one n (solver.run_batch) and append each batch's records
 to JSONL when it returns: the file, which summary.csv follows, is in batch
 order, and a kill loses only the running batches (sweep()). Resumption keys
 on the config hash, so re-running a completed sweep runs no new simulation.
+One estimate of a batch's seconds (_batch_seconds) decides both how many
+worker processes a sweep forks, none while a second worker would save less
+than a pool costs (POOL_COST_S), and which batch to halve for an idle worker.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 import concurrent.futures  # loads .process and multiprocessing (17 ms, 2-CPU x86-64) only when sweep() builds a pool
 import math
 import os
-from contextlib import nullcontext
+import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -230,6 +234,35 @@ Batch = tuple[SweepPlan, tuple[Cell, ...]]
 BATCH_COEFFICIENTS = 1 << 12
 
 
+# What a worker pool adds to a sweep's wall time, beyond the serial time it
+# splits: fork, pickling each batch's cells out and its records back, join.
+# Measured as pool wall - serial wall / 2 at 2 workers (2-CPU x86-64, medians
+# of 6 alternating runs): 33-51 ms on six plans of 6 to 48 cells at n = 64
+# ... 1024, 1 ms on a seventh; an empty 2-worker pool's fork and join are 12 ms.
+POOL_COST_S = 0.04
+
+
+def _batch_seconds(control: StepControl, cells: Sequence[Cell]) -> float:
+    """The estimated in-process seconds of one batch of cells of one n, from
+    the plan alone. Its steps assume CFL speed 1, the fewest any datum takes
+    (dt = min(dt_max, cfl*dx/max(1, ||H theta||_inf))), so it errs low, and
+    an error low only keeps work in-process. The coefficients were fitted to
+    solver._step_raw, solver._take_sample and regularity.holder_seminorm inside
+    sweeps (2-CPU x86-64): a step costs 90 us + 4 us a row + 0.15 us a
+    coefficient (1.25 ms for 124 rows at n = 64, 0.63 ms for 7 at n = 1024),
+    a snapshot 60 us + 2 us a row + 0.04 us a coefficient, and each tracked
+    Holder exponent of a row 100 us + 1.3 us a grid point at each snapshot
+    (0.13-0.2 ms at n = 64, 1.1-1.9 ms at 1024, 5.7-6.6 ms at 4096)."""
+    n = cells[0][1].n
+    rows, coefficients = len(cells), len(cells) * (n // 2 + 1)
+    exponents = sum(len(diagnostics.holder_alphas) for _, _, diagnostics in cells)
+    steps = control.t_end / min(control.dt_max, control.cfl * 2.0 * math.pi / n)
+    snapshots = 1.0 + control.t_end / control.snapshot_every
+    step_s = 90e-6 + 4e-6 * rows + 0.15e-6 * coefficients
+    snapshot_s = 60e-6 + 2e-6 * rows + 0.04e-6 * coefficients + exponents * (100e-6 + 1.3e-6 * n)
+    return steps * step_s + snapshots * snapshot_s
+
+
 def _run_batch(batch: Batch) -> list[RunRecord]:
     plan, cells = batch
     grid = TorusGrid(cells[0][1].n)
@@ -237,13 +270,12 @@ def _run_batch(batch: Batch) -> list[RunRecord]:
     return run_batch(rows, plan.control, plan.constants)
 
 
-def _batches(pending: dict[int, Cell], workers: int) -> list[list[int]]:
+def _batches(pending: dict[int, Cell], control: StepControl, workers: int) -> list[list[int]]:
     """The pending cells, by index, in batches of one n, each in plan order
     and holding at most BATCH_COEFFICIENTS, sorted by their first cell. While
-    there are fewer batches than workers, the costliest batch of several cells
-    is halved (2 workers, 2-CPU x86-64: 31 cells at n = 256 took 0.55-0.69 s,
-    0.98-1.22 s unhalved); a batch costs about rows * (n//2+1) * n, since a
-    step's work grows with the coefficients and, CFL-bound, the steps with n."""
+    there are fewer batches than workers, the batch of several cells with the
+    most estimated seconds (_batch_seconds) is halved (2 workers, 2-CPU
+    x86-64: 31 cells at n = 256 took 0.55-0.69 s, 0.98-1.22 s unhalved)."""
     by_n: dict[int, list[int]] = {}
     for i, (_, params, _) in pending.items():
         by_n.setdefault(params.n, []).append(i)
@@ -252,9 +284,8 @@ def _batches(pending: dict[int, Cell], workers: int) -> list[list[int]]:
         size = max(1, BATCH_COEFFICIENTS // (n // 2 + 1))
         batches += [cells[k : k + size] for k in range(0, len(cells), size)]
 
-    def cost(batch: list[int]) -> int:
-        n = pending[batch[0]][1].n
-        return len(batch) * (n // 2 + 1) * n
+    def cost(batch: list[int]) -> float:
+        return _batch_seconds(control, [pending[i] for i in batch])
 
     while len(batches) < workers:  # workers <= cells, so some batch has two
         costliest = max((b for b in batches if len(b) > 1), key=cost)
@@ -268,14 +299,18 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
     whose config hash is on file are reused verbatim, so interrupted sweeps
     resume; a last line torn by a kill mid-append is dropped with a warning,
     and that cell reruns. The pending cells run in batches of one n
-    (_batches), one stack each (solver.run_batch), in min(parallelism, pending
-    cells, usable CPUs) processes, with no pool for one. Each batch's records
-    are appended to out_path when it returns, so the file, and the summary.csv
-    rows `ccflab report` makes of it, are in batch order (sorted by first
-    cell, each in plan order); a kill loses the batches still running and,
-    with several workers, finished ones queued behind them. Numerical
-    failures inside a cell land in its outcome and never abort the sweep.
-    out_path's directory is made before any cell runs.
+    (_batches), one stack each (solver.run_batch), in W processes: of the W
+    up to min(parallelism, pending cells, usable CPUs), the one that minimises
+    E/W + POOL_COST_S*(W - 1), where E is the estimated serial seconds of the
+    pending batches (_batch_seconds). W = 1 runs in-process, with no pool, so
+    a pool is forked only above about E = 2*POOL_COST_S = 0.08 s. Each batch's
+    records are appended to out_path when it returns, so the file, and the
+    summary.csv rows `ccflab report` makes of it, are in batch order (sorted
+    by first cell, each in plan order); a kill loses the batches still running
+    and, with several workers, finished ones queued behind them. If a worker
+    dies, the batches that had not returned rerun once in-process, with a
+    warning. Numerical failures inside a cell land in its outcome and never
+    abort the sweep. out_path's directory is made before any cell runs.
     """
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -291,15 +326,31 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
         results.append(existing.get(config_hash(config)))
         if results[-1] is None:
             pending[i] = (datum, params, diagnostics)
+    if not pending:
+        return results
 
-    if pending:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = min(plan.parallelism, len(pending), cpus)
-        batches = _batches(pending, workers)
-        jobs = [(plan, tuple(pending[i] for i in batch)) for batch in batches]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            for batch, records in zip(batches, (pool.map if pool else map)(_run_batch, jobs)):
-                for i, record in zip(batch, records):
-                    results[i] = record
-                    append_record(out_path, record)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    serial = sum(_batch_seconds(plan.control, [pending[i] for i in b]) for b in _batches(pending, plan.control, 1))
+    bound = min(plan.parallelism, len(pending), cpus)
+    workers = min(range(1, bound + 1), key=lambda w: serial / w + POOL_COST_S * (w - 1))
+    batches = _batches(pending, plan.control, workers)
+    jobs = [(plan, tuple(pending[i] for i in batch)) for batch in batches]
+
+    def keep(batch: list[int], records: list[RunRecord]) -> None:
+        for i, record in zip(batch, records):
+            results[i] = record
+            append_record(out_path, record)
+
+    returned = 0
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            try:
+                for records in pool.map(_run_batch, jobs):
+                    keep(batches[returned], records)
+                    returned += 1
+            except concurrent.futures.BrokenExecutor:
+                left = len(batches) - returned
+                warnings.warn(f"a sweep worker died: the {left} of {len(batches)} batches not returned rerun in-process", stacklevel=2)
+    for batch, job in zip(batches[returned:], jobs[returned:]):
+        keep(batch, _run_batch(job))
     return results

@@ -3,6 +3,7 @@
 import json
 import re
 import warnings
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from ccflab.experiments import (
     sweep,
     von_mises_bump,
 )
-from ccflab.records import Outcome, load_records
+from ccflab.records import Outcome, load_records, record_to_dict
 from ccflab.solver import StepControl
 from ccflab.torus import TorusGrid
 
@@ -364,13 +365,14 @@ class TestSweep:
         assert [type(r.config["model"]["n"]) for r in records] == [int, int]
         assert [r.config_hash for r in records] == [r.config_hash for r in sweep(small_plan, tmp_path / "int.jsonl")]
 
-    def test_parallel_matches_serial_modulo_wall_time(self, small_plan, tmp_path):
+    def test_parallel_matches_serial_modulo_wall_time(self, small_plan, tmp_path, real_pools):
         from dataclasses import replace
 
         from ccflab.records import record_to_dict
 
         serial = sweep(small_plan, tmp_path / "serial.jsonl")
         parallel = sweep(replace(small_plan, parallelism=2), tmp_path / "parallel.jsonl")
+        assert [(type(pool), workers) for pool, workers in real_pools] == [(ProcessPoolExecutor, 2)]
         for a, b in zip(serial, parallel):
             da, db = record_to_dict(a), record_to_dict(b)
             da.pop("wall_time")
@@ -442,29 +444,42 @@ def _two_n_plan() -> SweepPlan:
 
 class TestBatches:
     def test_pending_cells_are_batched_by_n_in_plan_order(self):
-        pending = dict(enumerate(_two_n_plan().cells()))
-        assert experiments._batches(pending, 1) == [[0, 2, 4, 6], [1, 3, 5, 7]]
+        plan = _two_n_plan()
+        pending = dict(enumerate(plan.cells()))
+        assert experiments._batches(pending, plan.control, 1) == [[0, 2, 4, 6], [1, 3, 5, 7]]
         del pending[2], pending[7]
-        assert experiments._batches(pending, 2) == [[0, 4, 6], [1, 3, 5]]
+        assert experiments._batches(pending, plan.control, 2) == [[0, 4, 6], [1, 3, 5]]
 
     def test_the_costliest_batch_is_halved_while_workers_outnumber_batches(self):
-        pending = dict(enumerate(_two_n_plan().cells()))
-        assert experiments._batches(pending, 3) == [[0, 2, 4, 6], [1, 3], [5, 7]]  # n = 128 costs more
-        assert experiments._batches(pending, 8) == [[0], [1], [2], [3], [4], [5], [6], [7]]
+        plan = _two_n_plan()
+        pending = dict(enumerate(plan.cells()))
+        assert experiments._batches(pending, plan.control, 3) == [[0, 2, 4, 6], [1, 3], [5, 7]]  # n = 128 costs more
+        assert experiments._batches(pending, plan.control, 8) == [[0], [1], [2], [3], [4], [5], [6], [7]]
+
+    def test_the_batch_halved_is_the_one_estimated_to_take_longest(self):
+        """Batches [0, 2, 4, 6] at n = 64 with every cell tracking an exponent
+        and [1, 3, 5, 7] at n = 66 with none: the Holder scans make the n = 64
+        batch the costlier, though it has fewer coefficients (a cost of
+        rows * (n//2+1) * n would rank the two the other way)."""
+        plan = replace(_two_n_plan(), holder_alphas=(0.2,), resolutions=(64, 66))
+        cells = plan.cells()
+        pending = {i: cell if i % 2 == 0 else (cell[0], cell[1], solver.DiagnosticPlan()) for i, cell in enumerate(cells)}
+        assert experiments._batches(pending, plan.control, 3) == [[0, 2], [1, 3, 5, 7], [4, 6]]
 
     def test_a_batch_holds_at_most_a_fixed_number_of_coefficients(self, monkeypatch):
         monkeypatch.setattr(experiments, "BATCH_COEFFICIENTS", 3 * 33)  # three rows at n = 64, one at 128
-        pending = dict(enumerate(_two_n_plan().cells()))
-        assert experiments._batches(pending, 1) == [[0, 2, 4], [1], [3], [5], [6], [7]]
+        plan = _two_n_plan()
+        pending = dict(enumerate(plan.cells()))
+        assert experiments._batches(pending, plan.control, 1) == [[0, 2, 4], [1], [3], [5], [6], [7]]
         # A costlier batch of one cell is not halved; the batch of several is.
-        assert experiments._batches(pending, 7) == [[0], [1], [2, 4], [3], [5], [6], [7]]
+        assert experiments._batches(pending, plan.control, 7) == [[0], [1], [2, 4], [3], [5], [6], [7]]
 
     def test_large_grids_run_one_cell_per_batch(self):
         """At n = 4096 a batch of two rows ran no faster than two runs, so a
         sweep over n = 64 and 4096 gives each n = 4096 cell its own batch,
         which any free worker takes."""
         plan = replace(_two_n_plan(), resolutions=(64, 4096))
-        assert experiments._batches(dict(enumerate(plan.cells())), 2) == [[0, 2, 4, 6], [1], [3], [5], [7]]
+        assert experiments._batches(dict(enumerate(plan.cells())), plan.control, 2) == [[0, 2, 4, 6], [1], [3], [5], [7]]
 
     def test_a_kill_loses_only_the_batches_not_yet_returned(self, tmp_path, monkeypatch):
         """With batches [0, 2], [1], [3], [4, 6], [5], [7], a kill in the fourth
@@ -559,13 +574,21 @@ class _RecordingPool:
 
 
 @pytest.fixture()
-def pools(monkeypatch):
+def gated_pools(monkeypatch):
     """Pool sizes sweep() asks for, in a process that may run on 3 of the host's 8 CPUs."""
     built = []
     monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(max_workers, built))
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
     return built
+
+
+@pytest.fixture()
+def pools(gated_pools, monkeypatch):
+    """gated_pools with a pool that costs nothing, so sweep() asks for the
+    bound min(parallelism, pending cells, usable CPUs) however small the plan."""
+    monkeypatch.setattr(experiments, "POOL_COST_S", 0.0)
+    return gated_pools
 
 
 class TestWorkerClamp:
@@ -602,6 +625,79 @@ class TestWorkerClamp:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
         assert len(sweep(replace(small_plan, parallelism=4), tmp_path / "sweep.jsonl")) == 2
         assert pools == []
+
+
+def _cosines(count: int) -> tuple:
+    return tuple(cosine_positive(1.0, 0.3 + 0.7 * k / (count - 1)) for k in range(count))
+
+
+class TestPoolGate:
+    def test_a_plan_below_the_gate_builds_no_pool(self, tmp_path, gated_pools):
+        """Four cells at n = 32 to t = 0.05, one batch, are estimated at a few
+        ms, far below the 2*POOL_COST_S a second worker must save, so
+        parallelism=4 on 3 CPUs runs them in-process."""
+        plan = SweepPlan(
+            gamma_values=(0.6, 0.7, 0.8, 0.9),
+            data=(cosine_positive(1.0, 1.0),),
+            resolutions=(32,),
+            control=StepControl(t_end=0.05, snapshot_every=0.025),
+            parallelism=4,
+        )
+        assert experiments._batch_seconds(plan.control, plan.cells()) < 2 * experiments.POOL_COST_S
+        assert all(r.outcome is Outcome.COMPLETED for r in sweep(plan, tmp_path / "sweep.jsonl"))
+        assert gated_pools == []
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            # 8 cosines x gamma 0.6/0.9/1.2 x n 64/128, each gamma < 1 cell
+            # tracking its policy exponent: 0.43 s on 1 worker, 0.22 s on 2.
+            SweepPlan((0.6, 0.9, 1.2), _cosines(8), (64, 128), holder_alphas=None,
+                      control=StepControl(t_end=1.0, dt_max=0.025, snapshot_every=0.025), parallelism=2),
+            # 24 cells at n = 1024: 0.21 s on 1 worker, 0.16 s on 2.
+            SweepPlan((0.6, 0.9, 1.2), _cosines(8), (1024,),
+                      control=StepControl(t_end=0.2, dt_max=0.01, snapshot_every=0.02), parallelism=2),
+        ],
+        ids=["48-cell-policy", "24-cell-n1024"],
+    )
+    def test_plans_the_pool_pays_for_build_two_workers(self, plan, tmp_path, gated_pools):
+        assert len(sweep(plan, tmp_path / "sweep.jsonl")) == len(plan.cells())
+        assert gated_pools == [2]
+
+    def test_the_estimate_grows_with_rows_n_t_end_and_exponents(self):
+        control = StepControl(t_end=0.2, snapshot_every=0.02)
+        cells = lambda count, n, alphas=(): [  # noqa: E731
+            (cosine_positive(1.0, 1.0), solver.ModelParams(gamma=0.9, n=n), solver.DiagnosticPlan(alphas))
+        ] * count
+        base = experiments._batch_seconds(control, cells(4, 64))
+        assert 0.0 < base < experiments._batch_seconds(control, cells(5, 64))
+        assert base < experiments._batch_seconds(control, cells(4, 128))
+        assert base < experiments._batch_seconds(replace(control, t_end=0.4), cells(4, 64))
+        assert base < experiments._batch_seconds(control, cells(4, 64, (0.2,)))
+        assert experiments._batch_seconds(control, cells(4, 64, (0.2,))) < experiments._batch_seconds(control, cells(4, 64, (0.2, 0.5)))
+
+    def test_the_batches_a_dead_worker_left_rerun_in_process(self, tmp_path, pools, monkeypatch):
+        """A pool whose map raises BrokenProcessPool after its first batch: the
+        other batch reruns in-process, so each cell is on file once, and each
+        record is the one-worker sweep's apart from wall_time."""
+
+        class DyingPool(_RecordingPool):
+            def map(self, fn, jobs):
+                yield fn(jobs[0])
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", lambda max_workers: DyingPool(max_workers, pools))
+        plan = replace(_two_n_plan(), parallelism=2)
+        with pytest.warns(UserWarning, match="the 1 of 2 batches not returned rerun in-process"):
+            swept = sweep(plan, tmp_path / "dying.jsonl")
+        assert pools == [2]
+        serial = sweep(replace(plan, parallelism=1), tmp_path / "serial.jsonl")
+        on_file = load_records(tmp_path / "dying.jsonl")
+        assert sorted(r.config_hash for r in on_file) == sorted({r.config_hash for r in serial})
+        strip = lambda r: {k: v for k, v in record_to_dict(r).items() if k != "wall_time"}  # noqa: E731
+        assert [strip(r) for r in swept] == [strip(r) for r in serial]
+        by_hash = {r.config_hash: strip(r) for r in serial}
+        assert all(strip(r) == by_hash[r.config_hash] for r in on_file)
 
 
 class TestTornTail:

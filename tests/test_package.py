@@ -48,18 +48,22 @@ def test_records_loads_no_other_ccflab_module():
 
 
 def test_only_the_routes_that_call_them_import_scipy_and_the_pool(tmp_path):
-    """run, a one-worker sweep and report load no scipy module and not the
-    process pool's; calibrate reaches zeta, so it loads scipy.special."""
+    """run, a one-worker sweep, a two-worker sweep whose work is below what a
+    pool costs and report load no scipy module and not the process pool's;
+    calibrate reaches zeta, so it loads scipy.special. The process may run on
+    two CPUs, so only the pool's cost keeps the two-worker sweep in-process."""
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, json, os, sys\n"
         f"sys.path.insert(0, {str(Path(ccflab.__file__).resolve().parent.parent)!r})\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from ccflab.cli import main\n"
         f"out = {str(tmp_path)!r}\n"
         "heavy = lambda: sorted(m for m in sys.modules\n"
         "                       if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process')\n"
         "model = ['--gamma', '0.9', '--n', '64', '--t-end', '0.01', '--out-dir', out]\n"
+        "gated = ['--gamma', '0.6,0.9', '--n', '64', '--t-end', '0.01', '--jobs', '2', '--out-dir', out + '/gated']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(['run', *model]), main(['sweep', *model, '--jobs', '1']),\n"
+        "    codes = [main(['run', *model]), main(['sweep', *model, '--jobs', '1']), main(['sweep', *gated]),\n"
         "             main(['report', out + '/sweep.jsonl', '--out-dir', out])]\n"
         "    before = heavy()\n"
         "    codes.append(main(['calibrate', '--gamma', '0.9', '--n', '64']))\n"
@@ -68,7 +72,8 @@ def test_only_the_routes_that_call_them_import_scipy_and_the_pool(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     codes, loaded, special_after_calibrate = json.loads(proc.stdout)
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
+    assert len((tmp_path / "gated" / "sweep.jsonl").read_text().splitlines()) == 2
     assert loaded == []
     assert special_after_calibrate
 

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -225,7 +226,7 @@ class TestSampleTable:
         assert not back.samples.l2.flags.writeable
         assert not back.samples.holder[0.2].flags.writeable
 
-    def test_records_from_a_parallel_sweep_hold_read_only_columns(self, tmp_path):
+    def test_records_from_a_parallel_sweep_hold_read_only_columns(self, tmp_path, real_pools):
         plan = SweepPlan(
             gamma_values=(0.6, 0.9),
             data=(cosine_positive(1.0, 1.0),),
@@ -234,6 +235,7 @@ class TestSampleTable:
             parallelism=2,
         )
         records = sweep(plan, tmp_path / "sweep.jsonl")
+        assert [(type(pool), workers) for pool, workers in real_pools] == [(ProcessPoolExecutor, 2)]
         assert records == load_records(tmp_path / "sweep.jsonl")
         for record in records:
             assert not any(getattr(record.samples, name).flags.writeable for name in ("t", "l2", "grad_linf"))
