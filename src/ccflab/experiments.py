@@ -251,15 +251,15 @@ def _batch_seconds(control: StepControl, cells: Sequence[Cell]) -> float:
     sweeps (2-CPU x86-64): a step costs 90 us + 4 us a row + 0.15 us a
     coefficient (1.25 ms for 124 rows at n = 64, 0.63 ms for 7 at n = 1024),
     a snapshot 60 us + 2 us a row + 0.04 us a coefficient, and each tracked
-    Holder exponent of a row 100 us + 1.3 us a grid point at each snapshot
-    (0.13-0.2 ms at n = 64, 1.1-1.9 ms at 1024, 5.7-6.6 ms at 4096)."""
+    Holder exponent of a row 10 us + 0.34 us a grid point at each snapshot
+    (0.032-0.036 ms at n = 64, 0.43-0.46 ms at 1024, 1.35-1.46 ms at 4096)."""
     n = cells[0][1].n
     rows, coefficients = len(cells), len(cells) * (n // 2 + 1)
     exponents = sum(len(diagnostics.holder_alphas) for _, _, diagnostics in cells)
     steps = control.t_end / min(control.dt_max, control.cfl * 2.0 * math.pi / n)
     snapshots = 1.0 + control.t_end / control.snapshot_every
     step_s = 90e-6 + 4e-6 * rows + 0.15e-6 * coefficients
-    snapshot_s = 60e-6 + 2e-6 * rows + 0.04e-6 * coefficients + exponents * (100e-6 + 1.3e-6 * n)
+    snapshot_s = 60e-6 + 2e-6 * rows + 0.04e-6 * coefficients + exponents * (10e-6 + 0.34e-6 * n)
     return steps * step_s + snapshots * snapshot_s
 
 

@@ -6,13 +6,17 @@ run over recorded diagnostics.
 xi(t) has one formula, RegularitySchedule.xi_at, and xi_0 one, in
 make_schedule.
 
-The Holder estimator is an exact pruned scan. The sup increment
-A(h) = max_x |theta(x+h) - theta(x)| is subadditive in h, so after A is
-evaluated at h = 1..k-1, at the multiples of k = isqrt(n/2) and at n/2, every
-other shift h = j*k + r is bounded by A(j*k) + A(r) and, when (j+1)*k <= n/2,
-by A((j+1)*k) + A(k-r). Only the shifts whose padded bound over d_h^alpha
-exceeds the best ratio so far are evaluated: about sqrt(2n) base shifts plus
-the survivors. The result is equal (==) to the scan over all n/2 shifts.
+The Holder estimator is an exact pruned scan, evaluated a block of shifts at
+a time. The sup increment A(h) = max_x |theta(x+h) - theta(x)| is subadditive
+in h. When all n/2 shifts fit in one block (n <= 256) they are evaluated at
+once. Otherwise, after A is evaluated at h = 1..k-1, at the multiples of
+k = isqrt(n/2) and at n/2, every other shift h = j*k + r is bounded by
+A(j*k) + A(r) and, when (j+1)*k <= n/2, by A((j+1)*k) + A(k-r). The shifts
+whose padded bound over d_h^alpha exceeds the best ratio so far survive. A
+second level bounds them the same way at stride s = isqrt(k), from A at the
+multiples of s next to each survivor and the A(r), r < s, already evaluated.
+Only the survivors of both levels are evaluated. The result is equal (==) to
+the scan over all n/2 shifts.
 
 All formulas involving the unknown analysis constants (k1, k2, c0, C_star,
 C1, C3) default those constants to 1; every reported T*, T1 or gamma_1 is in
@@ -26,6 +30,7 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .records import Outcome, RunRecord
 from .torus import TAIL_LIMIT, TWO_PI, RealField, SpectralField, TorusGrid
@@ -34,6 +39,10 @@ from .torus import TAIL_LIMIT, TWO_PI, RealField, SpectralField, TorusGrid
 # bound each lie within a few ulps (~1e-16) of their exact values, so this pad
 # keeps every skipped shift provably at or below the best ratio.
 _BOUND_PAD = 1.0 + 1e-12
+
+# Elements of one block of the Holder scan, 2**15 float64 (256 KiB): a block
+# of windows is differenced in a buffer that stays in cache.
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -196,11 +205,27 @@ def sobolev_weights(grid: TorusGrid, s: float) -> np.ndarray:
     return grid.weights * grid.abs_modes ** (2.0 * s)
 
 
-def _increment(doubled: np.ndarray, h: int, dx: float) -> tuple[np.ndarray, float]:
-    """(theta(x+h) - theta(x), geodesic |h|) for h in [0, n) cells of the field
-    laid out twice in doubled, where theta(x+h) is the slice doubled[h:h+n]."""
-    n = doubled.size // 2
-    return doubled[h : h + n] - doubled[:n], min(h * dx, TWO_PI - h * dx)
+def _sup_increments(windows: np.ndarray, shifts: slice, sup: np.ndarray, buf: np.ndarray) -> None:
+    """sup[h] = A(h) = max_x |theta(x+h) - theta(x)| for the shifts h of a
+    slice, where windows[h] is theta(x+h), a window of the field laid out
+    twice. The windows are differenced len(buf) rows at a time, each block
+    one subtract, abs and row max in buf."""
+    rows, out = windows[shifts], sup[shifts]
+    size = len(buf)
+    for i in range(0, len(out), size):
+        chunk = out[i : i + size]
+        block = buf[: len(chunk)]
+        np.subtract(rows[i : i + size], windows[0], out=block)
+        np.abs(block, out=block)
+        block.max(axis=1, out=chunk)
+
+
+def _slices(shifts: np.ndarray, step: int) -> list[slice]:
+    """The sorted shifts as the fewest slices of the given step."""
+    cuts = np.flatnonzero(np.diff(shifts) != step)
+    starts = np.append(shifts[:1], shifts[cuts + 1]).tolist()
+    stops = np.append(shifts[cuts], shifts[-1:]).tolist()
+    return [slice(a, b + 1, step) for a, b in zip(starts, stops)]
 
 
 def holder_seminorm(f: RealField, alpha: float) -> float:
@@ -210,48 +235,70 @@ def holder_seminorm(f: RealField, alpha: float) -> float:
     the geodesic distance d_h raised to alpha; separations below the grid
     spacing are unobservable and excluded by construction.
 
-    Only the shifts that can still set the maximum are evaluated. A(h) is
-    computed at h = 1..k-1, at every multiple of k = isqrt(n/2) and at n/2.
-    Subadditivity bounds every other shift h = j*k + r by
-    min(A(j*k) + A(r), A((j+1)*k) + A(k-r)), the second term only when
-    (j+1)*k <= n/2, and h is evaluated only where
-    bound * _BOUND_PAD / d_h^alpha exceeds the best base ratio.
+    Only the shifts that can still set the maximum are evaluated, a block of
+    them at a time (_sup_increments). When all n/2 shifts fit in one block
+    they are evaluated at once. Otherwise A(h) is computed at h = 1..k-1, at
+    every multiple of k = isqrt(n/2) and at n/2. Subadditivity bounds every
+    other shift h = j*k + r by min(A(j*k) + A(r), A((j+1)*k) + A(k-r)), the
+    second term only when (j+1)*k <= n/2. A shift survives where
+    bound * _BOUND_PAD / d_h^alpha exceeds the best ratio so far. A second
+    level does the same at stride s = isqrt(k): A is computed at the
+    multiples of s next to each survivor, and a survivor h = m*s + r is
+    bounded again by min(A(m*s) + A(r), A((m+1)*s) + A(s-r)), whose A(r) and
+    A(s-r) the first level holds. Only the survivors of both bounds are
+    evaluated.
 
     The result is exact, equal to the maximum over all n/2 shifts. Each stored
     difference is a correctly rounded subtraction, so every computed A is
     within one ulp relative of the exact increment of the stored samples; the
-    pad covers that and the rounding of the bound, so a skipped shift can at
+    pad covers that and the rounding of a bound, so a skipped shift can at
     most tie the maximum. Every ratio that enters the maximum uses the scalar
     d**alpha of the full scan.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    doubled = np.concatenate((f.values, f.values))
-    dx = f.grid.dx
-    half = f.grid.n // 2
-    k = math.isqrt(half)
+    n = f.grid.n
+    half = n // 2
+    rows = max(1, _BLOCK // n)  # windows in one block
+    windows = sliding_window_view(np.concatenate((f.values, f.values)), n)
+    buf = np.empty((min(rows, half), n))
     sup = np.zeros(half + 1)  # A(h) of the evaluated shifts; A(0) = 0
-
-    def ratio(h: int) -> float:
-        delta, d = _increment(doubled, h, dx)
-        sup[h] = np.max(np.abs(delta))
-        return float(sup[h]) / d**alpha
-
     shifts = np.arange(half + 1)
-    base = (shifts < k) | (shifts % k == 0)
-    base[half] = True
-    best = max(ratio(int(h)) for h in shifts[base][1:])
+    dist = np.minimum(shifts * f.grid.dx, TWO_PI - shifts * f.grid.dx)
+    done = shifts == 0  # the shifts whose A(h) is in sup
 
-    rest = shifts[~base]
-    j, r = np.divmod(rest, k)
-    bound = sup[j * k] + sup[r]
-    upper = (j + 1) * k
-    fits = upper <= half
-    bound[fits] = np.minimum(bound[fits], sup[upper[fits]] + sup[k - r[fits]])
-    d = np.minimum(rest * dx, TWO_PI - rest * dx)
-    for h in rest[bound * _BOUND_PAD / d**alpha > best]:
-        best = max(best, ratio(int(h)))
-    return best
+    def evaluate(slices: list[slice]) -> list[float]:
+        ratios = []
+        for shift in slices:
+            _sup_increments(windows, shift, sup, buf)
+            done[shift] = True
+            ratios += [a / d**alpha for a, d in zip(sup[shift].tolist(), dist[shift].tolist())]
+        return ratios
+
+    if half <= rows:
+        return max(evaluate([slice(1, half + 1)]))
+
+    def survivors(h: np.ndarray, stride: int, best: float) -> np.ndarray:
+        m, r = np.divmod(h, stride)
+        bound = sup[m * stride] + sup[r]
+        upper = (m + 1) * stride
+        fits = upper <= half
+        bound[fits] = np.minimum(bound[fits], sup[upper[fits]] + sup[stride - r[fits]])
+        return h[bound * _BOUND_PAD / dist[h] ** alpha > best]
+
+    k = math.isqrt(half)
+    base = [slice(1, k), slice(k, half + 1, k)]
+    if half % k:
+        base.append(slice(half, half + 1))
+    best = max(evaluate(base))
+    rest = survivors(shifts[~done], k, best)
+    s = math.isqrt(k)
+    lattice = np.zeros(half // s + 1, dtype=bool)  # the multiples of s next to a survivor
+    lattice[rest // s] = True
+    lattice[np.minimum(-(-rest // s), half // s)] = True
+    near = np.flatnonzero(lattice) * s
+    best = max([best, *evaluate(_slices(near[~done[near]], s))])
+    return max([best, *evaluate(_slices(survivors(rest[~done[rest]], s, best), 1))])
 
 
 def t_local_exponents(gamma: float) -> tuple[float, float]:

@@ -651,7 +651,9 @@ class TestPoolGate:
         "plan",
         [
             # 8 cosines x gamma 0.6/0.9/1.2 x n 64/128, each gamma < 1 cell
-            # tracking its policy exponent: 0.43 s on 1 worker, 0.22 s on 2.
+            # tracking its policy exponent: estimated at 0.10 s, just above
+            # the gate, where a pool about breaks even (0.12 s on 1 worker,
+            # 0.13 s on 2).
             SweepPlan((0.6, 0.9, 1.2), _cosines(8), (64, 128), holder_alphas=None,
                       control=StepControl(t_end=1.0, dt_max=0.025, snapshot_every=0.025), parallelism=2),
             # 24 cells at n = 1024: 0.21 s on 1 worker, 0.16 s on 2.

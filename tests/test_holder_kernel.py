@@ -1,16 +1,19 @@
 """The Holder estimator against an np.roll oracle.
 
-The estimator reads increments through one slice kernel and prunes shifts;
-these tests pin it bit for bit to the textbook scan over shifted differences,
-so a change of the kernel or the pruning cannot move a recorded seminorm.
-The kernel is also pinned alone at every offset, including the ones the
-pruned scan skips.
+The estimator reads sup increments through one block kernel and prunes
+shifts; these tests pin it bit for bit to the textbook scan over shifted
+differences, so a change of the kernel or the pruning cannot move a recorded
+seminorm. The kernel is also pinned alone at every offset, including the ones
+the pruned scan skips.
 """
+
+import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ccflab.regularity import _increment, holder_seminorm
+from ccflab.regularity import _sup_increments, holder_seminorm
 from ccflab.torus import TWO_PI, RealField, TorusGrid
 
 ALPHAS = (0.1, 0.3, 0.5, 1.0, 2 * (1 - 0.9))
@@ -44,22 +47,18 @@ def test_holder_seminorm_equals_the_roll_loop(n):
             assert holder_seminorm(f, alpha) == _roll_holder(values, grid.dx, alpha), (name, alpha)
 
 
-
-@pytest.mark.parametrize("n", [64, 96])
-def test_increment_equals_the_roll_difference(n):
+# Strides 1, s = isqrt(k) and k = isqrt(n/2), the pruned scan's three slice
+# steps; blocks of 1 row, of 3 rows (a ragged last block) and of all rows.
+@pytest.mark.parametrize("n", [64, 66, 96])
+def test_sup_increments_equal_the_roll_difference(n):
     grid = TorusGrid(n)
+    k = math.isqrt(n // 2)
     for name, values in _fields(grid).items():
-        doubled = np.concatenate((values, values))
-        for h in range(n):
-            delta, d = _increment(doubled, h, grid.dx)
-            assert np.array_equal(delta, np.roll(values, -h) - values), (name, h)
-            assert d == min(h * grid.dx, TWO_PI - h * grid.dx), (name, h)
-
-
-def test_increment_at_half_the_circle_is_minus_twice_the_cosine():
-    """Offset pi: delta cos = -2 cos, at geodesic distance pi."""
-    grid = TorusGrid(64)
-    values = np.cos(grid.points)
-    delta, d = _increment(np.concatenate((values, values)), grid.n // 2, grid.dx)
-    assert np.max(np.abs(delta + 2.0 * values)) < 1e-15
-    assert d == pytest.approx(np.pi, abs=1e-15)
+        roll = [np.max(np.abs(np.roll(values, -h) - values)) for h in range(n)]
+        windows = sliding_window_view(np.concatenate((values, values)), n)
+        for step in (1, math.isqrt(k), k):
+            for rows in (1, 3, n):
+                sup = np.full(n, np.nan)
+                for start in range(step):
+                    _sup_increments(windows, slice(start, n, step), sup, np.empty((rows, n)))
+                assert np.array_equal(sup, roll), (name, step, rows)

@@ -17,13 +17,23 @@ from ccflab.solver import ModelParams, SolverState, StepControl, run, step
 from ccflab.torus import TWO_PI, RealField, TorusGrid, forward, inverse
 
 
-def _full_scan(values, dx, alpha):
+def _increments(values):
+    """A(h) for h = 1..n/2, each from its own shifted difference."""
     n = values.size
     doubled = np.concatenate((values, values))
-    best = 0.0
+    delta = np.empty(n)
+    increments = []
     for h in range(1, n // 2 + 1):
+        np.abs(np.subtract(doubled[h : h + n], values, out=delta), out=delta)
+        increments.append(float(delta.max()))
+    return increments
+
+
+def _full_scan(increments, dx, alpha):
+    best = 0.0
+    for h, a in enumerate(increments, 1):
         d = min(h * dx, TWO_PI - h * dx)
-        best = max(best, float(np.max(np.abs(doubled[h : h + n] - values))) / d**alpha)
+        best = max(best, a / d**alpha)
     return best
 
 
@@ -57,25 +67,28 @@ def _steepened():
     return theta0, inverse(s.theta_hat)
 
 
-# n = 1000: k = isqrt(500) = 22 does not divide n/2
-@pytest.mark.parametrize("n", [32, 64, 96, 1000, 4096])
+# n <= 256 evaluates every shift in one block. n = 1000: k = isqrt(500) = 22
+# does not divide n/2. n = 34 and 1002: n/2 is odd. n = 16384: a block holds
+# two windows, and the second level's stride is isqrt(isqrt(8192)) = 9.
+@pytest.mark.parametrize("n", [32, 34, 64, 96, 1000, 1002, 4096, 16384])
 def test_pruned_scan_equals_the_full_scan(n):
     grid = TorusGrid(n)
     for name, values in _fields(grid).items():
         f = RealField(grid, values)
+        increments = _increments(f.values)
         for alpha in ALPHAS:
-            assert holder_seminorm(f, alpha) == _full_scan(f.values, grid.dx, alpha), (name, alpha)
+            assert holder_seminorm(f, alpha) == _full_scan(increments, grid.dx, alpha), (name, alpha)
 
 
 def test_pruned_scan_equals_the_full_scan_on_a_steepened_field():
     theta0, f = _steepened()
     assert np.max(np.abs(np.diff(f.values))) > 2.0 * np.max(np.abs(np.diff(theta0.values)))
     for alpha in ALPHAS:
-        assert holder_seminorm(f, alpha) == _full_scan(f.values, f.grid.dx, alpha), alpha
+        assert holder_seminorm(f, alpha) == _full_scan(_increments(f.values), f.grid.dx, alpha), alpha
 
 
-# The cosine is the benchmark's datum (about 405 calls); on the von Mises bump
-# (about 477) the second bound term saves some 160 calls.
+# The cosine is the benchmark's datum (261 shifts); the von Mises bump takes
+# 293. One level of base shifts alone evaluated about 405 and 477.
 @pytest.mark.parametrize(
     "datum",
     [lambda x: 1.0 + 0.8 * np.cos(x), lambda x: np.exp(5.0 * (np.cos(x) - 1.0))],
@@ -86,12 +99,12 @@ def test_pruned_scan_evaluates_few_shifts(monkeypatch, datum):
     grid = TorusGrid(n)
     f = RealField(grid, datum(grid.points))
     calls = []
-    increment = regularity._increment
+    kernel = regularity._sup_increments
 
-    def spy(doubled, h, dx):
-        calls.append(h)
-        return increment(doubled, h, dx)
+    def spy(windows, shifts, sup, buf):
+        calls.extend(range(sup.size)[shifts])
+        return kernel(windows, shifts, sup, buf)
 
-    monkeypatch.setattr(regularity, "_increment", spy)
-    assert holder_seminorm(f, 0.2) == _full_scan(f.values, grid.dx, 0.2)
-    assert len(calls) == len(set(calls)) <= n // 8
+    monkeypatch.setattr(regularity, "_sup_increments", spy)
+    assert holder_seminorm(f, 0.2) == _full_scan(_increments(f.values), grid.dx, 0.2)
+    assert len(calls) == len(set(calls)) <= 320
