@@ -47,11 +47,12 @@ def test_records_loads_no_other_ccflab_module():
     assert proc.stdout.strip() == "['ccflab', 'ccflab.records']"
 
 
-def test_only_the_routes_that_call_them_import_scipy_and_the_pool(tmp_path):
+def test_no_route_imports_scipy_and_only_a_paying_sweep_imports_the_pool(tmp_path):
     """run, a one-worker sweep, a two-worker sweep whose work is below what a
-    pool costs and report load no scipy module and not the process pool's;
-    calibrate reaches zeta, so it loads scipy.special. The process may run on
-    two CPUs, so only the pool's cost keeps the two-worker sweep in-process."""
+    pool costs, report, verify and calibrate load no scipy module and not the
+    process pool's: the quadrature's zeta is computed in-house. The process may
+    run on two CPUs, so only the pool's cost keeps the two-worker sweep
+    in-process."""
     code = (
         "import contextlib, io, json, os, sys\n"
         f"sys.path.insert(0, {str(Path(ccflab.__file__).resolve().parent.parent)!r})\n"
@@ -64,18 +65,16 @@ def test_only_the_routes_that_call_them_import_scipy_and_the_pool(tmp_path):
         "gated = ['--gamma', '0.6,0.9', '--n', '64', '--t-end', '0.01', '--jobs', '2', '--out-dir', out + '/gated']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['run', *model]), main(['sweep', *model, '--jobs', '1']), main(['sweep', *gated]),\n"
-        "             main(['report', out + '/sweep.jsonl', '--out-dir', out])]\n"
-        "    before = heavy()\n"
-        "    codes.append(main(['calibrate', '--gamma', '0.9', '--n', '64']))\n"
-        "print(json.dumps([codes, before, 'scipy.special' in sys.modules]))\n"
+        "             main(['report', out + '/sweep.jsonl', '--out-dir', out]),\n"
+        "             main(['verify', '--n', '64']), main(['calibrate', '--gamma', '0.9', '--n', '64'])]\n"
+        "print(json.dumps([codes, heavy()]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    codes, loaded, special_after_calibrate = json.loads(proc.stdout)
-    assert codes == [0, 0, 0, 0, 0]
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 0, 0, 0]
     assert len((tmp_path / "gated" / "sweep.jsonl").read_text().splitlines()) == 2
     assert loaded == []
-    assert special_after_calibrate
 
 
 def test_no_full_spectrum_transform_is_reached(monkeypatch):

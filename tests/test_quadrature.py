@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
+from ccflab import operators
 from ccflab.operators import (
     CalibrationError,
     CgammaCalibration,
     _apply_quadrature,
     _half_shift,
+    _hurwitz_zeta,
     _kernel_weights,
     calibrate_cgamma,
     cordoba_identity_residual,
@@ -146,6 +148,41 @@ def _image_sum_kernel(n: int, gamma: float, images: int) -> np.ndarray:
     kern = sum(np.abs(y - 2.0 * np.pi * k) ** (-s) for k in range(-images, images + 1))
     q = y / (2.0 * np.pi)
     return kern + (2.0 * np.pi) ** (-s) * (zeta(s, images + 1 - q) + zeta(s, images + 1 + q))
+
+
+class TestHurwitzZeta:
+    """The in-house zeta against scipy's, which serves as the oracle. Both
+    round differently, so they agree to a few ulps, not bit for bit."""
+
+    @pytest.mark.parametrize("n", [32, 34, 4096, 65536])
+    @pytest.mark.parametrize("gamma", [1e-9, 1e-6, 0.3, 0.9, 1.0, 1.5, 1.999999])
+    def test_matches_scipy_at_the_kernel_arguments(self, n, gamma):
+        s = 1.0 + gamma
+        q = (-np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)) / (2.0 * np.pi)
+        for a in (1.0 - q, 1.0 + q):
+            want = zeta(s, a)
+            assert np.max(np.abs(_hurwitz_zeta(s, a) - want) / want) <= 1e-15
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 1.0])
+    def test_calibration_matches_a_scipy_kernel(self, monkeypatch, n, gamma):
+        grid = TorusGrid(n)
+        got = calibrate_cgamma(gamma, grid).c_gamma
+        _kernel_weights.cache_clear()
+        monkeypatch.setattr(operators, "_hurwitz_zeta", zeta)
+        try:
+            want = calibrate_cgamma(gamma, grid).c_gamma
+        finally:
+            _kernel_weights.cache_clear()
+        assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize(
+        "s, a",
+        [(1.0, 1.0), (3.0, 1.0), (np.nan, 1.0), (2.0, 0.0), (2.0, 2.0), (2.0, np.nan)],
+    )
+    def test_rejects_arguments_outside_its_domain(self, s, a):
+        with pytest.raises(ValueError, match="must"):
+            _hurwitz_zeta(s, np.array([1.0, a]))
 
 
 class TestHalfShift:
