@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--jobs", type=int,
         help="max worker processes, each running batches of cells of one n (default 1); fewer, or none, "
-             "when the pending cells' estimated time would not repay a pool's 0.04 s",
+             "when the pending cells' estimated time would not repay a pool's 0.05 s",
     )
     _add_cell_flags(p_sweep, _cmd_sweep)
 

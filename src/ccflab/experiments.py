@@ -235,11 +235,16 @@ BATCH_COEFFICIENTS = 1 << 12
 
 
 # What a worker pool adds to a sweep's wall time, beyond the serial time it
-# splits: fork, pickling each batch's cells out and its records back, join.
-# Measured as pool wall - serial wall / 2 at 2 workers (2-CPU x86-64, medians
-# of 6 alternating runs): 33-51 ms on six plans of 6 to 48 cells at n = 64
-# ... 1024, 1 ms on a seventh; an empty 2-worker pool's fork and join are 12 ms.
-POOL_COST_S = 0.04
+# splits: fork, pickling each batch's cells out and its records back, join,
+# and the uneven split of the batches. Measured as pool wall - serial wall / 2
+# at 2 workers (shared 2-CPU x86-64, 50 alternating pairs each): 53 ms on the
+# 48-cell policy plan (8 cosines x gamma 0.6/0.9/1.2 x n 64/128), a plan near
+# the gate; 154 ms on 24 cells at n = 64/1024, which 2 workers still take from
+# 0.80-0.93 s to 0.54-0.65 s. That share grows with the work, as two CPUs of
+# this host ran about 1.5x, not 2x, as fast as one, and no constant below
+# 0.27 s keeps that plan in-process, so the constant takes the figure of the
+# plan near the gate.
+POOL_COST_S = 0.05
 
 
 def _batch_seconds(control: StepControl, cells: Sequence[Cell]) -> float:
@@ -248,17 +253,19 @@ def _batch_seconds(control: StepControl, cells: Sequence[Cell]) -> float:
     (dt = min(dt_max, cfl*dx/max(1, ||H theta||_inf))), so it errs low, and
     an error low only keeps work in-process. The coefficients were fitted to
     solver._step_raw, solver._take_sample and regularity.holder_seminorm inside
-    sweeps (2-CPU x86-64): a step costs 90 us + 4 us a row + 0.15 us a
-    coefficient (1.25 ms for 124 rows at n = 64, 0.63 ms for 7 at n = 1024),
-    a snapshot 60 us + 2 us a row + 0.04 us a coefficient, and each tracked
-    Holder exponent of a row 10 us + 0.34 us a grid point at each snapshot
-    (0.032-0.036 ms at n = 64, 0.43-0.46 ms at 1024, 1.35-1.46 ms at 4096)."""
+    sweeps (2-CPU x86-64): a step costs 78 us + 0.2 us a row + 0.115 us a
+    coefficient (0.58 ms measured for 124 rows at n = 64, 0.37 ms for 6 at
+    n = 1024; 0.39 ms for one row at n = 4096 and 1.65 ms at 16384, where the
+    transforms' n log n outgrows the fit, which errs low), a snapshot 60 us +
+    2 us a row + 0.04 us a coefficient, and each tracked Holder exponent of a
+    row 10 us + 0.34 us a grid point at each snapshot (0.032-0.036 ms at
+    n = 64, 0.43-0.46 ms at 1024, 1.35-1.46 ms at 4096)."""
     n = cells[0][1].n
     rows, coefficients = len(cells), len(cells) * (n // 2 + 1)
     exponents = sum(len(diagnostics.holder_alphas) for _, _, diagnostics in cells)
     steps = control.t_end / min(control.dt_max, control.cfl * 2.0 * math.pi / n)
     snapshots = 1.0 + control.t_end / control.snapshot_every
-    step_s = 90e-6 + 4e-6 * rows + 0.15e-6 * coefficients
+    step_s = 78e-6 + 0.2e-6 * rows + 0.115e-6 * coefficients
     snapshot_s = 60e-6 + 2e-6 * rows + 0.04e-6 * coefficients + exponents * (10e-6 + 0.34e-6 * n)
     return steps * step_s + snapshots * snapshot_s
 
@@ -303,7 +310,7 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
     up to min(parallelism, pending cells, usable CPUs), the one that minimises
     E/W + POOL_COST_S*(W - 1), where E is the estimated serial seconds of the
     pending batches (_batch_seconds). W = 1 runs in-process, with no pool, so
-    a pool is forked only above about E = 2*POOL_COST_S = 0.08 s. Each batch's
+    a pool is forked only above E = 2*POOL_COST_S = 0.1 s. Each batch's
     records are appended to out_path when it returns, so the file, and the
     summary.csv rows `ccflab report` makes of it, are in batch order (sorted
     by first cell, each in plan order); a kill loses the batches still running

@@ -11,14 +11,17 @@ m = 0..n/2), one row per run, each row the layout of a SpectralField. run()
 is the one-row run_batch, which builds the kernel of its rows, and step() and
 nonlinear_term() pass their coefficients as a one-row stack to a cached
 kernel. Each row has its own gamma symbols and its own CFL dt. A batched
-step makes 9 real transforms, each over the whole stack: one irfft of
-H theta for the CFL speeds, then in each RK4 stage one irfft of every row's
-velocity and gradient and one rfft of their products. A snapshot makes one,
-an irfft of theta and theta_x of every row, and one table of diagnostics,
-whose rows the records take as their columns. Rows that reach a snapshot time
-sit out the steps the others still need, and a RunStopped ends its own row
-only, so each row's record is the one run() gives for it alone, bit for bit
-apart from wall_time.
+step makes 8 real transforms, each over the whole stack: in each RK4 stage
+one irfft of every row's velocity and gradient and one rfft of their
+products, and stage one's irfft also carries every row's undealiased
+H theta, whose largest magnitude is the row's CFL speed. The stages write
+into one _Work of buffers, which run_batch() allocates once for its stack
+and step() for its one call; only the new state is a fresh array. A snapshot
+makes one transform, an irfft of theta and theta_x of every row, and one
+table of diagnostics, whose rows the records take as their columns. Rows
+that reach a snapshot time sit out the steps the others still need, and a
+RunStopped ends its own row only, so each row's record is the one run() gives
+for it alone, bit for bit apart from wall_time.
 
 Detectors judge each recorded snapshot, and guards each state (the datum's
 first transform included) and each snapshot's diagnostics, all under one
@@ -163,7 +166,9 @@ class _Kernel:
 
     One-row kernels are shared through _kernel: nothing writes to their
     arrays once built, and the factors are replaced as one (dts, factors)
-    tuple, so a reader never pairs one dt with the factors of another.
+    tuple, so a reader never pairs one dt with the factors of another. The
+    buffers a step writes are a _Work, which belongs to the batch or to the
+    one step() call, never to a kernel.
     """
 
     def __init__(self, grid: TorusGrid, params: tuple[ModelParams, ...]):
@@ -191,13 +196,13 @@ class _Kernel:
         self._last = (None, None)
 
     def factors(self, dt: np.ndarray) -> tuple[np.ndarray, ...]:
-        """e^{-lam dt/2}, its square, twice it and dt times it, the factors of
-        an RK4 step at a (B, 1) column of row dts."""
+        """e^{-lam dt/2}, its square, twice it, dt times it, dt/2 and dt/6,
+        the factors of an RK4 step at a (B, 1) column of row dts."""
         key = dt.tobytes()
         last_key, last = self._last
         if key != last_key:
             half = np.exp(-self.lam * dt / 2.0)
-            last = half, half * half, 2.0 * half, dt * half
+            last = half, half * half, 2.0 * half, dt * half, dt / 2.0, dt / 6.0
             self._last = (key, last)
         return last
 
@@ -218,53 +223,100 @@ class _Kernel:
 _kernel = lru_cache(maxsize=8)(_Kernel)
 
 
-def _nonlinear_raw(h: np.ndarray, kernel: _Kernel) -> np.ndarray:
-    velocity, gradient = np.fft.irfft(kernel.velocity_gradient * h, kernel.n, norm="forward")
-    return np.fft.rfft(velocity * gradient, norm="forward") * kernel.mask
+class _Work:
+    """The buffers the IF-RK4 steps of a stack of up to B rows write: the
+    symbol x state spectra (H theta, velocity and gradient of every row),
+    their real rows, k1..k4, a stage input and e^{-lam dt} h. head(b) is the
+    _Work of the first b rows, views of these, so a batch allocates once."""
+
+    def __init__(self, rows: int, n: int):
+        m = n // 2 + 1
+        self.spectra = np.empty((3, rows, m), dtype=complex)
+        self.real = np.empty((3, rows, n))
+        self.k = np.empty((4, rows, m), dtype=complex)
+        self.stage = np.empty((rows, m), dtype=complex)
+        self.full_h = np.empty((rows, m), dtype=complex)
+
+    def head(self, b: int) -> _Work:
+        if b == len(self.stage):
+            return self
+        sub = copy.copy(self)
+        sub.spectra, sub.real, sub.k = self.spectra[:, :b], self.real[:, :b], self.k[:, :b]
+        sub.stage, sub.full_h = self.stage[:b], self.full_h[:b]
+        return sub
+
+
+def _nonlinear_raw(h: np.ndarray, kernel: _Kernel, work: _Work, stage: int) -> np.ndarray:
+    """The k of RK4 stage 0..3 at the stack h, in work.k[stage]: the dealiased
+    transform of H(theta)*theta_x of every row. Stage 0's irfft also gives
+    every row's undealiased velocity H theta, in work.real[0], for the CFL."""
+    first = 0 if stage == 0 else 1
+    spectra, real = work.spectra[first:], work.real[first:]
+    if stage == 0:
+        np.multiply(kernel.hilbert, h, out=spectra[0])
+    np.multiply(kernel.velocity_gradient, h, out=spectra[-2:])
+    np.fft.irfft(spectra, kernel.n, norm="forward", out=real)
+    velocity, gradient = real[-2:]
+    np.multiply(velocity, gradient, out=velocity)
+    k = np.fft.rfft(velocity, norm="forward", out=work.k[stage])
+    k *= kernel.mask
+    return k
 
 
 def nonlinear_term(theta_hat: SpectralField, p: ModelParams) -> SpectralField:
     """Transform of H(theta)*theta_x, pseudospectral, dealiased when enabled."""
     grid = theta_hat.grid
-    h = _nonlinear_raw(theta_hat.coeffs[None], _kernel(grid, (p,)))
+    # Only stage 0's transform carries the CFL row, which nothing reads here.
+    h = _nonlinear_raw(theta_hat.coeffs[None], _kernel(grid, (p,)), _Work(1, grid.n), 1)
     stops = _non_finite(h, [math.nan])
     if stops:
         raise stops[0]
     return SpectralField(grid, h[0])
 
 
-def _choose_dt(h, c: StepControl, kernel: _Kernel, t: np.ndarray, t_limit: float) -> list[float]:
-    # The CFL speed reads the undealiased state. Each row's dt is a few float
-    # operations, cheaper in Python than as numpy calls on a short stack.
-    velocity = np.fft.irfft(kernel.hilbert * h, kernel.n, norm="forward")
-    speeds = np.abs(velocity).max(axis=1).tolist()
+def _choose_dt(velocity, c: StepControl, kernel: _Kernel, t: np.ndarray, t_limit: float) -> list[float]:
+    # The CFL speed reads the undealiased velocity, stage one's row of H theta,
+    # which nothing reads after it. Each row's dt is a few float operations,
+    # cheaper in Python than as numpy calls on a short stack.
+    speeds = np.abs(velocity, out=velocity).max(axis=1).tolist()
     return [min(c.dt_max, c.cfl * kernel.dx / max(1.0, s), t_limit - ti) for s, ti in zip(speeds, t.tolist())]
 
 
-def _step_raw(h, t, c, kernel: _Kernel, t_limit):
+def _step_raw(h, t, c, kernel: _Kernel, t_limit, work: _Work):
     """One integrating-factor RK4 step of each row of the stack h from its time
     t, at its own CFL dt: the new states, their times, the dt of each row, and
     by position the RunStopped of each row that takes no step, because its dt
     fell below DT_FLOOR or its new state left floating point. Such a row keeps
-    its state and time, and its dt reads NaN."""
-    dts = _choose_dt(h, c, kernel, t, t_limit)
+    its state and time, and its dt reads NaN. The stages write into work; the
+    new states are a fresh array, in the operation order of
+    k2 = N(half (h + dt/2 k1)), k3 = N(half h + dt/2 k2), k4 = N(full h + dt half k3),
+    full h + dt/6 (full k1 + 2 half (k2 + k3) + k4), so every rounding is fixed."""
+    k1 = _nonlinear_raw(h, kernel, work, 0)
+    dts = _choose_dt(work.real[0], c, kernel, t, t_limit)
     stops = {
         i: RunStopped(Outcome.STEP_COLLAPSE, f"step size collapsed to {d:.3e} at t={t[i]:.6g}")
         for i, d in enumerate(dts) if d < DT_FLOOR
     }
     dt = np.array(dts)
-    tau = dt[:, None]
-    half, full, twice_half, tau_half = kernel.factors(tau)
-
-    def N(v):
-        return _nonlinear_raw(v, kernel)
-
-    k1 = N(h)
-    k2 = N(half * (h + tau / 2.0 * k1))
-    k3 = N(half * h + tau / 2.0 * k2)
-    full_h = full * h
-    k4 = N(full_h + tau_half * k3)
-    out = full_h + tau / 6.0 * (full * k1 + twice_half * (k2 + k3) + k4)
+    half, full, twice_half, tau_half, tau_2, tau_6 = kernel.factors(dt[:, None])
+    stage, full_h = work.stage, work.full_h
+    np.multiply(tau_2, k1, out=stage)
+    np.add(h, stage, out=stage)
+    np.multiply(half, stage, out=stage)
+    k2 = _nonlinear_raw(stage, kernel, work, 1)
+    np.multiply(half, h, out=stage)
+    np.add(stage, np.multiply(tau_2, k2, out=work.k[2]), out=stage)  # k3's buffer, before k3
+    k3 = _nonlinear_raw(stage, kernel, work, 2)
+    np.multiply(full, h, out=full_h)
+    np.add(full_h, np.multiply(tau_half, k3, out=stage), out=stage)
+    k4 = _nonlinear_raw(stage, kernel, work, 3)
+    np.multiply(full, k1, out=k1)
+    k2 += k3
+    np.multiply(twice_half, k2, out=k2)
+    k1 += k2
+    k1 += k4
+    np.multiply(tau_6, k1, out=k1)
+    out = full_h + k1
     t_new = t + dt
     stops = {**_non_finite(out, t_new), **stops}
     if stops:
@@ -278,8 +330,12 @@ def step(s: SolverState, p: ModelParams, c: StepControl, t_limit: float | None =
     overshoots a snapshot boundary. A collapsed or non-finite step raises RunStopped."""
     grid = s.theta_hat.grid
     limit = c.t_end if t_limit is None else t_limit
+    if math.isnan(limit):
+        raise ValueError("t_limit must be a number, got nan")
     with np.errstate(over="ignore", invalid="ignore"):
-        h, t, _, stops = _step_raw(s.theta_hat.coeffs[None], np.array([s.t]), c, _kernel(grid, (p,)), limit)
+        h, t, _, stops = _step_raw(
+            s.theta_hat.coeffs[None], np.array([s.t]), c, _kernel(grid, (p,)), limit, _Work(1, grid.n)
+        )
     if stops:
         raise stops[0]
     return SolverState(t=float(t[0]), theta_hat=SpectralField(grid, h[0]))
@@ -422,12 +478,15 @@ def run_batch(
     wall_time, which is the batch's wall time divided by B.
     """
     started = time.perf_counter()
+    if not rows:
+        raise ValueError("run_batch needs at least one row, got an empty batch")
     grid = rows[0][0].grid
     if any(theta0.grid != grid for theta0, *_ in rows):
         raise ValueError("the rows of a batch must share one grid")
     params = tuple(p for _, p, _, _ in rows)
     kernel = _Kernel(grid, params)
     count = len(rows)
+    work = _Work(count, grid.n)
     tables, holders = [[] for _ in rows], [[] for _ in rows]  # each row's snapshot rows and Holder values
     t, steps = np.zeros(count), np.zeros(count, dtype=int)
     dt_lo, dt_hi = np.full(count, math.inf), np.zeros(count)
@@ -439,10 +498,10 @@ def run_batch(
             moving = _running(t, stops, target)
             while moving.size:
                 # The moving rows step as one stack until one of them stops or arrives.
-                sub, hm, tm = kernel.rows(moving), h[moving], t[moving]
+                sub, sub_work, hm, tm = kernel.rows(moving), work.head(moving.size), h[moving], t[moving]
                 taken, lo, hi = 0, dt_lo[moving], dt_hi[moving]
                 while True:
-                    hm, tm, dt, stopped = _step_raw(hm, tm, c, sub, target)
+                    hm, tm, dt, stopped = _step_raw(hm, tm, c, sub, target, sub_work)
                     taken += 1
                     np.fmin(lo, dt, out=lo)  # a stopped row's NaN dt is skipped
                     np.fmax(hi, dt, out=hi)

@@ -4,7 +4,7 @@ row's record is the one run() gives for it alone.
 The first tests pin the numpy facts the batch rests on: a transform, an exp
 or a sum taken over a stack equals (==) the same call on each row. They run
 under whichever numpy is installed, so CI's floor-dependency job checks them
-under numpy 1.24 too.
+under numpy 2.0 too.
 """
 
 import time
@@ -16,7 +16,7 @@ from ccflab import solver
 from ccflab.experiments import BATCH_COEFFICIENTS, cosine_positive, li_rodrigo_type, make_datum, von_mises_bump
 from ccflab.records import DiagnosticsSample, Outcome, record_to_dict
 from ccflab.regularity import holder_alphas, sobolev_weights
-from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, run, run_batch
+from ccflab.solver import DiagnosticPlan, ModelParams, SolverState, StepControl, run, run_batch, step
 from ccflab.torus import RealField, SpectralField, TorusGrid, tail_fraction
 
 SIZES = [32, 64, 96, 128, 1024, 4096]
@@ -110,8 +110,8 @@ class TestRunBatch:
         stop as they do alone; the rows beside them run on."""
         nonlinear = solver._nonlinear_raw
 
-        def poisoned(h, kernel):
-            out = nonlinear(h, kernel)
+        def poisoned(h, kernel, work, stage):
+            out = nonlinear(h, kernel, work, stage)
             out[h[:, 0].real > 2.5] = np.inf  # rows with mean above 2.5
             return out
 
@@ -183,3 +183,129 @@ class TestRunBatch:
             run_batch([MIXED[0], row], CONTROL)
         with pytest.raises(ValueError, match="n mismatch"):
             run_batch([(MIXED[0][0], ModelParams(gamma=0.9, n=128), DiagnosticPlan(), None)], CONTROL)
+
+    def test_an_empty_batch_is_a_value_error(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            run_batch([], CONTROL)
+
+
+def _stack_of(rows):
+    """The (B, n//2+1) state stack of batch rows at t = 0, and their kernel."""
+    stack = np.fft.rfft(np.stack([theta0.values for theta0, *_ in rows]), norm="forward")
+    return stack, solver._Kernel(rows[0][0].grid, tuple(p for _, p, _, _ in rows))
+
+
+def _expression_step(h, t, kernel):
+    """One IF-RK4 step of the stack h to at most t = 0.2 under CONTROL,
+    written as expressions: the new states and the row dts."""
+
+    def nonlinear(v):
+        velocity, gradient = np.fft.irfft(kernel.velocity_gradient * v, N, norm="forward")
+        return np.fft.rfft(velocity * gradient, norm="forward") * kernel.mask
+
+    speeds = np.abs(np.fft.irfft(GRID.hilbert_mult * h, N, norm="forward")).max(axis=1)
+    c = CONTROL
+    dt = np.array([min(c.dt_max, c.cfl * GRID.dx / max(1.0, s), 0.2 - ti) for s, ti in zip(speeds.tolist(), t.tolist())])
+    tau = dt[:, None]
+    half = np.exp(-kernel.lam * tau / 2.0)
+    full = half * half
+    k1 = nonlinear(h)
+    k2 = nonlinear(half * (h + tau / 2.0 * k1))
+    k3 = nonlinear(half * h + tau / 2.0 * k2)
+    k4 = nonlinear(full * h + tau * half * k3)
+    return full * h + tau / 6.0 * (full * k1 + 2.0 * half * (k2 + k3) + k4), dt
+
+
+class TestOneStep:
+    """One IF-RK4 step of a stack: its transforms, its CFL speeds and the
+    buffers its stages write."""
+
+    def test_a_step_makes_eight_transforms_and_a_snapshot_one(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return call
+
+        stack, kernel = _stack_of(MIXED[:3])
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        solver._step_raw(stack, np.zeros(3), CONTROL, kernel, 0.2, solver._Work(3, N))
+        assert calls == ["irfft", "rfft"] * 4
+        calls.clear()
+        solver._take_sample(stack, np.zeros(3), kernel, [DiagnosticPlan()] * 3)
+        assert calls == ["irfft"]
+
+    def test_stage_one_carries_each_rows_cfl_speed(self, monkeypatch):
+        """The speeds a step's dts read, from stage one's transform, are those
+        of each row's undealiased H theta, whatever its gamma and switches."""
+        rows = MIXED[:3] + [MIXED[5], _row(von_mises_bump(2.0), 0.7)]
+        rows.append((rows[0][0], ModelParams(gamma=0.5, n=N, dealias_on=False), DiagnosticPlan(), None))
+        rows.append((rows[2][0], ModelParams(gamma=1.5, n=N, linear_only=True), DiagnosticPlan(), None))
+        stack, kernel = _stack_of(rows)
+        seen, choose = [], solver._choose_dt
+
+        def spy(velocity, *args):
+            seen.append(np.abs(velocity).max(axis=1))
+            return choose(velocity, *args)
+
+        monkeypatch.setattr(solver, "_choose_dt", spy)
+        solver._step_raw(stack, np.zeros(len(rows)), CONTROL, kernel, 0.2, solver._Work(len(rows), N))
+        want = np.abs(np.fft.irfft(GRID.hilbert_mult * stack, N, norm="forward")).max(axis=1)
+        assert len(seen) == 1 and seen[0].tolist() == want.tolist()
+        assert want.min() < 1.0 < want.max()  # the speeds below 1 set no dt, but are read
+
+    def test_a_step_equals_its_expressions_bit_for_bit(self):
+        """Ten steps of a mixed stack equal (==) the step written as the
+        expressions it evaluates, with a temporary for each and a CFL
+        transform of its own: the buffers change no rounding."""
+        rows = MIXED[:3] + [MIXED[5], (MIXED[0][0], ModelParams(gamma=0.5, n=N, dealias_on=False), DiagnosticPlan(), None)]
+        h, kernel = _stack_of(rows)
+        t, want_h, want_t = np.zeros(len(rows)), h, np.zeros(len(rows))
+        work = solver._Work(len(rows), N)
+        for _ in range(10):
+            h, t, dt, stops = solver._step_raw(h, t, CONTROL, kernel, 0.2, work)
+            want_h, want_dt = _expression_step(want_h, want_t, kernel)
+            want_t = want_t + want_dt
+            assert stops == {} and dt.tolist() == want_dt.tolist() and t.tolist() == want_t.tolist()
+            assert h.tobytes() == want_h.tobytes()
+
+    def test_the_new_state_is_a_fresh_array(self):
+        stack, kernel = _stack_of(MIXED[:3])
+        work = solver._Work(3, N)
+        before = stack.copy()
+        out, *_ = solver._step_raw(stack, np.zeros(3), CONTROL, kernel, 0.2, work)
+        buffers = (work.spectra, work.real, work.k, work.stage, work.full_h)
+        assert not any(np.shares_memory(out, b) for b in (stack, *buffers))
+        assert np.array_equal(stack, before)
+
+    def test_kept_states_equal_a_fresh_rerun(self):
+        """Each state of a 20-step step() chain, of two chains stepped in turn
+        on one cached kernel, and each record of two run()s on one grid, kept
+        while later steps ran, equals what a fresh rerun gives."""
+        p, c = ModelParams(gamma=0.9, n=N), StepControl(t_end=1.0)
+        data = [make_datum(cosine_positive(a, a), GRID) for a in (1.0, 3.0)]
+
+        def chain(theta0):
+            states = [SolverState(t=0.0, theta_hat=SpectralField(GRID, np.fft.rfft(theta0.values, norm="forward")))]
+            for _ in range(20):
+                states.append(step(states[-1], p, c))
+            return states
+
+        def key(state):
+            return state.t, state.theta_hat.coeffs.tobytes()
+
+        kept = chain(data[0])
+        together = [chain(data[0])[:1], chain(data[1])[:1]]
+        for _ in range(20):
+            for states in together:
+                states.append(step(states[-1], p, c))
+        solver._kernel.cache_clear()
+        fresh = [chain(theta0) for theta0 in data]
+        assert list(map(key, kept)) == list(map(key, fresh[0]))
+        assert [list(map(key, s)) for s in together] == [list(map(key, s)) for s in fresh]
+        assert len({key(s) for s in kept}) == 21
+        records = [run(theta0, p, CONTROL) for theta0 in data]
+        assert [_comparable(r) for r in records] == [_comparable(run(theta0, p, CONTROL)) for theta0 in data]

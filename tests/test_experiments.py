@@ -647,20 +647,24 @@ class TestPoolGate:
         assert all(r.outcome is Outcome.COMPLETED for r in sweep(plan, tmp_path / "sweep.jsonl"))
         assert gated_pools == []
 
+    def test_a_plan_where_a_pool_breaks_even_runs_in_process(self, tmp_path, gated_pools):
+        """8 cosines x gamma 0.6/0.9/1.2 x n 64/128, each gamma < 1 cell
+        tracking its policy exponent: estimated at 0.089 s, just below the
+        gate, where a pool about breaks even (0.12 s on 1 worker, 0.10-0.14 s
+        on 2)."""
+        plan = SweepPlan((0.6, 0.9, 1.2), _cosines(8), (64, 128), holder_alphas=None,
+                         control=StepControl(t_end=1.0, dt_max=0.025, snapshot_every=0.025), parallelism=2)
+        assert len(sweep(plan, tmp_path / "sweep.jsonl")) == len(plan.cells())
+        assert gated_pools == []
+
     @pytest.mark.parametrize(
         "plan",
         [
-            # 8 cosines x gamma 0.6/0.9/1.2 x n 64/128, each gamma < 1 cell
-            # tracking its policy exponent: estimated at 0.10 s, just above
-            # the gate, where a pool about breaks even (0.12 s on 1 worker,
-            # 0.13 s on 2).
-            SweepPlan((0.6, 0.9, 1.2), _cosines(8), (64, 128), holder_alphas=None,
-                      control=StepControl(t_end=1.0, dt_max=0.025, snapshot_every=0.025), parallelism=2),
-            # 24 cells at n = 1024: 0.21 s on 1 worker, 0.16 s on 2.
+            # 24 cells at n = 1024: 0.16-0.24 s on 1 worker, 0.11 s on 2.
             SweepPlan((0.6, 0.9, 1.2), _cosines(8), (1024,),
                       control=StepControl(t_end=0.2, dt_max=0.01, snapshot_every=0.02), parallelism=2),
         ],
-        ids=["48-cell-policy", "24-cell-n1024"],
+        ids=["24-cell-n1024"],
     )
     def test_plans_the_pool_pays_for_build_two_workers(self, plan, tmp_path, gated_pools):
         assert len(sweep(plan, tmp_path / "sweep.jsonl")) == len(plan.cells())

@@ -243,6 +243,13 @@ class TestStep:
         s = step(s, ModelParams(gamma=0.9, n=64), c, t_limit=0.005)
         assert s.t <= 0.005 + 1e-15
 
+    def test_a_nan_limit_is_a_value_error(self):
+        """min() would drop a NaN limit and take a full dt_max step."""
+        grid = TorusGrid(64)
+        s = SolverState(t=0.0, theta_hat=forward(RealField(grid, 1.0 + np.cos(grid.points))))
+        with pytest.raises(ValueError, match="t_limit"):
+            step(s, ModelParams(gamma=0.9, n=64), StepControl(t_end=1.0), t_limit=float("nan"))
+
 
 class TestTemporalConvergence:
     def test_fourth_order_in_dt(self):
@@ -502,7 +509,8 @@ class TestStopPaths:
 
     def test_non_finite_state(self, monkeypatch):
         """The step that would leave floating point is not counted; its end time is named."""
-        monkeypatch.setattr(solver, "_nonlinear_raw", lambda h, kernel: np.full_like(h, np.inf))
+        nonlinear = solver._nonlinear_raw
+        monkeypatch.setattr(solver, "_nonlinear_raw", lambda *args: np.full_like(nonlinear(*args), np.inf))
         rec = run(self.SMOOTH, self.P, self.C)
         assert _stop(rec) == (Outcome.BLOWUP_SUSPECTED, "non-finite state at t=0.01", 1, 0)
         with pytest.raises(RuntimeError, match=r"^non-finite state at t=nan$"):
