@@ -79,6 +79,11 @@ class SampleTable:
     DiagnosticsSample field, read as an attribute (table.l2), and in holder
     one per tracked exponent. table[i] is one sample, a DiagnosticsSample;
     table[a:b] is a table. Equal tables hold equal columns, NaN equal to NaN.
+
+    The columns are the rows of one 2-D float64 array: the scalar fields in
+    SCALAR_FIELDS order, then each exponent's. The constructor copies its
+    argument into one; the record loader decodes a line's columns into one
+    and hands it over whole.
     """
 
     __slots__ = _SAMPLE_FIELDS
@@ -87,10 +92,15 @@ class SampleTable:
         """columns: each float field's values, and under "holder" each exponent's."""
         holder = columns["holder"]
         data = np.array([*(columns[name] for name in SCALAR_FIELDS), *holder.values()], dtype=np.float64)
+        self._hold(data, holder)
+
+    def _hold(self, data: np.ndarray, alphas) -> None:
+        """Take data's rows, uncopied, as the columns: the scalar fields', then
+        one per exponent in alphas. data becomes read-only."""
         data.flags.writeable = False
         for name, column in zip(SCALAR_FIELDS, data):
             object.__setattr__(self, name, column)
-        holder = dict(zip(map(float, holder), data[len(SCALAR_FIELDS):]))
+        holder = dict(zip(map(float, alphas), data[len(SCALAR_FIELDS):]))
         object.__setattr__(self, "holder", MappingProxyType(holder))
 
     def __setattr__(self, name, value):
@@ -222,23 +232,23 @@ def _sample_columns(rows: list) -> dict:
     return columns
 
 
-def _number_column(values, size: int | None, what: str) -> np.ndarray:
+def _number_column(values, size: int | None, what: str) -> bytes:
     """A schema 1 or 2 column, an array of size JSON numbers (any number when
-    size is None), as float64; else a ValueError naming what."""
+    size is None), as little-endian float64 bytes; else a ValueError naming what."""
     _expect(values, list, what)
     if size is not None and len(values) != size:
         raise ValueError(f"{what} holds {len(values)} values, sample 't' holds {size}")
     if not _NUMBER_TYPES.issuperset(map(type, values)):
         raise ValueError(f"{what} must hold only JSON numbers")
     try:
-        return np.array(values, dtype=np.float64)
+        return np.array(values, dtype="<f8").tobytes()
     except OverflowError:
         raise ValueError(f"{what} holds an integer too large for a float64") from None
 
 
-def _base64_column(value, size: int | None, what: str) -> np.ndarray:
+def _base64_column(value, size: int | None, what: str) -> bytes:
     """A schema 3 column, a base64 string of size little-endian float64 values
-    (any number when size is None), as float64; else a ValueError naming what."""
+    (any number when size is None), decoded; else a ValueError naming what."""
     _expect(value, str, what)
     try:
         data = base64.b64decode(value, validate=True)
@@ -248,7 +258,7 @@ def _base64_column(value, size: int | None, what: str) -> np.ndarray:
         raise ValueError(f"{what} holds {len(data)} bytes, not a whole number of float64 values")
     if size is not None and len(data) != 8 * size:
         raise ValueError(f"{what} holds {len(data)} bytes, not {8 * size} (8 per value of sample 't')")
-    return np.frombuffer(data, "<f8")
+    return data
 
 
 # How each schema version stores one sample column.
@@ -257,23 +267,28 @@ _COLUMN_READERS = {1: _number_column, 2: _number_column, 3: _base64_column}
 
 def _table_from_columns(d: dict, read_column) -> SampleTable:
     """Samples in the column layout, each column read and checked once by
-    read_column: _number_column for schema 1 and 2, _base64_column for 3."""
+    read_column (_number_column for schema 1 and 2, _base64_column for 3) into
+    its little-endian float64 bytes. The bytes are joined, and the table holds
+    one read-only array over them, each column a row of it."""
     d = _expect(d, dict, "record 'samples'")
     try:
         columns = {name: d[name] for name in _SAMPLE_FIELDS}
     except KeyError as exc:
         raise ValueError(f"sample is missing key {exc.args[0]!r}") from None
     t = read_column(columns["t"], None, "sample 't'")
-    read = {name: read_column(columns[name], len(t), f"sample {name!r}") for name in SCALAR_FIELDS if name != "t"}
+    size = len(t) // 8
+    read = [t if name == "t" else read_column(columns[name], size, f"sample {name!r}") for name in SCALAR_FIELDS]
     keys: dict[float, str] = {}  # each exponent read so far, and the key that named it
-    read["holder"] = {}
     for key, values in _expect(columns["holder"], dict, "sample 'holder'").items():
         alpha = _exponent(key)
         if alpha in keys:
             raise ValueError(f"sample 'holder' keys {keys[alpha]!r} and {key!r} name one exponent {alpha!r}")
         keys[alpha] = key
-        read["holder"][alpha] = read_column(values, len(t), f"sample 'holder' {key!r}")
-    return SampleTable({"t": t, **read})
+        read.append(read_column(values, size, f"sample 'holder' {key!r}"))
+    data = np.frombuffer(b"".join(read), "<f8").reshape(len(read), size).astype(np.float64, copy=False)
+    table = SampleTable.__new__(SampleTable)
+    table._hold(data, keys)
+    return table
 
 
 def _exponent(key: str) -> float:

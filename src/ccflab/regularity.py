@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .records import Outcome, RunRecord
+from .records import Outcome, RunRecord, SampleTable
 from .torus import TAIL_LIMIT, TWO_PI, RealField, SpectralField, TorusGrid
 
 # Relative pad on the Holder pruning bound. A computed increment and a computed
@@ -385,24 +385,80 @@ def energy_inequality_probe(record: RunRecord) -> ProbeReport:
 
     X is the homogeneous H^{3/2} norm series, D the H^{(3+gamma)/2} series at
     the record's config gamma; d(X^2)/dt uses second-order differences
-    (centered inside, one-sided at the ends). Records whose tail fraction ever
-    passes torus.TAIL_LIMIT are refused: their high-mode content makes the norm
-    series meaningless.
+    (centered inside, one-sided at the ends). A ValueError refuses, checked in
+    this order, a record that did not complete, has fewer than 3 snapshots,
+    has snapshot times that do not strictly increase, has a tail fraction
+    that ever passes torus.TAIL_LIMIT (its high-mode content makes the norm
+    series meaningless) or has no model gamma. This is
+    energy_inequality_probes over one record.
     """
+    (result,) = energy_inequality_probes([record])
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
+def energy_inequality_probes(records: list[RunRecord]) -> list[ProbeReport | ValueError]:
+    """energy_inequality_probe over many records: each record's ProbeReport,
+    or the ValueError refusing it, in order.
+
+    The records that pass the refusal checks are grouped by their exact time
+    grid, and d(X^2)/dt is one np.gradient call per group. That call does the
+    one-record call's arithmetic per element, so each fit is the same (==).
+    """
+    results: list[ProbeReport | ValueError | None] = [None] * len(records)
+    increasing: dict[bytes, bool] = {}  # each time grid's bytes, and whether its times strictly increase
+    grids: dict[bytes, list[tuple[int, float]]] = {}  # each time grid's bytes, and its records' (index, gamma)
+    for i, record in enumerate(records):
+        t = record.samples.t
+        key = t.tobytes()
+        if key not in increasing:
+            increasing[key] = bool(np.all(np.diff(t) > 0.0))
+        try:
+            gamma = _probe_gamma(record, increasing[key])
+        except ValueError as exc:
+            # Kept without its traceback, whose frames hold results: a cycle
+            # that would keep every record alive until the cyclic collector ran.
+            results[i] = exc.with_traceback(None)
+        else:
+            grids.setdefault(key, []).append((i, gamma))
+    for members in grids.values():
+        x = np.array([records[i].samples.hdot_three_half for i, _ in members])
+        dx2 = np.gradient(x * x, records[members[0][0]].samples.t, axis=1, edge_order=2)
+        for (i, gamma), row in zip(members, dx2):
+            try:
+                results[i] = _fit_probe(records[i].samples, gamma, row)
+            except ValueError as exc:  # a fit that leaves float64 has no T1
+                results[i] = exc.with_traceback(None)
+    return results
+
+
+def _probe_gamma(record: RunRecord, increasing: bool) -> float:
+    """The record's model gamma once the probe's refusal checks pass, in the
+    order energy_inequality_probe lists them, and gamma is in (0, 1]; else
+    the refusing ValueError. increasing: whether the record's times strictly
+    increase."""
     if record.outcome is not Outcome.COMPLETED:
         raise ValueError(f"probe refused: record outcome is {record.outcome.value}")
     samples = record.samples
     if len(samples) < 3:
         raise ValueError("probe needs at least 3 snapshots")
+    if not increasing:
+        raise ValueError("probe needs strictly increasing snapshot times")
     worst_tail = samples.tail_fraction.max()
     if worst_tail > TAIL_LIMIT:
         raise ValueError(f"probe refused: record tail fraction {worst_tail:.3e} exceeds {TAIL_LIMIT}")
     gamma = record.config.get("model", {}).get("gamma")
     if gamma is None:
         raise ValueError("probe refused: record config has no model gamma")
+    t_local_exponents(gamma)  # a ValueError for a gamma outside (0, 1]
+    return gamma
+
+
+def _fit_probe(samples: SampleTable, gamma: float, dx2: np.ndarray) -> ProbeReport:
+    """The probe's fit on samples, given d(X^2)/dt at their times."""
     e1, e2 = t_local_exponents(gamma)
-    t, x, d, l2_0 = samples.t, samples.hdot_three_half, samples.hdot_mid, float(samples.l2[0])
-    dx2 = np.gradient(x * x, t, edge_order=2)
+    x, d, l2_0 = samples.hdot_three_half, samples.hdot_mid, float(samples.l2[0])
     numerator = 0.5 * dx2 + 0.5 * d * d
     denominator = x ** (2.0 + e2) * l2_0**e1
     usable = denominator > 0.0

@@ -69,10 +69,11 @@ def build_summary(records: list[RunRecord]) -> list[dict]:
     max_holder_after_tstar is its maximum over snapshots with t > T* for the
     former when T* applies (regularity.predicted_t_star, asked when the record
     holds null, which also stands for a T* beyond float64), else over those
-    with t > 0. fitted_c comes from the energy probe, blank when it refuses.
+    with t > 0. fitted_c comes from the energy probe (one
+    regularity.energy_inequality_probes call), blank when it refuses.
     """
     rows = []
-    for record in records:
+    for record, probe in zip(records, regularity.energy_inequality_probes(records)):
         model = record.config.get("model", {})
         gamma = float(model.get("gamma", 0.0))
         holder = record.samples.holder if record.samples else {}
@@ -92,10 +93,6 @@ def build_summary(records: list[RunRecord]) -> list[dict]:
         if alpha is not None:
             tail = holder[alpha][record.samples.t > (cutoff or 0.0)]
             max_holder = max(tail.tolist(), default=None)
-        try:
-            fitted_c = regularity.energy_inequality_probe(record).fitted_c
-        except ValueError:
-            fitted_c = None
         rows.append(
             {
                 "gamma": gamma,
@@ -104,7 +101,7 @@ def build_summary(records: list[RunRecord]) -> list[dict]:
                 "outcome": record.outcome.value,
                 "holder_alpha": alpha,
                 "max_holder_after_tstar": max_holder,
-                "fitted_c": fitted_c,
+                "fitted_c": None if isinstance(probe, ValueError) else probe.fitted_c,
                 "t_star_predicted": record.t_star_predicted,
                 "t_local_predicted": record.t_local_predicted,
             }

@@ -242,6 +242,62 @@ class TestSampleTable:
             assert not any(column.flags.writeable for column in record.samples.holder.values())
 
 
+def _column_by_column(payload: dict) -> SampleTable:
+    """A loaded line's samples built through SampleTable's constructor, one
+    array per column, read as the line's schema stores it."""
+    if payload["schema_version"] < 3:
+        columns = _as_written(payload)
+    else:
+        decode = lambda column: np.frombuffer(base64.b64decode(column), "<f8")  # noqa: E731
+        samples = payload["samples"]
+        columns = {name: decode(column) for name, column in samples.items() if name != "holder"}
+        columns["holder"] = {float(a): decode(column) for a, column in samples["holder"].items()}
+    return SampleTable(columns)
+
+
+class TestOneBufferDecode:
+    """The loader decodes a line's columns into one buffer and hands it to the table."""
+
+    @pytest.fixture(params=["schema_1", "schema_2", "schema_3"])
+    def path(self, request, tmp_path):
+        if request.param == "schema_1":
+            return SCHEMA_1_FILE
+        if request.param == "schema_2":
+            return SCHEMA_2_FILE
+        path = tmp_path / "runs.jsonl"
+        for record in load_records(SCHEMA_2_FILE):
+            append_record(path, record)
+        return path
+
+    def test_a_loaded_table_equals_the_table_built_column_by_column(self, path):
+        payloads = [json.loads(line) for line in path.read_text().splitlines()]
+        for record, payload in zip(load_records(path), payloads, strict=True):
+            built = _column_by_column(payload)
+            assert record.samples == built
+            for name in SCALAR_FIELDS:
+                assert getattr(record.samples, name).tobytes() == getattr(built, name).tobytes(), name
+            assert [(a, v.tobytes()) for a, v in record.samples.holder.items()] == [
+                (a, v.tobytes()) for a, v in built.holder.items()
+            ]
+
+    def test_every_column_is_a_read_only_float64_row_of_one_buffer(self, path):
+        for record in load_records(path):
+            columns = [*(getattr(record.samples, name) for name in SCALAR_FIELDS), *record.samples.holder.values()]
+            assert all(c.dtype == np.float64 and c.shape == (len(record.samples),) for c in columns)
+            assert not any(c.flags.writeable for c in columns)
+            assert len({id(c.base) for c in columns}) == 1
+
+    def test_a_loaded_table_pickles_and_slices_back_equal(self, path):
+        for record in load_records(path):
+            samples = record.samples
+            back = pickle.loads(pickle.dumps(samples))
+            assert back == samples and not back.l2.flags.writeable
+            head = samples[1:4]
+            columns = {name: getattr(samples, name)[1:4] for name in SCALAR_FIELDS}
+            assert head == SampleTable({**columns, "holder": {a: v[1:4] for a, v in samples.holder.items()}})
+            assert list(head) == [samples[1], samples[2], samples[3]]
+
+
 class TestSerialization:
     def test_round_trip_preserves_floats_exactly(self):
         rec = _record()

@@ -2,7 +2,10 @@
 schedule, T*, T1, gamma_1, and the energy-inequality probe."""
 
 import dataclasses
+import gc
 import math
+import warnings
+import weakref
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -12,6 +15,7 @@ from ccflab.regularity import (
     RegularityConstants,
     alpha_policy,
     energy_inequality_probe,
+    energy_inequality_probes,
     gamma_one,
     gamma_one_condition,
     holder_alphas,
@@ -26,8 +30,9 @@ from ccflab.regularity import (
     tracked_schedule_alpha,
     validate_schedule_params,
 )
+from ccflab.records import SCALAR_FIELDS, Outcome, RunRecord, SampleTable
 from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, run
-from ccflab.torus import RealField, TorusGrid, forward
+from ccflab.torus import TAIL_LIMIT, RealField, TorusGrid, forward
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -475,3 +480,122 @@ class TestEnergyProbe:
         assert rec.outcome.value != "Completed"
         with pytest.raises(ValueError, match="probe refused"):
             energy_inequality_probe(rec)
+
+
+def _probe_record(t, x, d, l2_0=1.5, gamma=0.9, outcome=Outcome.COMPLETED, tail=1e-20):
+    """A record holding the series the probe reads: times t, X = x, D = d."""
+    size = len(t)
+    columns = {name: np.ones(size) for name in SCALAR_FIELDS}
+    columns.update(t=t, hdot_three_half=x, hdot_mid=d, l2=np.full(size, l2_0), tail_fraction=np.full(size, tail))
+    model = {} if gamma is None else {"gamma": gamma}
+    return RunRecord(config={"model": model}, samples=SampleTable({**columns, "holder": {}}), outcome=outcome)
+
+
+def _per_record_fit(record):
+    """The probe's fit as one record's own np.gradient call gives it."""
+    samples, gamma = record.samples, record.config["model"]["gamma"]
+    e1, e2 = t_local_exponents(gamma)
+    t, x, d, l2_0 = samples.t, samples.hdot_three_half, samples.hdot_mid, float(samples.l2[0])
+    numerator = 0.5 * np.gradient(x * x, t, edge_order=2) + 0.5 * d * d
+    denominator = x ** (2.0 + e2) * l2_0**e1
+    usable = denominator > 0.0
+    fitted = float(np.max(numerator[usable] / denominator[usable])) if np.any(usable) else 0.0
+    t1 = None
+    if fitted > 0.0 and x[0] > 0.0:
+        t1 = t_local(gamma, l2_0, float(x[0]), RegularityConstants(C1=fitted))
+    return fitted, t1
+
+
+@pytest.fixture(scope="module")
+def mixed_records():
+    """Records for the batched probe: 64 on one time grid and 128 on a second
+    that differs from it in the last bits, two on a uniform grid, an all-zero X
+    series, and one record for each refusal."""
+    rng = np.random.default_rng(7)
+    size = 41
+    grid = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.03, size - 1))))
+    nudged = grid.copy()
+    nudged[1::3] = np.nextafter(nudged[1::3], np.inf)
+    uniform = 0.25 * np.arange(size)  # equal spacings: np.gradient's scalar-spacing path
+
+    def series(t, gamma):
+        x = rng.uniform(0.5, 2.0) * np.exp(rng.uniform(-3.0, 1.0) * t) + rng.uniform(0.0, 0.01, size)
+        d = rng.choice([1e-3, 1.0]) * rng.uniform(0.0, 1.0, size)
+        return _probe_record(t, x, d, rng.uniform(0.5, 3.0), gamma)
+
+    on_grids = [series(grid, rng.uniform(0.2, 1.0)) for _ in range(64)]
+    on_grids += [series(nudged, rng.uniform(0.2, 1.0)) for _ in range(128)]
+    on_grids += [series(uniform, 0.5), series(uniform, 1.0)]
+    base = on_grids[0].samples
+    t, x, d = base.t, base.hdot_three_half, base.hdot_mid
+    refused = {
+        "gamma must be in (0, 1], got 1.2": _probe_record(t, x, d, gamma=1.2),
+        "probe refused: record config has no model gamma": _probe_record(t, x, d, gamma=None),
+        "probe refused: record outcome is BlowupSuspected": _probe_record(t, x, d, outcome=Outcome.BLOWUP_SUSPECTED),
+        "probe needs at least 3 snapshots": _probe_record(t[:2], x[:2], d[:2]),
+        f"probe refused: record tail fraction 2.000e-04 exceeds {TAIL_LIMIT}": _probe_record(t, x, d, tail=2 * TAIL_LIMIT),
+        "probe needs strictly increasing snapshot times": _probe_record([0.0, 0.5, 0.5, 1.0], [1.0] * 4, [1.0] * 4),
+    }
+    zero = _probe_record(t, np.zeros(size), d)
+    records = [*on_grids[:100], *refused.values(), zero, *on_grids[100:]]
+    return records, refused, zero
+
+
+class TestBatchedEnergyProbe:
+    def test_the_grids_are_distinct_but_close(self, mixed_records):
+        records, _, _ = mixed_records
+        grids = {r.samples.t.tobytes() for r in records if len(r.samples) == 41}
+        assert len(grids) == 3
+        assert not np.array_equal(records[0].samples.t, records[-3].samples.t)
+        assert np.allclose(records[0].samples.t, records[-3].samples.t, rtol=1e-15, atol=0.0)
+
+    def test_each_fit_equals_the_one_record_probe_and_its_own_gradient(self, mixed_records):
+        records, refused, _ = mixed_records
+        results = energy_inequality_probes(records)
+        assert len(results) == len(records)
+        fitted = [(r, p) for r, p in zip(records, results) if not isinstance(p, ValueError)]
+        assert len(fitted) == len(records) - len(refused)
+        for record, probe in fitted:
+            one = energy_inequality_probe(record)
+            assert (probe.fitted_c, probe.t1_fitted) == (one.fitted_c, one.t1_fitted)
+            assert (probe.fitted_c, probe.t1_fitted) == _per_record_fit(record)
+        assert sum(p.t1_fitted is not None for _, p in fitted) > 10
+        assert sum(p.fitted_c < 0.0 for _, p in fitted) > 0
+
+    def test_an_all_zero_series_fits_zero(self, mixed_records):
+        records, _, zero = mixed_records
+        (probe,) = (p for r, p in zip(records, energy_inequality_probes(records)) if r is zero)
+        assert probe.fitted_c == 0.0 and probe.t1_fitted is None
+
+    def test_each_refusal_gives_the_one_record_probes_message(self, mixed_records):
+        records, refused, _ = mixed_records
+        by_record = dict(zip(map(id, records), energy_inequality_probes(records)))
+        for message, record in refused.items():
+            with pytest.raises(ValueError) as one:
+                energy_inequality_probe(record)
+            assert str(one.value) == str(by_record[id(record)]) == message
+
+    def test_repeated_times_are_refused_without_a_warning(self, mixed_records):
+        _, refused, _ = mixed_records
+        record = refused["probe needs strictly increasing snapshot times"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (result,) = energy_inequality_probes([record])
+        assert str(result) == "probe needs strictly increasing snapshot times"
+
+    def test_no_records_give_no_probes(self):
+        assert energy_inequality_probes([]) == []
+
+    def test_a_refusal_keeps_no_record_alive(self):
+        """A refusal is returned without its traceback, whose frames would hold
+        the records until the cyclic collector ran."""
+        record = _probe_record([0.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+        alive = weakref.ref(record)
+        gc.disable()
+        try:
+            (result,) = energy_inequality_probes([record])
+            del record
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert str(result) == "probe needs at least 3 snapshots"

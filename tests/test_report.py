@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import ccflab.report as report_module
+from ccflab import regularity
 from ccflab.cli import main
 from ccflab.experiments import SweepPlan, cosine_positive, make_datum, sweep
-from ccflab.records import append_record, load_records
+from ccflab.records import SCALAR_FIELDS, SampleTable, append_record, load_records
 from ccflab.regularity import alpha_policy
 from ccflab.report import (
     CHART_INDEX,
@@ -109,6 +111,27 @@ class TestSummary:
             edited = dataclasses.replace(record, config={**record.config, "constants": constants})
             with pytest.raises(ValueError, match="bad config.constants"):
                 build_summary([edited])
+
+
+    def test_the_probe_runs_once_over_all_records(self, records, monkeypatch):
+        calls = []
+        probes = regularity.energy_inequality_probes
+        monkeypatch.setattr(regularity, "energy_inequality_probes", lambda rs: calls.append(len(rs)) or probes(rs))
+        rows = build_summary(records)
+        assert calls == [2]
+        assert [row["fitted_c"] for row in rows] == [p.fitted_c for p in probes(records)]
+
+    def test_repeated_sample_times_leave_fitted_c_blank_without_a_warning(self, records):
+        samples = records[0].samples
+        t = samples.t.copy()
+        t[2] = t[1]
+        columns = {name: getattr(samples, name) for name in SCALAR_FIELDS}
+        record = dataclasses.replace(records[0], samples=SampleTable({**columns, "t": t, "holder": samples.holder}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = build_summary([record])
+        assert row["fitted_c"] is None
+        assert emit_csv([row]).splitlines()[1].split(",")[6] == ""
 
 
 class TestCsvRoundTrip:
