@@ -157,7 +157,8 @@ class RunRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.samples, SampleTable):
             object.__setattr__(self, "samples", SampleTable(_sample_columns([*map(vars, self.samples)])))
-        if np.any(np.diff(self.samples.t) < 0):
+        t = self.samples.t
+        if (t[1:] < t[:-1]).any():
             raise ValueError("samples must be time-sorted")
 
     @cached_property

@@ -15,6 +15,7 @@ from ccflab.operators import (
     _apply_quadrature,
     _half_shift,
     _hurwitz_zeta,
+    _kernel_spectrum,
     _kernel_weights,
     calibrate_cgamma,
     cordoba_identity_residual,
@@ -166,14 +167,24 @@ class TestHurwitzZeta:
     @pytest.mark.parametrize("n", [64, 4096])
     @pytest.mark.parametrize("gamma", [0.5, 0.9, 1.0])
     def test_calibration_matches_a_scipy_kernel(self, monkeypatch, n, gamma):
+        """The kernel spectrum cache is cleared around the swap, so the second
+        calibration builds its kernel from scipy's zeta (the call count shows
+        it did) and no later test reads a scipy-built kernel."""
         grid = TorusGrid(n)
         got = calibrate_cgamma(gamma, grid).c_gamma
-        _kernel_weights.cache_clear()
-        monkeypatch.setattr(operators, "_hurwitz_zeta", zeta)
+        calls = []
+
+        def scipy_zeta(s, a):
+            calls.append(s)
+            return zeta(s, a)
+
+        _kernel_spectrum.cache_clear()
+        monkeypatch.setattr(operators, "_hurwitz_zeta", scipy_zeta)
         try:
             want = calibrate_cgamma(gamma, grid).c_gamma
         finally:
-            _kernel_weights.cache_clear()
+            _kernel_spectrum.cache_clear()
+        assert calls == [1.0 + gamma, 1.0 + gamma]
         assert abs(got - want) <= 1e-14 * want
 
     @pytest.mark.parametrize(
@@ -241,6 +252,43 @@ class TestCorrelationMatchesDenseSum:
                 got = _apply_quadrature(f, gamma, 1.0, squared)
                 rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
                 assert rel <= 1e-11, (name, squared, rel)
+
+
+def _two_correlations(f: RealField, gamma: float, c: float) -> np.ndarray:
+    """c * dx * sum_j kern_j (f - s_{i+j})^2 with every derived array rebuilt
+    on the spot: the half-shift phase, the kernel's spectrum and sum, and one
+    rfft/irfft pair for k * s and another for k * s^2."""
+    n = f.grid.n
+    kern = np.roll(_kernel_weights(n, gamma), -(n // 2))
+    kern_hat = np.conj(np.fft.rfft(kern))
+    v = f.values - f.values.mean()
+    shift = np.exp(1j * np.pi * np.arange(n // 2 + 1) / n)
+    shift[n // 2] = 0.0
+    s = np.fft.irfft(np.fft.rfft(v) * shift, n)
+
+    def corr(g):
+        return np.fft.irfft(kern_hat * np.fft.rfft(g), n)
+
+    return c * f.grid.dx * (v * v * kern.sum() - 2.0 * v * corr(s) + corr(s * s))
+
+
+class TestCachedKernelIsBitEqual:
+    """The cached kernel spectrum and the stacked (2, n) correlation give the
+    same bits as building everything per call and correlating twice."""
+
+    @pytest.mark.parametrize("n", [64, 98, 4096])
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 1.5])
+    def test_squared_form_equals_two_correlations(self, n, gamma):
+        grid = TorusGrid(n)
+        f = RealField(grid, 0.3 + random_band_limited(grid, np.random.default_rng(n)).values)
+        cal = calibrate_cgamma(gamma, grid)
+        assert np.array_equal(_apply_quadrature(f, gamma, 1.0, squared=True), _two_correlations(f, gamma, 1.0))
+        assert np.array_equal(dgamma(f, cal).values, _two_correlations(f, gamma, cal.c_gamma))
+
+    def test_the_cached_arrays_are_read_only(self):
+        kern_hat, _ = _kernel_spectrum(64, 0.5)
+        assert not kern_hat.flags.writeable
+        assert not operators._half_shift_phase(64).flags.writeable
 
 
 class TestScaling:

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+import warnings
 from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
@@ -117,6 +118,15 @@ class TestRunRecord:
                 samples=[_sample(1.0), _sample(0.0)],
                 outcome=Outcome.COMPLETED,
             )
+
+    @pytest.mark.parametrize("t", [[np.inf, np.inf], [0.0, np.nan, 1.0], [-np.inf, -np.inf, 0.0]])
+    def test_the_sort_check_warns_on_no_column(self, t):
+        """The check compares neighbours instead of differencing them, since
+        inf - inf warns; a NaN compares false, so none of these is refused."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = RunRecord(config={}, samples=[_sample(v) for v in t], outcome=Outcome.COMPLETED)
+        assert np.array_equal(record.samples.t, t, equal_nan=True)
 
     def test_config_hash_is_twelve_hex_chars(self):
         rec = _record()

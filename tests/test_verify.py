@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ccflab import verify
-from ccflab.torus import TorusGrid
+from ccflab.operators import frac_laplacian_spectral, hilbert
+from ccflab.torus import TorusGrid, derivative, forward, inverse
 from ccflab.verify import random_band_limited, verify_suite
 
 
@@ -39,6 +40,48 @@ class TestRandomBandLimited:
         assert np.max(np.abs(coeffs[9:])) < 1e-12
 
 
+def _exact_rows_one_transform_per_call(n, seed):
+    """The four exact rows with every helper transforming its own field
+    afresh, as the suite did before it shared one spectrum per field."""
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(seed)
+    fields = [random_band_limited(grid, rng) for _ in range(6)]
+
+    def involution(f):
+        twice = inverse(hilbert(hilbert(forward(f))))
+        return np.max(np.abs(twice.values + f.values)) / np.max(np.abs(f.values))
+
+    def skewness(f, g):
+        hf = inverse(hilbert(forward(f))).values
+        hg = inverse(hilbert(forward(g))).values
+        pairing = float(np.mean(hf * g.values) + np.mean(f.values * hg))
+        return abs(pairing) / float(np.mean(np.abs(f.values * g.values)))
+
+    def lambda_is_h_dx(f):
+        lam = inverse(frac_laplacian_spectral(forward(f), 1.0)).values
+        hdx = inverse(hilbert(derivative(forward(f)))).values
+        return np.max(np.abs(lam - hdx)) / np.max(np.abs(lam))
+
+    def semigroup(f):
+        once = frac_laplacian_spectral(frac_laplacian_spectral(forward(f), 0.3), 0.7)
+        direct = frac_laplacian_spectral(forward(f), 0.3 + 0.7)
+        return np.max(np.abs(once.coeffs - direct.coeffs)) / np.max(np.abs(direct.coeffs))
+
+    return [
+        max(float(involution(f)) for f in fields),
+        max(skewness(f, g) for f, g in zip(fields, fields[1:])),
+        max(float(lambda_is_h_dx(f)) for f in fields),
+        max(float(semigroup(f)) for f in fields),
+    ]
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_transforms_give_the_per_call_residuals(n, seed):
+    rows = verify_suite(n=n, seed=seed)
+    assert [r.residual for r in rows[:4]] == _exact_rows_one_transform_per_call(n, seed)
+
+
 def test_suite_calibrates_each_gamma_once(monkeypatch):
     calibrated = []
     calibrate = verify.calibrate_cgamma
@@ -51,9 +94,9 @@ def test_a_nan_residual_after_the_first_field_fails_the_row(monkeypatch):
     involution = verify._hilbert_involution
     calls = []
 
-    def third_is_nan(f):
+    def third_is_nan(f, F):
         calls.append(f)
-        err, scale = involution(f)
+        err, scale = involution(f, F)
         return (float("nan"), scale) if len(calls) == 3 else (err, scale)
 
     monkeypatch.setattr(verify, "_hilbert_involution", third_is_nan)
