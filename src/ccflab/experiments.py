@@ -224,8 +224,9 @@ class SweepPlan:
 
 
 Cell = tuple[InitialDatum, ModelParams, DiagnosticPlan]
-# A batch: the plan and its cells, all of one n, that run as one stack.
-Batch = tuple[SweepPlan, tuple[Cell, ...]]
+# A batch: what a worker reads of the plan, its control and constants, and
+# its cells, all of one n, that run as one stack.
+Batch = tuple[StepControl, RegularityConstants, tuple[Cell, ...]]
 
 # The most coefficients (rows times n//2+1) one batch carries: 124 rows at
 # n = 64, 7 at n = 1024, one from n = 4096 on. Per run, a batch was fastest
@@ -271,10 +272,10 @@ def _batch_seconds(control: StepControl, cells: Sequence[Cell]) -> float:
 
 
 def _run_batch(batch: Batch) -> list[RunRecord]:
-    plan, cells = batch
+    control, constants, cells = batch
     grid = TorusGrid(cells[0][1].n)
     rows = [(make_datum(datum, grid), params, diagnostics, datum.to_config()) for datum, params, diagnostics in cells]
-    return run_batch(rows, plan.control, plan.constants)
+    return run_batch(rows, control, constants)
 
 
 def _batches(pending: dict[int, Cell], control: StepControl, workers: int) -> list[list[int]]:
@@ -341,7 +342,7 @@ def sweep(plan: SweepPlan, out_path: Path | str) -> list[RunRecord]:
     bound = min(plan.parallelism, len(pending), cpus)
     workers = min(range(1, bound + 1), key=lambda w: serial / w + POOL_COST_S * (w - 1))
     batches = _batches(pending, plan.control, workers)
-    jobs = [(plan, tuple(pending[i] for i in batch)) for batch in batches]
+    jobs = [(plan.control, plan.constants, tuple(pending[i] for i in batch)) for batch in batches]
 
     def keep(batch: list[int], records: list[RunRecord]) -> None:
         for i, record in zip(batch, records):

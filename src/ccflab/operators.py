@@ -12,19 +12,27 @@ The fractional Laplacian is implemented twice on purpose:
 The two routes stay arithmetically independent so identities that couple them
 (notably the pointwise identity 2*phi*L^g(phi) = L^g(phi^2) + D_gamma(phi))
 are genuine cross-checks rather than tautologies: the spectral operators read
-their symbols from TorusGrid, and the quadrature (_kernel_weights, _half_shift,
-_apply_quadrature) reads none of them.
+their symbols from TorusGrid, and the quadrature (_kernel_weights,
+_kernel_spectrum, _apply_quadrature) reads none of them.
 
-Quadrature scheme.  The singular integral over y in [-pi, pi) is split into n
-cells of width dx and evaluated with the midpoint rule: the cell midpoints are
-offset half a cell from the grid, so no evaluation point hits the y=0
-singularity, and field values there come from a single rfft half-cell phase
-shift (exact for the trigonometric interpolant).  The periodized kernel is the
-image at y plus the closed-form Hurwitz-zeta sum of every other image
+Quadrature scheme.  Every quadrature call, calibration included, is one
+_apply_quadrature evaluation.  It removes the field's mean, which no difference
+sees, to keep |f| small, and takes one rfft of the rest.  The guard judges the
+tail fraction on that spectrum (a ValueError at QUADRATURE_TAIL_LIMIT), and
+the half-cell shift multiplies it by the phase e^{i m dx/2}.  The singular
+integral over y in [-pi, pi) is split into n cells of width dx and evaluated
+with the midpoint rule: the cell midpoints are offset half a cell from the
+grid, so no evaluation point hits the y=0 singularity, and the shift gives the
+field there (exact for the trigonometric interpolant).  The periodized kernel
+is the image at y plus the closed-form Hurwitz-zeta sum of every other image
 |y - 2*pi*k|^{-(1+gamma)}, so the only discretization error left is the
-midpoint rule itself.  The zeta sums are evaluated in numpy alone by
-Euler-Maclaurin summation (_hurwitz_zeta: nine direct terms, eight correction
-terms), within 7.4e-16 relative of scipy.special.zeta wherever measured.
+midpoint rule itself: the scheme converges at order 2 - gamma.  (Measured on
+verify_suite, seed 0, at n = 64, 128, ..., 16384: the mode-2 transfer and
+product-rule residuals fall by 2^1.50 per doubling at gamma = 0.5 and 2^1.10
+at gamma = 0.9, the same to three digits at every doubling.)  The zeta sums
+are evaluated in numpy alone by Euler-Maclaurin summation (_hurwitz_zeta: nine
+direct terms, eight correction terms), within 7.4e-16 relative of
+scipy.special.zeta wherever measured.
 
 The sum over the n offsets is a circular correlation, evaluated with rfft in
 O(n log n) time and O(n) memory.  With s the half-shifted field (s_j the value
@@ -37,14 +45,13 @@ offset y = (j + 1/2)*dx, and the correlation (k * g)_i = sum_j k_j g_{i+j}:
 Both forms subtract terms of size sum(k)*|f| ~ n^{1+gamma}*|f|, so their
 roundoff relative to the result grows like eps * n^{1+gamma}: within 1e-11 of
 the direct sum for n <= 256 at every gamma, and about 1e-12 at n = 4096 for
-gamma = 0.9.  The field's mean, which no difference sees, is removed first to
-keep |f| small.
+gamma = 0.9.
 
-The kernel's spectrum (the conjugated rfft of k) and its sum are built once
-per (n, gamma) and kept in the quadrature's own cache (_kernel_spectrum, 64
-entries), as the half-shift phase is once per n, so a call transforms only the
-field: one rfft/irfft pair for the shift and one for the correlation, whose
-squared form carries s and s^2 as the two rows of a single pair.
+The quadrature's one cache, _kernel_spectrum (64 entries), holds per (n, gamma)
+the kernel's spectrum (the conjugated rfft of k), its sum and the half-cell
+phase, so a call transforms only the field: the one rfft that the guard and
+the shift read, the shift's irfft, and one rfft/irfft pair for the
+correlation, whose squared form carries s and s^2 as the two rows of a pair.
 """
 
 from __future__ import annotations
@@ -176,40 +183,38 @@ def _kernel_weights(n: int, gamma: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _kernel_spectrum(n: int, gamma: float) -> tuple[np.ndarray, float]:
-    """The correlation's kernel, built once per (n, gamma): the conjugated rfft
-    of the weights rolled by n//2 (so entry j weights y = (j + 1/2)*dx), read
-    only, and the rolled weights' sum."""
+def _kernel_spectrum(n: int, gamma: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """The quadrature's arrays for one (n, gamma), read only: the correlation's
+    kernel, the conjugated rfft of the weights rolled by n//2 (so entry j
+    weights y = (j + 1/2)*dx); the rolled weights' sum; and the half-cell
+    phase e^{i m dx/2} on modes m = 0..n/2, whose Nyquist entry is taken as
+    cos(m*dx/2) = cos(pi/2) = 0, the symmetric real-valued convention."""
     kern = np.roll(_kernel_weights(n, gamma), -(n // 2))
     kern_hat = np.conj(np.fft.rfft(kern))
     kern_hat.flags.writeable = False
-    return kern_hat, kern.sum()
-
-
-@lru_cache(maxsize=64)
-def _half_shift_phase(n: int) -> np.ndarray:
-    """e^{i m dx/2} on modes m = 0..n/2, read only. The Nyquist phase is taken
-    as cos(m*dx/2) = cos(pi/2) = 0, the symmetric real-valued convention."""
     shift = np.exp(1j * np.pi * np.arange(n // 2 + 1) / n)
     shift[n // 2] = 0.0
     shift.flags.writeable = False
-    return shift
-
-
-def _half_shift(values: np.ndarray) -> np.ndarray:
-    """Field values at x_j + dx/2 via the trig interpolant."""
-    n = values.size
-    return np.fft.irfft(np.fft.rfft(values) * _half_shift_phase(n), n)
+    return kern_hat, kern.sum(), shift
 
 
 def _apply_quadrature(f: RealField, gamma: float, c: float, squared: bool) -> np.ndarray:
     """Evaluate c * dx * sum_j kern_j * (f(x) - f(x+y_j))^(1 or 2) as an rfft
-    correlation (see "Quadrature scheme" above)."""
+    correlation (see "Quadrature scheme" above). A field whose tail fraction
+    reaches QUADRATURE_TAIL_LIMIT is refused with a ValueError."""
     n = f.grid.n
-    kern_hat, total = _kernel_spectrum(n, float(gamma))
     # The differences ignore the mean; removing it shrinks the cancellation.
     v = f.values - f.values.mean()
-    s = _half_shift(v)
+    # Unnormalized: the tail fraction is a ratio, and the shift needs these bits.
+    v_hat = np.fft.rfft(v)
+    tf = tail_fraction(f.grid, v_hat)
+    if tf >= QUADRATURE_TAIL_LIMIT:
+        raise ValueError(
+            f"field spectral tail fraction {tf:.3e} >= {QUADRATURE_TAIL_LIMIT}; "
+            "refine the grid before applying the quadrature"
+        )
+    kern_hat, total, shift = _kernel_spectrum(n, float(gamma))
+    s = np.fft.irfft(v_hat * shift, n)
     if squared:
         # k * s and k * s^2 as one (2, n) transform pair; each row is bit-equal
         # to its own transform.
@@ -248,18 +253,8 @@ def calibrate_cgamma(gamma: float, grid: TorusGrid) -> CgammaCalibration:
     return CgammaCalibration(gamma=float(gamma), c_gamma=c, residual=residual)
 
 
-def _check_quadrature_input(f: RealField) -> None:
-    tf = tail_fraction(f.grid, forward(f).coeffs)
-    if tf >= QUADRATURE_TAIL_LIMIT:
-        raise ValueError(
-            f"field spectral tail fraction {tf:.3e} >= {QUADRATURE_TAIL_LIMIT}; "
-            "refine the grid before applying the quadrature"
-        )
-
-
 def frac_laplacian_quadrature(f: RealField, cal: CgammaCalibration) -> RealField:
     """Fractional Laplacian of order cal.gamma via the periodized singular integral."""
-    _check_quadrature_input(f)
     return RealField(f.grid, _apply_quadrature(f, cal.gamma, cal.c_gamma, squared=False))
 
 
@@ -268,7 +263,6 @@ def dgamma(f: RealField, cal: CgammaCalibration) -> RealField:
 
     The integrand is a square, so the output is nonnegative up to roundoff.
     """
-    _check_quadrature_input(f)
     return RealField(f.grid, _apply_quadrature(f, cal.gamma, cal.c_gamma, squared=True))
 
 

@@ -510,7 +510,7 @@ class TestBatches:
     def test_a_sweep_runs_one_batch_per_n_and_writes_in_batch_order(self, tmp_path, monkeypatch):
         batches = []
         run_batch = experiments._run_batch
-        monkeypatch.setattr(experiments, "_run_batch", lambda batch: batches.append(len(batch[1])) or run_batch(batch))
+        monkeypatch.setattr(experiments, "_run_batch", lambda batch: batches.append(len(batch[2])) or run_batch(batch))
         plan = _two_n_plan()
         records = sweep(plan, tmp_path / "sweep.jsonl")
         assert batches == [4, 4]
@@ -527,7 +527,7 @@ class TestBatches:
         run_batch = experiments._run_batch
 
         def killed_in_the_second(batch):
-            ran.append([cells.index(cell) for cell in batch[1]])
+            ran.append([cells.index(cell) for cell in batch[2]])
             if len(ran) == 2:
                 raise KeyboardInterrupt
             return run_batch(batch)
@@ -539,7 +539,7 @@ class TestBatches:
         assert ran == [[0, 2, 4, 6], [1, 3, 5, 7]]
         kept = [record.config_hash for record in load_records(path)]
         ran.clear()
-        monkeypatch.setattr(experiments, "_run_batch", lambda batch: ran.append([cells.index(cell) for cell in batch[1]]) or run_batch(batch))
+        monkeypatch.setattr(experiments, "_run_batch", lambda batch: ran.append([cells.index(cell) for cell in batch[2]]) or run_batch(batch))
         records = sweep(plan, path)
         assert sorted(i for batch in ran for i in batch) == [1, 3, 5, 7]
         assert kept == [records[i].config_hash for i in (0, 2, 4, 6)]
@@ -723,7 +723,7 @@ class TestTornTail:
         ran = []
         run_batch = experiments._run_batch
         monkeypatch.setattr(experiments, "_run_batch",
-                            lambda batch: ran.extend(params.gamma for _, params, _ in batch[1]) or run_batch(batch))
+                            lambda batch: ran.extend(params.gamma for _, params, _ in batch[2]) or run_batch(batch))
         with pytest.warns(UserWarning, match=re.escape(f"{out}: dropped a torn last line of {len(torn)} bytes")):
             records = sweep(small_plan, out)
         assert ran == [0.9]

@@ -13,7 +13,6 @@ from ccflab.operators import (
     CalibrationError,
     CgammaCalibration,
     _apply_quadrature,
-    _half_shift,
     _hurwitz_zeta,
     _kernel_spectrum,
     _kernel_weights,
@@ -196,6 +195,13 @@ class TestHurwitzZeta:
             _hurwitz_zeta(s, np.array([1.0, a]))
 
 
+def _half_shift(values: np.ndarray, gamma: float = 0.5) -> np.ndarray:
+    """Field values at x_j + dx/2 via the trig interpolant, with the phase the
+    quadrature reads from its cache (the same for every gamma)."""
+    n = values.size
+    return np.fft.irfft(np.fft.rfft(values) * _kernel_spectrum(n, gamma)[2], n)
+
+
 class TestHalfShift:
     @pytest.mark.parametrize("n", [8, 64, 256])
     def test_trig_modes_move_half_a_cell(self, n):
@@ -219,7 +225,7 @@ def _dense_quadrature(f: RealField, gamma: float, squared: bool) -> np.ndarray:
     n = f.grid.n
     kern = _kernel_weights(n, gamma)
     idx = (np.arange(n)[:, None] + np.arange(n)[None, :] - n // 2) % n
-    diff = f.values[:, None] - _half_shift(f.values)[idx]
+    diff = f.values[:, None] - _half_shift(f.values, gamma)[idx]
     if squared:
         diff = diff * diff
     return f.grid.dx * (diff @ kern)
@@ -286,9 +292,42 @@ class TestCachedKernelIsBitEqual:
         assert np.array_equal(dgamma(f, cal).values, _two_correlations(f, gamma, cal.c_gamma))
 
     def test_the_cached_arrays_are_read_only(self):
-        kern_hat, _ = _kernel_spectrum(64, 0.5)
+        kern_hat, _, shift = _kernel_spectrum(64, 0.5)
         assert not kern_hat.flags.writeable
-        assert not operators._half_shift_phase(64).flags.writeable
+        assert not shift.flags.writeable
+
+
+class TestTransformCount:
+    """Each quadrature evaluation transforms its field once: one rfft that the
+    tail-fraction guard and the half-cell shift both read, the shift's irfft,
+    and one rfft/irfft pair for the correlation."""
+
+    @pytest.fixture()
+    def fft_calls(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            transform = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _transform=transform, **kwargs):
+                calls.append(_name)
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("route", [frac_laplacian_quadrature, dgamma], ids=lambda r: r.__name__)
+    def test_a_route_makes_four_transforms(self, grid, route, fft_calls):
+        cal = calibrate_cgamma(0.5, grid)
+        f = RealField(grid, np.exp(np.cos(grid.points)))
+        fft_calls.clear()
+        route(f, cal)
+        assert fft_calls == ["rfft", "irfft", "rfft", "irfft"]
+
+    def test_a_warm_verify_suite_makes_eighty(self, fft_calls):
+        verify_suite(n=4096)
+        fft_calls.clear()
+        verify_suite(n=4096)
+        assert len(fft_calls) == 80
 
 
 class TestScaling:

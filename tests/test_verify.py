@@ -82,6 +82,15 @@ def test_shared_transforms_give_the_per_call_residuals(n, seed):
     assert [r.residual for r in rows[:4]] == _exact_rows_one_transform_per_call(n, seed)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_row_passes_at_n_12(seed):
+    """n = 12 is the smallest grid on which every row passes: at n = 10 the
+    gamma = 0.5 mode-2 transfer fails, and at n = 8 all three gamma = 0.5
+    cross-route rows do."""
+    rows = verify_suite(n=12, seed=seed)
+    assert [r.name for r in rows if not r.passed] == []
+
+
 def test_suite_calibrates_each_gamma_once(monkeypatch):
     calibrated = []
     calibrate = verify.calibrate_cgamma
