@@ -19,7 +19,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import regularity
+from . import experiments, regularity
 from .experiments import SweepPlan, _run_batch, datum_forms, parse_datum, sweep
 from .operators import calibrate_cgamma
 from .records import append_record, drop_torn_tail, load_records
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--jobs", type=int,
         help="max worker processes, each running batches of cells of one n (default 1); fewer, or none, "
-             "when the pending cells' estimated time would not repay a pool's 0.05 s",
+             f"when the pending cells' estimated time would not repay a pool's {experiments.POOL_COST_S:g} s",
     )
     _add_cell_flags(p_sweep, _cmd_sweep)
 

@@ -15,13 +15,14 @@ step makes 8 real transforms, each over the whole stack: in each RK4 stage
 one irfft of every row's velocity and gradient and one rfft of their
 products, and stage one's irfft also carries every row's undealiased
 H theta, whose largest magnitude is the row's CFL speed. The stages write
-into one _Work of buffers, which run_batch() allocates once for its stack
-and step() for its one call; only the new state is a fresh array. A snapshot
-makes one transform, an irfft of theta and theta_x of every row, and one
-table of diagnostics, whose rows the records take as their columns. Rows
-that reach a snapshot time sit out the steps the others still need, and a
-RunStopped ends its own row only, so each row's record is the one run() gives
-for it alone, bit for bit apart from wall_time.
+into a _Work of buffers, which run_batch() allocates for each burst (the
+steps one set of moving rows takes together) and step() for its one call;
+only the new state is a fresh array. A snapshot makes one transform, an
+irfft of theta and theta_x of every row, and one table of diagnostics, whose
+rows the records take as their columns. Rows that reach a snapshot time sit
+out the steps the others still need, and a RunStopped ends its own row only,
+so each row's record is the one run() gives for it alone, bit for bit apart
+from wall_time.
 
 Detectors judge each recorded snapshot, and guards each state (the datum's
 first transform included) and each snapshot's diagnostics, all under one
@@ -167,8 +168,8 @@ class _Kernel:
     One-row kernels are shared through _kernel: nothing writes to their
     arrays once built, and the factors are replaced as one (dts, factors)
     tuple, so a reader never pairs one dt with the factors of another. The
-    buffers a step writes are a _Work, which belongs to the batch or to the
-    one step() call, never to a kernel.
+    buffers a step writes are a _Work, which belongs to one burst of a batch
+    or to the one step() call, never to a kernel.
     """
 
     def __init__(self, grid: TorusGrid, params: tuple[ModelParams, ...]):
@@ -224,10 +225,9 @@ _kernel = lru_cache(maxsize=8)(_Kernel)
 
 
 class _Work:
-    """The buffers the IF-RK4 steps of a stack of up to B rows write: the
-    symbol x state spectra (H theta, velocity and gradient of every row),
-    their real rows, k1..k4, a stage input and e^{-lam dt} h. head(b) is the
-    _Work of the first b rows, views of these, so a batch allocates once."""
+    """The buffers the IF-RK4 steps of a stack of rows write: the symbol x
+    state spectra (H theta, velocity and gradient of every row), their real
+    rows, k1..k4, a stage input and e^{-lam dt} h."""
 
     def __init__(self, rows: int, n: int):
         m = n // 2 + 1
@@ -236,14 +236,6 @@ class _Work:
         self.k = np.empty((4, rows, m), dtype=complex)
         self.stage = np.empty((rows, m), dtype=complex)
         self.full_h = np.empty((rows, m), dtype=complex)
-
-    def head(self, b: int) -> _Work:
-        if b == len(self.stage):
-            return self
-        sub = copy.copy(self)
-        sub.spectra, sub.real, sub.k = self.spectra[:, :b], self.real[:, :b], self.k[:, :b]
-        sub.stage, sub.full_h = self.stage[:b], self.full_h[:b]
-        return sub
 
 
 def _nonlinear_raw(h: np.ndarray, kernel: _Kernel, work: _Work, stage: int) -> np.ndarray:
@@ -486,8 +478,7 @@ def run_batch(
     params = tuple(p for _, p, _, _ in rows)
     kernel = _Kernel(grid, params)
     count = len(rows)
-    work = _Work(count, grid.n)
-    tables, holders = [[] for _ in rows], [[] for _ in rows]  # each row's snapshot rows and Holder values
+    tables = [[] for _ in rows]  # each row's snapshot rows: its SCALAR_FIELDS values, then its Holder values
     t, steps = np.zeros(count), np.zeros(count, dtype=int)
     dt_lo, dt_hi = np.full(count, math.inf), np.zeros(count)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the outcome, not a warning
@@ -497,11 +488,11 @@ def run_batch(
             target = min(snapshot_index * c.snapshot_every, c.t_end)
             moving = _running(t, stops, target)
             while moving.size:
-                # The moving rows step as one stack until one of them stops or arrives.
-                sub, sub_work, hm, tm = kernel.rows(moving), work.head(moving.size), h[moving], t[moving]
+                # The moving rows step as one stack, in buffers of their own, until one stops or arrives.
+                sub, work, hm, tm = kernel.rows(moving), _Work(moving.size, grid.n), h[moving], t[moving]
                 taken, lo, hi = 0, dt_lo[moving], dt_hi[moving]
                 while True:
-                    hm, tm, dt, stopped = _step_raw(hm, tm, c, sub, target, sub_work)
+                    hm, tm, dt, stopped = _step_raw(hm, tm, c, sub, target, work)
                     taken += 1
                     np.fmin(lo, dt, out=lo)  # a stopped row's NaN dt is skipped
                     np.fmax(hi, dt, out=hi)
@@ -510,6 +501,7 @@ def run_batch(
                 h[moving], t[moving], dt_lo[moving], dt_hi[moving] = hm, tm, lo, hi
                 steps[moving] += taken - np.isnan(dt)  # a stopped row did not take its last step
                 stops.update({moving[i]: stop for i, stop in stopped.items()})
+                del work  # freed before the next burst allocates its own
                 moving = _running(t, stops, target)
             live = _running(t, stops, math.inf)
             if not live.size:
@@ -518,8 +510,7 @@ def run_batch(
             for j, (i, values) in enumerate(zip(live, table.tolist())):
                 stop = stopped.get(j)
                 if stop is None:
-                    tables[i].append(values)
-                    holders[i].append(holder[j])
+                    tables[i].append(values + holder[j])
                     stop = _detect(tables[i])
                 if stop:
                     stops[i] = stop
@@ -530,9 +521,10 @@ def run_batch(
     for i, (theta0, p, plan, datum) in enumerate(rows):
         if datum is None:
             datum = {"kind": "custom", "samples": theta0.values.tolist()}
-        # With no snapshot, np.transpose([]) has no column, so holder is {}.
-        columns = dict(zip(SCALAR_FIELDS, np.reshape(tables[i], (-1, len(SCALAR_FIELDS))).T))
-        samples = SampleTable({**columns, "holder": dict(zip(plan.holder_alphas, np.transpose(holders[i])))})
+        # With no snapshot, the table has no Holder column, so holder is {}.
+        columns = np.transpose(tables[i] or np.empty((0, len(SCALAR_FIELDS))))
+        holder = dict(zip(plan.holder_alphas, columns[len(SCALAR_FIELDS):]))
+        samples = SampleTable({**dict(zip(SCALAR_FIELDS, columns)), "holder": holder})
         t_star_pred, t_local_pred = _predictions(theta0, samples, p, plan, constants)
         stop, took = stops.get(i), int(steps[i])
         records.append(RunRecord(

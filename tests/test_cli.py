@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ccflab
+from ccflab import experiments
 from ccflab.cli import main
 from ccflab.experiments import DATUM_FAMILIES
 from ccflab.records import load_records, record_to_dict
@@ -58,6 +59,12 @@ class TestExitCodes:
         for alias, _, _ in DATUM_FAMILIES.values():
             assert f" {alias}:" in out or f"({alias}:" in out
         assert "bump:k,w" in out and "custom:path" in out
+
+    def test_jobs_help_names_the_pool_cost_constant(self, capsys, monkeypatch):
+        """The --jobs help formats experiments.POOL_COST_S, a changed value included."""
+        monkeypatch.setattr(experiments, "POOL_COST_S", 0.125)
+        assert main(["sweep", "--help"]) == 0
+        assert "repay a pool's 0.125 s" in " ".join(capsys.readouterr().out.split())
 
     def test_unknown_flag_is_an_error(self, capsys):
         assert main(["run", "--frobnicate"]) == 1

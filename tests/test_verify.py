@@ -1,6 +1,7 @@
 """Tests for the verify suite: its random test fields, its rows and their JSON form."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,26 @@ def test_suite_calibrates_each_gamma_once(monkeypatch):
     monkeypatch.setattr(verify, "calibrate_cgamma", lambda gamma, grid: calibrated.append(gamma) or calibrate(gamma, grid))
     assert all(row.passed for row in verify_suite(n=64))
     assert sorted(calibrated) == [0.5, 0.9, 1.0]
+
+
+def test_verify_rows_and_calibrations_are_the_benchmark_references(monkeypatch):
+    """The quadrature benchmark checks verify's rows against its reference
+    file: the same row names in the same order, and one c_gamma per calibrated gamma."""
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["quadrature"]
+    calibrated = []
+    calibrate = verify.calibrate_cgamma
+    monkeypatch.setattr(verify, "calibrate_cgamma", lambda gamma, grid: calibrated.append(gamma) or calibrate(gamma, grid))
+    assert [r.name for r in verify_suite(n=reference["n"])] == reference["rows"]
+    assert {repr(gamma) for gamma in calibrated} == set(reference["c_gamma"])
+
+
+@pytest.mark.parametrize("n", [12, 256, 4096])
+def test_the_gamma_half_product_rule_row_is_not_the_closed_form_row(n):
+    """On cos alone the product rule reduces to D_gamma(cos)'s closed form, so
+    the two gamma = 0.5 rows read the same error; the product rule's field differs."""
+    rows = {r.name: r.residual for r in verify_suite(n=n)}
+    product, closed = rows["product_rule_identity_gamma_0.5"], rows["dissipation_closed_form_gamma_0.5"]
+    assert abs(product - closed) > 0.1 * closed
 
 
 def test_a_nan_residual_after_the_first_field_fails_the_row(monkeypatch):
