@@ -153,8 +153,8 @@ def _cmd_run(args) -> int:
         resolutions=(_number(_pick(args.n, cfg.get("n"), 256), "n", whole=True),),
         data=(_datum(_pick(args.datum, cfg.get("datum"), "cosine:1,1"), "datum"),),
     )
-    (record,) = _run_batch((plan.control, plan.constants, tuple(plan.cells())))
     path = _out_dir(args) / "runs.jsonl"
+    (record,) = _run_batch((plan.control, plan.constants, tuple(plan.cells())))
     if path.exists():
         drop_torn_tail(path)
     append_record(path, record)

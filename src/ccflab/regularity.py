@@ -149,15 +149,14 @@ def t_star(
         return math.inf
 
 
-def predicted_t_star(gamma: float, dissipation_on: bool, tracked: tuple[float, ...], linf0: float,
-                     k: RegularityConstants) -> float | None:
-    """A run's T* at schedule_alpha's exponent, from its datum's sup norm linf0:
-    None where no T* applies (no dissipation, gamma outside (0, 1), a zero
-    datum, an exponent below 1 - gamma), math.inf beyond float64."""
+def t_star_alpha(gamma: float, dissipation_on: bool, tracked: tuple[float, ...], linf0: float) -> float | None:
+    """The exponent a run's T* is computed at, schedule_alpha's, given its
+    datum's sup norm linf0: None where no T* applies (no dissipation, gamma
+    outside (0, 1), a zero datum, an exponent below 1 - gamma)."""
     if not (dissipation_on and 0.0 < gamma < 1.0 and linf0 > 0.0):
         return None
     alpha = schedule_alpha(gamma, tracked)
-    return t_star(gamma, alpha, linf0, k) if alpha >= 1.0 - gamma else None
+    return alpha if alpha >= 1.0 - gamma else None
 
 
 @dataclass(frozen=True)
@@ -389,8 +388,8 @@ def energy_inequality_probe(record: RunRecord) -> ProbeReport:
     this order, a record that did not complete, has fewer than 3 snapshots,
     has snapshot times that do not strictly increase, has a tail fraction
     that ever passes torus.TAIL_LIMIT (its high-mode content makes the norm
-    series meaningless) or has no model gamma. This is
-    energy_inequality_probes over one record.
+    series meaningless) or has no model gamma, and a fit that leaves float64.
+    This is energy_inequality_probes over one record.
     """
     (result,) = energy_inequality_probes([record])
     if isinstance(result, ValueError):
@@ -424,12 +423,13 @@ def energy_inequality_probes(records: list[RunRecord]) -> list[ProbeReport | Val
             grids.setdefault(key, []).append((i, gamma))
     for members in grids.values():
         x = np.array([records[i].samples.hdot_three_half for i, _ in members])
-        dx2 = np.gradient(x * x, records[members[0][0]].samples.t, axis=1, edge_order=2)
-        for (i, gamma), row in zip(members, dx2):
-            try:
-                results[i] = _fit_probe(records[i].samples, gamma, row)
-            except ValueError as exc:  # a fit that leaves float64 has no T1
-                results[i] = exc.with_traceback(None)
+        with np.errstate(over="ignore", invalid="ignore"):  # a fit beyond float64 is refused, not warned of
+            dx2 = np.gradient(x * x, records[members[0][0]].samples.t, axis=1, edge_order=2)
+            for (i, gamma), row in zip(members, dx2):
+                try:
+                    results[i] = _fit_probe(records[i].samples, gamma, row)
+                except ValueError as exc:
+                    results[i] = exc.with_traceback(None)
     return results
 
 
@@ -456,16 +456,17 @@ def _probe_gamma(record: RunRecord, increasing: bool) -> float:
 
 
 def _fit_probe(samples: SampleTable, gamma: float, dx2: np.ndarray) -> ProbeReport:
-    """The probe's fit on samples, given d(X^2)/dt at their times."""
+    """The probe's fit on samples, given d(X^2)/dt at their times; a ValueError
+    refuses a fit whose terms or ratios leave float64."""
     e1, e2 = t_local_exponents(gamma)
     x, d, l2_0 = samples.hdot_three_half, samples.hdot_mid, float(samples.l2[0])
     numerator = 0.5 * dx2 + 0.5 * d * d
     denominator = x ** (2.0 + e2) * l2_0**e1
     usable = denominator > 0.0
-    if not np.any(usable):
-        fitted = 0.0
-    else:
-        fitted = float(np.max(numerator[usable] / denominator[usable]))
+    ratios = numerator[usable] / denominator[usable]
+    if not (np.isfinite(ratios).all() and np.isfinite(denominator[usable]).all()):
+        raise ValueError("probe refused: the fit leaves float64")
+    fitted = float(np.max(ratios)) if ratios.size else 0.0
     t1 = None
     if fitted > 0.0 and l2_0 > 0.0 and x[0] > 0.0:
         t1 = t_local(gamma, l2_0, float(x[0]), RegularityConstants(C1=fitted))

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain
@@ -67,10 +68,11 @@ def build_summary(records: list[RunRecord]) -> list[dict]:
     holder_alpha is the tracked exponent T* is computed at
     (regularity.tracked_schedule_alpha), else the smallest tracked exponent.
     max_holder_after_tstar is its maximum over snapshots with t > T* for the
-    former when T* applies (regularity.predicted_t_star, asked when the record
-    holds null, which also stands for a T* beyond float64), else over those
-    with t > 0. fitted_c comes from the energy probe (one
-    regularity.energy_inequality_probes call), blank when it refuses.
+    former when T* applies (regularity.t_star_alpha), else over those with
+    t > 0. T* is the record's own; a null there where T* applies stands for a
+    T* beyond float64, after every snapshot, which leaves the cell blank.
+    fitted_c comes from the energy probe (one regularity.energy_inequality_probes
+    call), blank when it refuses.
     """
     rows = []
     for record, probe in zip(records, regularity.energy_inequality_probes(records)):
@@ -83,12 +85,9 @@ def build_summary(records: list[RunRecord]) -> list[dict]:
         if alpha not in holder:
             alpha, cutoff = min(holder, default=None), None
         elif cutoff is None:
-            try:
-                k = regularity.RegularityConstants(**record.config.get("constants", {}))
-            except (TypeError, ValueError) as exc:  # a record file's constants are outside input
-                raise ValueError(f"record {record.config_hash} has bad config.constants: {exc}") from None
             dissipative, linf0 = bool(model.get("dissipation_on", True)), float(record.samples.linf[0])
-            cutoff = regularity.predicted_t_star(gamma, dissipative, tracked, linf0, k)
+            if regularity.t_star_alpha(gamma, dissipative, tracked, linf0) is not None:
+                cutoff = math.inf
         max_holder = None
         if alpha is not None:
             tail = holder[alpha][record.samples.t > (cutoff or 0.0)]

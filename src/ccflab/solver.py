@@ -72,17 +72,13 @@ class RunStopped(RuntimeError):
         self.detail = detail
 
 
-def _blowup(t: float, what: str) -> RunStopped:
-    """The stop of a row whose state or diagnostics left float64 at t."""
-    return RunStopped(Outcome.BLOWUP_SUSPECTED, f"non-finite {what} at t={t:.6g}")
-
-
 def _non_finite(a: np.ndarray, t, what: str = "state") -> dict[int, RunStopped]:
-    """The _blowup of each row of a, by position, that holds a value beyond
-    float64, at that row's time t."""
+    """The stop of each row of a, by position, that holds a value beyond
+    float64: its state or diagnostics left float64 at that row's time t."""
     if np.isfinite(a).all():
         return {}
-    return {i: _blowup(t[i], what) for i in np.flatnonzero(~np.isfinite(a).all(axis=1))}
+    rows = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    return {i: RunStopped(Outcome.BLOWUP_SUSPECTED, f"non-finite {what} at t={t[i]:.6g}") for i in rows}
 
 
 @dataclass(frozen=True)
@@ -357,13 +353,13 @@ def _take_sample(
         grad_linf=np.abs(theta_x).max(axis=1),
     )
     table = np.column_stack([columns[name] for name in SCALAR_FIELDS])
-    stops = _non_finite(table, t, "diagnostics")  # a finite linf means a finite theta
-    holders = []
-    for i, plan in enumerate(plans):
-        alphas = () if i in stops else plan.holder_alphas
-        holders.append([regularity.holder_seminorm(RealField(grid, theta[i]), a) for a in alphas])
-        if not all(map(math.isfinite, holders[i])):
-            stops[i] = _blowup(t[i], "diagnostics")
+    stops = _non_finite(table, t, "diagnostics")
+    # The finite table is the Holder values' only check: a finite l2 keeps every |theta_hat_m|
+    # below sqrt(float max / 2 pi) ~ 5.4e153, so no increment of the scan, nor its ratio, leaves float64.
+    holders = [
+        [] if i in stops else [regularity.holder_seminorm(RealField(grid, theta[i]), a) for a in plan.holder_alphas]
+        for i, plan in enumerate(plans)
+    ]
     return table, holders, stops
 
 
@@ -397,12 +393,13 @@ def _field_values(obj) -> dict:
 def _predictions(
     theta0: RealField, samples: SampleTable, p: ModelParams, plan: DiagnosticPlan, k: RegularityConstants
 ):
-    """T* (regularity.predicted_t_star) and T1 where the formulas apply, None
-    elsewhere and for a T* beyond float64, since strict JSON has no Infinity;
-    T1 reads the norms of theta0 from the run's first sample, and is None for
-    a run stopped before it."""
+    """T* (at regularity.t_star_alpha's exponent) and T1 where the formulas
+    apply, None elsewhere and for a T* beyond float64, since strict JSON has no
+    Infinity; T1 reads the norms of theta0 from the run's first sample, and is
+    None for a run stopped before it."""
     linf0 = float(np.max(np.abs(theta0.values)))
-    t_star_pred = regularity.predicted_t_star(p.gamma, p.dissipation_on, plan.holder_alphas, linf0, k)
+    alpha = regularity.t_star_alpha(p.gamma, p.dissipation_on, plan.holder_alphas, linf0)
+    t_star_pred = None if alpha is None else regularity.t_star(p.gamma, alpha, linf0, k)
     t_local_pred = None
     if p.dissipation_on and 0.0 < p.gamma <= 1.0 and len(samples):
         l2, hdot32 = float(samples.l2[0]), float(samples.hdot_three_half[0])

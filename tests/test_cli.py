@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 import ccflab
-from ccflab import experiments
+from ccflab import cli, experiments
 from ccflab.cli import main
 from ccflab.experiments import DATUM_FAMILIES
+from ccflab.operators import CalibrationError
 from ccflab.records import load_records, record_to_dict
 from ccflab.report import parse_csv
 
@@ -126,6 +128,28 @@ class TestRunCommand:
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 1
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{gamma: 0.9", "is not valid JSON: "), ("[0.9, 64]", "must contain a JSON object")],
+        ids=["not_json", "not_an_object"],
+    )
+    def test_a_config_that_is_not_a_json_object_exits_1(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {cfg} {message}")
+        assert not (tmp_path / "runs.jsonl").exists()
+
+    def test_an_out_dir_that_is_a_file_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
+        """The output directory is resolved first, so a bad one costs no integration."""
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(cli, "_run_batch", lambda batch: pytest.fail("the run started"))
+        assert main(["run", "--n", "64", "--t-end", "0.1", "--out-dir", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(taken) in captured.err
+        assert captured.out == ""
+
     def test_appends_after_a_torn_last_line(self, tmp_path, capsys):
         flags = ["run", "--gamma", "0.9", "--n", "64", "--t-end", "0.1", "--out-dir", str(tmp_path)]
         assert main(flags) == 0
@@ -205,6 +229,21 @@ class TestVerifyCommand:
         assert captured.err == "error: seed must be a non-negative integer, got -1\n"
         assert captured.out == ""
 
+    def test_a_failing_row_exits_2(self, capsys, monkeypatch):
+        """One residual at its tolerance fails the suite: the table shows FAIL and
+        the exit is a runtime failure."""
+        suite = cli.verify_suite
+
+        def failing(**kwargs):
+            first, *rest = suite(**kwargs)
+            return [dataclasses.replace(first, residual=first.tolerance), *rest]
+
+        monkeypatch.setattr(cli, "verify_suite", failing)
+        assert main(["verify", "--n", "64"]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out
+        assert captured.err == "verification failed: residual above tolerance\n"
+
     def test_json_flag_prints_the_rows_as_a_json_array(self, capsys):
         assert main(["verify", "--n", "64", "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
@@ -219,6 +258,17 @@ class TestCalibrateCommand:
 
     def test_gamma_flag_required(self, capsys):
         assert main(["calibrate"]) == 1
+
+    def test_a_calibration_error_exits_2(self, capsys, monkeypatch):
+        message = "calibration failed for gamma=0.5: residual 2.000e-03 (n=64)"
+
+        def missed(gamma, grid):
+            raise CalibrationError(message, residual=2e-3)
+
+        monkeypatch.setattr(cli, "calibrate_cgamma", missed)
+        assert main(["calibrate", "--gamma", "0.5", "--n", "64"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"error: {message}\n", "")
 
     def test_grid_size_zero_is_rejected(self, capsys):
         assert main(["calibrate", "--gamma", "0.5", "--n", "0"]) == 1
@@ -273,6 +323,21 @@ class TestSweepAndReportCommands:
     def test_report_missing_file_names_it(self, capsys):
         assert main(["report", "/nonexistent/records.jsonl"]) == 1
         assert "records" in capsys.readouterr().err
+
+    def test_report_on_an_empty_file_exits_1(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["report", str(empty), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: records file {empty} holds no records\n"
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_report_into_an_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["report", str(SCHEMA_1_FILE), "--out-dir", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(taken) in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("missing", ["outcome", "tail_fraction"])
     def test_report_on_a_record_missing_a_key_names_line_and_key(self, tmp_path, capsys, missing):

@@ -21,12 +21,12 @@ from ccflab.regularity import (
     holder_alphas,
     holder_seminorm,
     make_schedule,
-    predicted_t_star,
     schedule_alpha,
     sobolev_norm,
     t_local,
     t_local_exponents,
     t_star,
+    t_star_alpha,
     tracked_schedule_alpha,
     validate_schedule_params,
 )
@@ -139,9 +139,7 @@ class TestTrackedScheduleAlpha:
         assert tracked_schedule_alpha(gamma, tracked) == alpha
 
 
-class TestPredictedTStar:
-    K = RegularityConstants()
-
+class TestTStarAlpha:
     @pytest.mark.parametrize(
         "gamma, dissipation_on, tracked, linf0",
         [
@@ -153,14 +151,15 @@ class TestPredictedTStar:
         ids=["inviscid", "gamma_above_one", "zero_datum", "policy_below_half"],
     )
     def test_none_where_no_t_star_applies(self, gamma, dissipation_on, tracked, linf0):
-        assert predicted_t_star(gamma, dissipation_on, tracked, linf0, self.K) is None
+        assert t_star_alpha(gamma, dissipation_on, tracked, linf0) is None
 
-    def test_t_star_at_the_schedule_exponent(self):
-        assert predicted_t_star(0.9, True, (0.3,), 2.0, self.K) == t_star(0.9, 0.3, 2.0)
-        assert predicted_t_star(0.9, True, (0.05,), 2.0, self.K) == t_star(0.9, alpha_policy(0.9), 2.0)
+    def test_the_schedule_exponent(self):
+        assert t_star_alpha(0.9, True, (0.3,), 2.0) == 0.3
+        assert t_star_alpha(0.9, True, (0.05,), 2.0) == alpha_policy(0.9)
 
-    def test_infinite_beyond_float64(self):
-        assert predicted_t_star(0.99, True, (), 2e5, self.K) == math.inf
+    def test_an_exponent_even_where_t_star_is_beyond_float64(self):
+        assert t_star_alpha(0.99, True, (), 2e5) == alpha_policy(0.99)
+        assert t_star(0.99, alpha_policy(0.99), 2e5) == math.inf
 
 
 class TestTStar:
@@ -582,6 +581,23 @@ class TestBatchedEnergyProbe:
             warnings.simplefilter("error")
             (result,) = energy_inequality_probes([record])
         assert str(result) == "probe needs strictly increasing snapshot times"
+
+    @pytest.mark.parametrize(
+        "x, d",
+        [(1e-92, 1e3), (1e100, 1.0), (1e160, 1.0)],
+        ids=["ratio_overflows", "denominator_overflows", "x_squared_overflows"],
+    )
+    def test_a_fit_beyond_float64_is_refused_without_a_warning(self, x, d):
+        """Constant series of a foreign record whose fit leaves float64: its own
+        refusal, not a RuntimeWarning or a complaint about a constant C1."""
+        size = 64
+        record = _probe_record(np.linspace(0.0, 1.0, size), np.full(size, x), np.full(size, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (result,) = energy_inequality_probes([record])
+            with pytest.raises(ValueError) as one:
+                energy_inequality_probe(record)
+        assert str(result) == str(one.value) == "probe refused: the fit leaves float64"
 
     def test_no_records_give_no_probes(self):
         assert energy_inequality_probes([]) == []

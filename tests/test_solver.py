@@ -480,6 +480,26 @@ class TestStopPaths:
         rec = run(RealField(self.GRID, 1e12 * np.cos(self.GRID.points)), self.P, self.C)
         assert _stop(rec) == (Outcome.STEP_COLLAPSE, "step size collapsed to 3.927e-14 at t=0", 1, 0)
 
+    def test_step_raises_the_stop_run_records(self):
+        """The public step() raises, as a RunStopped, the StepCollapse run() records for the same datum."""
+        big = RealField(self.GRID, 1e12 * np.cos(self.GRID.points))
+        with pytest.raises(solver.RunStopped) as raised:
+            step(SolverState(t=0.0, theta_hat=forward(big)), self.P, self.C)
+        rec = run(big, self.P, self.C)
+        assert (raised.value.outcome, raised.value.detail) == (rec.outcome, rec.outcome_detail)
+        assert raised.value.detail == "step size collapsed to 3.927e-14 at t=0"
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_a_finite_table_is_the_only_overflow_check_of_a_snapshot(self, n):
+        """Scaled by 1e153, 1 + cos x has a finite table and finite Holder values;
+        scaled by 1e154, the table itself leaves float64 and stops the run at t = 0."""
+        grid = TorusGrid(n)
+        p, plan = ModelParams(gamma=0.9, n=n), DiagnosticPlan((1.0, 0.05))
+        edge, past = (run(RealField(grid, a * (1.0 + np.cos(grid.points))), p, self.C, plan) for a in (1e153, 1e154))
+        assert len(edge.samples) == 1 and set(edge.samples.holder) == {1.0, 0.05}
+        assert all(np.isfinite(values).all() for values in edge.samples.holder.values())
+        assert _stop(past) == (Outcome.BLOWUP_SUSPECTED, "non-finite diagnostics at t=0", 0, 0)
+
     def test_under_resolved(self):
         """White noise fills the tail at t = 0, where there is no growth to judge."""
         noise = RealField(self.GRID, np.random.default_rng(0).standard_normal(64))
