@@ -254,10 +254,11 @@ def _batch_seconds(control: StepControl, cells: Sequence[Cell]) -> float:
     (dt = min(dt_max, cfl*dx/max(1, ||H theta||_inf))), so it errs low, and
     an error low only keeps work in-process. The coefficients were fitted to
     solver._step_raw, solver._take_sample and regularity.holder_seminorm inside
-    sweeps (2-CPU x86-64): a step costs 78 us + 0.2 us a row + 0.115 us a
-    coefficient (0.58 ms measured for 124 rows at n = 64, 0.37 ms for 6 at
-    n = 1024; 0.39 ms for one row at n = 4096 and 1.65 ms at 16384, where the
-    transforms' n log n outgrows the fit, which errs low), a snapshot 60 us +
+    sweeps (2-CPU x86-64): a step costs 45 us + 0.2 us a row + 0.104 us a
+    coefficient (medians of 0.049 ms for one row at n = 64, 0.10 ms for one at
+    1024, 0.51 ms for 124 rows at n = 64, 0.35 ms for 6 at n = 1024; 0.37 ms
+    for one row at n = 4096 and 1.67 ms at 16384, where the transforms'
+    n log n outgrows the fit, which errs low), a snapshot 60 us +
     2 us a row + 0.04 us a coefficient, and each tracked Holder exponent of a
     row 10 us + 0.34 us a grid point at each snapshot (0.032-0.036 ms at
     n = 64, 0.43-0.46 ms at 1024, 1.35-1.46 ms at 4096)."""
@@ -266,7 +267,7 @@ def _batch_seconds(control: StepControl, cells: Sequence[Cell]) -> float:
     exponents = sum(len(diagnostics.holder_alphas) for _, _, diagnostics in cells)
     steps = control.t_end / min(control.dt_max, control.cfl * 2.0 * math.pi / n)
     snapshots = 1.0 + control.t_end / control.snapshot_every
-    step_s = 78e-6 + 0.2e-6 * rows + 0.115e-6 * coefficients
+    step_s = 45e-6 + 0.2e-6 * rows + 0.104e-6 * coefficients
     snapshot_s = 60e-6 + 2e-6 * rows + 0.04e-6 * coefficients + exponents * (10e-6 + 0.34e-6 * n)
     return steps * step_s + snapshots * snapshot_s
 

@@ -14,10 +14,14 @@ kernel. Each row has its own gamma symbols and its own CFL dt. A batched
 step makes 8 real transforms, each over the whole stack: in each RK4 stage
 one irfft of every row's velocity and gradient and one rfft of their
 products, and stage one's irfft also carries every row's undealiased
-H theta, whose largest magnitude is the row's CFL speed. The stages write
-into a _Work of buffers, which run_batch() allocates for each burst (the
-steps one set of moving rows takes together) and step() for its one call;
-only the new state is a fresh array. A snapshot makes one transform, an
+H theta, whose largest magnitude is the row's CFL speed. Every transform
+here is torus.rfft or torus.irfft, the one forward-normalized pair, which
+calls numpy's pocketfft gufuncs without np.fft's per-call argument handling:
+at n <= 1024 that handling was a large share of a step. (The quadrature in
+operators keeps np.fft.) The stages write into a _Work of buffers and the
+views of them each stage reads, which run_batch() allocates for each burst
+(the steps one set of moving rows takes together) and step() for its one
+call; only the new state is a fresh array. A snapshot makes one transform, an
 irfft of theta and theta_x of every row, and one table of diagnostics, whose
 rows the records take as their columns. Rows that reach a snapshot time sit
 out the steps the others still need, and a RunStopped ends its own row only,
@@ -56,7 +60,7 @@ import numpy as np
 from . import regularity
 from .records import SCALAR_FIELDS, Outcome, RunRecord, SampleTable
 from .regularity import RegularityConstants
-from .torus import TAIL_LIMIT, TWO_PI, RealField, SpectralField, TorusGrid, tail_fraction
+from .torus import TAIL_LIMIT, TWO_PI, RealField, SpectralField, TorusGrid, irfft, rfft, tail_fraction
 
 GRADIENT_BLOWUP_FACTOR = 1e3
 DT_FLOOR = 1e-12
@@ -176,30 +180,38 @@ class _Kernel:
         self.n = grid.n
         self.dx = grid.dx
         modes = grid.abs_modes
-        self.hilbert = grid.hilbert_mult
-        symbols = np.stack([self.hilbert, grid.derivative_mult])
-        lam, mask, velocity_gradient, norm_weights = [], [], [], []
+        symbols = np.stack([grid.hilbert_mult, grid.derivative_mult])
+        lam, mask, row_symbols, norm_weights = [], [], [], []
         for p in params:
             lam.append(modes**p.gamma if p.dissipation_on else np.zeros_like(modes))
             mask.append(grid.dealias_mask if p.dealias_on else np.ones_like(grid.dealias_mask))
-            velocity_gradient.append(np.zeros_like(symbols) if p.linear_only else symbols * mask[-1])
+            velocity_gradient = np.zeros_like(symbols) if p.linear_only else symbols * mask[-1]
+            row_symbols.append([grid.hilbert_mult, *velocity_gradient])
             orders = (0.0, 0.5, 1.5, (3.0 + p.gamma) / 2.0)
             norm_weights.append([regularity.sobolev_weights(grid, s) for s in orders])
         # The 0/1 mask is stored complex, as the spectra it multiplies are: a bool
         # mask would be cast on every product, which costs more on a stack.
         self.lam, self.mask, self.norm_weights = np.array(lam), np.array(mask, dtype=complex), np.array(norm_weights)
-        # (2, B, n//2+1): the velocity symbols of every row, then the gradient symbols.
-        self.velocity_gradient = np.stack(velocity_gradient, axis=1)
+        # (3, B, n//2+1): the undealiased Hilbert symbol of every row (the CFL
+        # speed's), the velocity symbols, then the gradient symbols, so stage
+        # one's spectra are one product; the last two are velocity_gradient.
+        self.symbols = np.stack(row_symbols, axis=1)
+        self.velocity_gradient = self.symbols[1:]
         self._last = (None, None)
 
     def factors(self, dt: np.ndarray) -> tuple[np.ndarray, ...]:
         """e^{-lam dt/2}, its square, twice it, dt times it, dt/2 and dt/6,
-        the factors of an RK4 step at a (B, 1) column of row dts."""
+        the factors of an RK4 step at a (B, 1) column of row dts, the last two
+        as (B, 1) columns. Each is computed real and stored complex: numpy has
+        no real-by-complex multiply, so it would cast a real factor to complex
+        on every product with a spectrum, and the cast once per dt gives the
+        same bits."""
         key = dt.tobytes()
         last_key, last = self._last
         if key != last_key:
             half = np.exp(-self.lam * dt / 2.0)
-            last = half, half * half, 2.0 * half, dt * half, dt / 2.0, dt / 6.0
+            real = half, half * half, 2.0 * half, dt * half, dt / 2.0, dt / 6.0
+            last = tuple(f.astype(np.complex128) for f in real)
             self._last = (key, last)
         return last
 
@@ -209,7 +221,8 @@ class _Kernel:
             return self
         sub = copy.copy(self)
         sub.lam, sub.mask, sub.norm_weights = self.lam[rows], self.mask[rows], self.norm_weights[rows]
-        sub.velocity_gradient = self.velocity_gradient[:, rows]
+        sub.symbols = self.symbols[:, rows]
+        sub.velocity_gradient = sub.symbols[1:]
         sub._last = (None, None)
         return sub
 
@@ -223,7 +236,9 @@ _kernel = lru_cache(maxsize=8)(_Kernel)
 class _Work:
     """The buffers the IF-RK4 steps of a stack of rows write: the symbol x
     state spectra (H theta, velocity and gradient of every row), their real
-    rows, k1..k4, a stage input and e^{-lam dt} h."""
+    rows, k1..k4, a stage input and e^{-lam dt} h. The views every stage
+    reads are sliced here once: the velocity and gradient spectra and rows,
+    which the later stages transform without the H theta row, and each k."""
 
     def __init__(self, rows: int, n: int):
         m = n // 2 + 1
@@ -232,21 +247,23 @@ class _Work:
         self.k = np.empty((4, rows, m), dtype=complex)
         self.stage = np.empty((rows, m), dtype=complex)
         self.full_h = np.empty((rows, m), dtype=complex)
+        self.pair_spectra, self.pair_real = self.spectra[1:], self.real[1:]
+        self.velocity, self.gradient = self.real[1], self.real[2]
+        self.ks = tuple(self.k)
 
 
 def _nonlinear_raw(h: np.ndarray, kernel: _Kernel, work: _Work, stage: int) -> np.ndarray:
     """The k of RK4 stage 0..3 at the stack h, in work.k[stage]: the dealiased
     transform of H(theta)*theta_x of every row. Stage 0's irfft also gives
     every row's undealiased velocity H theta, in work.real[0], for the CFL."""
-    first = 0 if stage == 0 else 1
-    spectra, real = work.spectra[first:], work.real[first:]
     if stage == 0:
-        np.multiply(kernel.hilbert, h, out=spectra[0])
-    np.multiply(kernel.velocity_gradient, h, out=spectra[-2:])
-    np.fft.irfft(spectra, kernel.n, norm="forward", out=real)
-    velocity, gradient = real[-2:]
-    np.multiply(velocity, gradient, out=velocity)
-    k = np.fft.rfft(velocity, norm="forward", out=work.k[stage])
+        np.multiply(kernel.symbols, h, out=work.spectra)
+        irfft(work.spectra, kernel.n, out=work.real)
+    else:
+        np.multiply(kernel.velocity_gradient, h, out=work.pair_spectra)
+        irfft(work.pair_spectra, kernel.n, out=work.pair_real)
+    np.multiply(work.velocity, work.gradient, out=work.velocity)
+    k = rfft(work.velocity, out=work.ks[stage])
     k *= kernel.mask
     return k
 
@@ -255,7 +272,8 @@ def nonlinear_term(theta_hat: SpectralField, p: ModelParams) -> SpectralField:
     """Transform of H(theta)*theta_x, pseudospectral, dealiased when enabled."""
     grid = theta_hat.grid
     # Only stage 0's transform carries the CFL row, which nothing reads here.
-    h = _nonlinear_raw(theta_hat.coeffs[None], _kernel(grid, (p,)), _Work(1, grid.n), 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the RunStopped, not a warning
+        h = _nonlinear_raw(theta_hat.coeffs[None], _kernel(grid, (p,)), _Work(1, grid.n), 1)
     stops = _non_finite(h, [math.nan])
     if stops:
         raise stops[0]
@@ -293,7 +311,7 @@ def _step_raw(h, t, c, kernel: _Kernel, t_limit, work: _Work):
     np.multiply(half, stage, out=stage)
     k2 = _nonlinear_raw(stage, kernel, work, 1)
     np.multiply(half, h, out=stage)
-    np.add(stage, np.multiply(tau_2, k2, out=work.k[2]), out=stage)  # k3's buffer, before k3
+    np.add(stage, np.multiply(tau_2, k2, out=work.ks[2]), out=stage)  # k3's buffer, before k3
     k3 = _nonlinear_raw(stage, kernel, work, 2)
     np.multiply(full, h, out=full_h)
     np.add(full_h, np.multiply(tau_half, k3, out=stage), out=stage)
@@ -337,7 +355,7 @@ def _take_sample(
     plan's Holder exponents, and by position the RunStopped of each row whose
     snapshot holds a value beyond float64. One irfft gives every theta and theta_x."""
     grid = kernel.grid
-    theta, theta_x = np.fft.irfft(np.stack([h, h * grid.derivative_mult]), grid.n, norm="forward")
+    theta, theta_x = irfft(np.stack([h, h * grid.derivative_mult]), grid.n)
     power = np.abs(h) ** 2
     norms = np.sqrt(TWO_PI * np.sum(kernel.norm_weights * power[:, None], axis=-1))
     columns = dict(
@@ -479,7 +497,7 @@ def run_batch(
     t, steps = np.zeros(count), np.zeros(count, dtype=int)
     dt_lo, dt_hi = np.full(count, math.inf), np.zeros(count)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the outcome, not a warning
-        h = np.fft.rfft(np.stack([theta0.values for theta0, *_ in rows]), norm="forward")
+        h = rfft(np.stack([theta0.values for theta0, *_ in rows]))
         stops = _non_finite(h, t)
         for snapshot_index in itertools.count():
             target = min(snapshot_index * c.snapshot_every, c.t_end)

@@ -5,9 +5,18 @@ Conventions used across the package:
 * Grid points are x_j = 2*pi*j/n for j = 0..n-1, n even.
 * Spectral coefficients follow theta_hat[m] = (1/n) * sum_j theta(x_j) e^{-i m x_j},
   so that cos(x) maps to coefficient 1/2 on mode 1. This is numpy's
-  norm="forward" and the only normalization: every field transform states it
-  in the call, no coefficient array is rescaled by n, and chained solver.step()
-  reproduces solver.run() bit for bit at every even n.
+  norm="forward" and the only normalization: no coefficient array is rescaled
+  by n, and chained solver.step() reproduces solver.run() bit for bit at every
+  even n.
+* rfft and irfft are the one forward-normalized transform pair: forward,
+  inverse, the solver's steps, its snapshots and its datum transform all go
+  through them. They call numpy's pocketfft gufuncs directly, the kernels
+  np.fft.rfft and np.fft.irfft(norm="forward") run, so their bits are numpy's,
+  without the few microseconds of argument handling np.fft wraps around each
+  call, which at n <= 1024 is a large share of a solver step. They are the one
+  place that knows numpy's private module (numpy >= 2.0, no fallback). The
+  quadrature route in `operators` keeps np.fft and its default normalization,
+  so that route shares no code with this one.
 * Fields are real, so the negative modes are the conjugates of the positive
   ones and carry nothing new. Every coefficient array, the solver state
   included, is the rfft half spectrum m = 0, 1, ..., n/2 (n//2+1 entries).
@@ -29,6 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 TWO_PI = 2.0 * np.pi
 
@@ -146,14 +156,35 @@ class SpectralField:
         object.__setattr__(self, "coeffs", coeffs)
 
 
+# The transform axis of the gufuncs' (input, scale factor, output).
+_LAST_AXIS = [(-1,), (), (-1,)]
+
+
+def rfft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.rfft(a, norm="forward") along the last axis of real a, whose
+    length n is even, into out if given: the half spectra, n//2+1 long."""
+    n = a.shape[-1]
+    if out is None:
+        out = np.empty(a.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    return _pocketfft.rfft_n_even(a, 1.0 / n, axes=_LAST_AXIS, out=out)
+
+
+def irfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.irfft(a, n, norm="forward") along the last axis of the half
+    spectra a, into out if given, whose last axis must then be n long."""
+    if out is None:
+        out = np.empty(a.shape[:-1] + (n,))
+    return _pocketfft.irfft(a, 1.0, axes=_LAST_AXIS, out=out)
+
+
 def forward(f: RealField) -> SpectralField:
     """Half-spectrum DFT of a real field under the 1/n normalization."""
-    return SpectralField(f.grid, np.fft.rfft(f.values, norm="forward"))
+    return SpectralField(f.grid, rfft(f.values))
 
 
 def inverse(F: SpectralField) -> RealField:
     """Inverse DFT of the half spectrum back to real samples."""
-    return RealField(F.grid, np.fft.irfft(F.coeffs, F.grid.n, norm="forward"))
+    return RealField(F.grid, irfft(F.coeffs, F.grid.n))
 
 
 def derivative(F: SpectralField) -> SpectralField:

@@ -231,7 +231,7 @@ class TestOneStep:
 
         stack, kernel = _stack_of(MIXED[:3])
         for name in ("rfft", "irfft"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+            monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
         solver._step_raw(stack, np.zeros(3), CONTROL, kernel, 0.2, solver._Work(3, N))
         assert calls == ["irfft", "rfft"] * 4
         calls.clear()

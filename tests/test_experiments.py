@@ -649,7 +649,7 @@ class TestPoolGate:
 
     def test_a_plan_where_a_pool_breaks_even_runs_in_process(self, tmp_path, gated_pools):
         """8 cosines x gamma 0.6/0.9/1.2 x n 64/128, each gamma < 1 cell
-        tracking its policy exponent: estimated at 0.089 s, just below the
+        tracking its policy exponent: estimated at 0.085 s, just below the
         gate, where a pool about breaks even (0.12 s on 1 worker, 0.10-0.14 s
         on 2)."""
         plan = SweepPlan((0.6, 0.9, 1.2), _cosines(8), (64, 128), holder_alphas=None,

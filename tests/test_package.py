@@ -13,8 +13,8 @@ import ccflab
 import ccflab.operators
 from ccflab.operators import calibrate_cgamma
 from ccflab.records import Outcome
-from ccflab.solver import DiagnosticPlan, ModelParams, StepControl, run
-from ccflab.torus import RealField, TorusGrid
+from ccflab.solver import DiagnosticPlan, ModelParams, SolverState, StepControl, nonlinear_term, run, run_batch, step
+from ccflab.torus import RealField, TorusGrid, forward, inverse
 from ccflab.verify import verify_suite
 
 
@@ -75,6 +75,28 @@ def test_no_route_imports_scipy_and_only_a_paying_sweep_imports_the_pool(tmp_pat
     assert codes == [0, 0, 0, 0, 0, 0]
     assert len((tmp_path / "gated" / "sweep.jsonl").read_text().splitlines()) == 2
     assert loaded == []
+
+
+def test_the_solver_and_the_field_transforms_reach_no_public_transform(monkeypatch):
+    """Every forward-normalized transform goes through torus.rfft and
+    torus.irfft: run(), run_batch() on two rows, step(), nonlinear_term(),
+    forward and inverse never reach np.fft.rfft or np.fft.irfft."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("public np.fft transform reached")
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    grid = TorusGrid(64)
+    theta0 = RealField(grid, 1.0 + 0.5 * np.cos(grid.points))
+    p, c, plan = ModelParams(gamma=0.9, n=64), StepControl(t_end=0.1, snapshot_every=0.05), DiagnosticPlan((0.2,))
+    assert run(theta0, p, c, plan).outcome is Outcome.COMPLETED
+    rows = [(theta0, p, plan, None), (RealField(grid, 2.0 * theta0.values), ModelParams(gamma=1.2, n=64), plan, None)]
+    assert [record.outcome for record in run_batch(rows, c)] == [Outcome.COMPLETED] * 2
+    theta_hat = forward(theta0)
+    assert np.allclose(inverse(theta_hat).values, theta0.values, rtol=0.0, atol=1e-15)
+    assert step(SolverState(t=0.0, theta_hat=theta_hat), p, c).t > 0.0
+    assert np.isfinite(nonlinear_term(theta_hat, p).coeffs).all()
 
 
 def test_no_full_spectrum_transform_is_reached(monkeypatch):

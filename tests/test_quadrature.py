@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from ccflab import operators
+from ccflab import operators, torus
 from ccflab.operators import (
     CalibrationError,
     CgammaCalibration,
@@ -300,19 +300,23 @@ class TestCachedKernelIsBitEqual:
 class TestTransformCount:
     """Each quadrature evaluation transforms its field once: one rfft that the
     tail-fraction guard and the half-cell shift both read, the shift's irfft,
-    and one rfft/irfft pair for the correlation."""
+    and one rfft/irfft pair for the correlation. The quadrature's transforms
+    are np.fft's; the fields the suite checks it against go through the
+    forward-normalized pair in torus, counted under the names torus.*."""
 
     @pytest.fixture()
     def fft_calls(self, monkeypatch):
         calls = []
-        for name in ("fft", "ifft", "rfft", "irfft"):
-            transform = getattr(np.fft, name)
+        sites = [(np.fft, name, name) for name in ("fft", "ifft", "rfft", "irfft")]
+        sites += [(torus, name, f"torus.{name}") for name in ("rfft", "irfft")]
+        for module, name, label in sites:
+            transform = getattr(module, name)
 
-            def counted(*args, _name=name, _transform=transform, **kwargs):
-                calls.append(_name)
+            def counted(*args, _label=label, _transform=transform, **kwargs):
+                calls.append(_label)
                 return _transform(*args, **kwargs)
 
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     @pytest.mark.parametrize("route", [frac_laplacian_quadrature, dgamma], ids=lambda r: r.__name__)
@@ -328,6 +332,7 @@ class TestTransformCount:
         fft_calls.clear()
         verify_suite(n=4096)
         assert len(fft_calls) == 80
+        assert sum(label.startswith("torus.") for label in fft_calls) == 44
 
 
 class TestScaling:

@@ -557,6 +557,16 @@ class TestStopPaths:
         assert _stop(rec) == (Outcome.BLOWUP_SUSPECTED, "non-finite diagnostics at t=0", 0, 0)
         assert rec.t_local_predicted is None
 
+    def test_nonlinear_term_of_a_state_whose_product_overflows(self):
+        """The coefficients of 1e300*cos x are finite, the product of its
+        velocity and gradient is not: nonlinear_term raises the RunStopped,
+        not numpy's overflow warning."""
+        big = forward(RealField(self.GRID, 1e300 * np.cos(self.GRID.points)))
+        with warnings.catch_warnings(), pytest.raises(solver.RunStopped, match=r"^non-finite state at t=nan$") as raised:
+            warnings.simplefilter("error")
+            nonlinear_term(big, self.P)
+        assert raised.value.outcome is Outcome.BLOWUP_SUSPECTED
+
     def test_non_finite_state(self, monkeypatch):
         """The step that would leave floating point is not counted; its end time is named."""
         nonlinear = solver._nonlinear_raw
@@ -655,13 +665,13 @@ class TestSnapshot:
 
     def test_a_snapshot_makes_one_inverse_transform(self, monkeypatch):
         """B rows go through one irfft of 2B rows: theta and theta_x of each."""
-        calls, irfft = [], np.fft.irfft
+        calls, irfft = [], solver.irfft
 
         def counted(a, *args, **kwargs):
             calls.append(a.shape)
             return irfft(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "irfft", counted)
+        monkeypatch.setattr(solver, "irfft", counted)
         grid = TorusGrid(64)
         p = ModelParams(gamma=0.9, n=64)
         stack = np.array([forward(RealField(grid, k * np.cos(grid.points))).coeffs for k in (1.0, 2.0, 3.0)])

@@ -12,8 +12,32 @@ from ccflab.torus import (
     derivative,
     forward,
     inverse,
+    irfft,
+    rfft,
     tail_fraction,
 )
+
+
+class TestTransformPair:
+    """rfft and irfft call numpy's pocketfft gufuncs directly, and their bits
+    are those of np.fft.rfft and np.fft.irfft under norm="forward": on a row,
+    a stack and a stack of stacks, into a fresh array or into out."""
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 5)], ids=["1-D", "(B, m)", "(3, B, m)"])
+    @pytest.mark.parametrize("n", [32, 34, 64, 1024, 4096])
+    def test_bits_equal_the_public_forward_normalized_transforms(self, n, shape):
+        rng = np.random.default_rng(n + len(shape))
+        real = rng.standard_normal((*shape, n))
+        want = np.fft.rfft(real, norm="forward")
+        out = np.empty_like(want)
+        assert rfft(real).shape == want.shape and rfft(real).tobytes() == want.tobytes()
+        assert rfft(real, out=out) is out and out.tobytes() == want.tobytes()
+        # Imaginary parts in the mean and Nyquist slots too, which irfft drops.
+        half = want + 1j * rng.standard_normal(want.shape)
+        back = np.fft.irfft(half, n, norm="forward")
+        out = np.empty_like(back)
+        assert irfft(half, n).shape == back.shape and irfft(half, n).tobytes() == back.tobytes()
+        assert irfft(half, n, out=out) is out and out.tobytes() == back.tobytes()
 
 
 class TestTorusGrid:
